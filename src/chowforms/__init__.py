@@ -13,6 +13,7 @@ from .chow import (
     CayleyBiform,
     PluckerRep,
     cayley_biform,
+    contraction_resultant,
     implicitize_plane_curve,
     incident,
     plucker_rewrite,
@@ -33,6 +34,8 @@ from .polynomial import (
     BinaryForm,
     MPoly,
     content_primitive,
+    contract,
+    distinct_root_count,
     form_gcd,
     form_gcd_all,
     format_terms,
@@ -58,8 +61,11 @@ __all__ = [
     "cayley_biform",
     "check_curve",
     "content_primitive",
+    "contract",
+    "contraction_resultant",
     "det_bareiss",
     "det_laplace_split",
+    "distinct_root_count",
     "family_biform",
     "form_gcd",
     "form_gcd_all",

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
-from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive
+from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive, contract
 from .resultant import resultant
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "CayleyBiform",
     "PluckerRep",
     "cayley_biform",
+    "contraction_resultant",
     "incident",
     "plucker_rewrite",
     "implicitize_plane_curve",
@@ -124,22 +125,15 @@ class CayleyBiform:
         return out
 
 
-def _contraction_resultant(coeff_rows: list[list], names: tuple[str, ...]) -> MPoly:
-    """Resultant of sum_i u_i f_i against sum_i v_i f_i over the given ring."""
-    m = len(coeff_rows)
-    lift = lambda c: c if isinstance(c, MPoly) else MPoly.const(names, c)
-    h = []
-    for block in ("u", "v"):
-        coeffs = []
-        for j in range(len(coeff_rows[0])):
-            acc = MPoly.zero(names)
-            for i in range(m):
-                c = coeff_rows[i][j]
-                if c:
-                    acc = acc + MPoly.var(names, f"{block}{i}") * lift(c)
-            coeffs.append(acc)
-        h.append(BinaryForm(coeffs))
-    return resultant(h[0], h[1], method="laplace")
+def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -> MPoly:
+    """Resultant of sum_i u_i f_i against sum_i v_i f_i over the given ring.
+
+    The ring ``names`` holds the u- and v-blocks; MPoly coefficients of the
+    forms must already live in it.
+    """
+    u = [MPoly.var(names, f"u{i}") for i in range(len(forms))]
+    v = [MPoly.var(names, f"v{i}") for i in range(len(forms))]
+    return resultant(contract(forms, u), contract(forms, v))
 
 
 def cayley_biform(f: CurveMap) -> CayleyBiform:
@@ -148,9 +142,7 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
     Total on all curve maps: a parametrization with a base point yields the
     identically zero biform instead of an error.
     """
-    names = uv_names(f.n)
-    rows = [list(c.coeffs) for c in f.components]
-    return CayleyBiform(f.n, f.d, _contraction_resultant(rows, names))
+    return CayleyBiform(f.n, f.d, contraction_resultant(f.components, uv_names(f.n)))
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:
@@ -252,10 +244,12 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
     Builds the exact linear system sending degree-d monomials in the p_ij
     to (u, v)-monomials and extracts the reduced-echelon solution, pivoting
     on p-monomials in descending graded-lex order with free monomials set
-    to zero.  Raises if the biform is not a function of the wedge.
+    to zero.  A biform that is not a function of the wedge makes the system
+    inconsistent and raises ValueError; the exact round-trip through
+    :meth:`PluckerRep.expand` proves every accepted answer.
     """
-    if not depends_only_on_wedge(ca):
-        raise ValueError("not a function of u wedge v")
+    if ca.has_eps:
+        raise ValueError("plucker rewrite needs an eps-free biform")
     pnames = plucker_names(ca.n)
     uv = uv_names(ca.n)
     if ca.is_zero:

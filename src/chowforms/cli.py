@@ -9,7 +9,8 @@ with n+1 rows of d+1 exact rationals ("p", "p/q", or plain integers); row i
 lists component f_i's coefficients of z0^(d-j) z1^j for j = 0..d.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy (zero
-biform, parametrization not birational), 4 internal cross-check failure.
+biform, parametrization not birational), 4 internal cross-check failure
+(including a failed internal postcondition, raised as RuntimeError).
 Output is deterministic: fixed term order, fixed normalization, and the
 sampling seed is printed whenever sampling is used.
 """
@@ -40,7 +41,8 @@ class DegenerateInput(Exception):
 
 
 def _parse_rational(text, row: int, col: int) -> Fraction:
-    if isinstance(text, int):
+    # ``type(x) is int``, not isinstance: JSON true/false load as bool, an int subclass
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"invalid rational at row {row} col {col}")
@@ -65,7 +67,7 @@ def load_curve(path: str) -> CurveMap:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     n, d, coeffs = doc.get("n"), doc.get("d"), doc.get("coeffs")
-    if not isinstance(n, int) or not isinstance(d, int) or coeffs is None:
+    if type(n) is not int or type(d) is not int or coeffs is None:
         raise InputError(f"{path}: need integer fields n, d and a coeffs array")
     if not isinstance(coeffs, list) or len(coeffs) != n + 1:
         raise InputError(f"{path}: coeffs must have {n + 1} rows")
@@ -129,7 +131,7 @@ def cmd_compute(args) -> int:
         print("zero Cayley biform (base locus)", file=sys.stderr)
         return 3
     ca = ca.normalized()
-    rep = plucker_rewrite(ca) if args.plucker else None
+    rep = _plucker(ca) if args.plucker else None
     if args.json:
         doc = {
             "n": ca.n,
@@ -150,6 +152,13 @@ def cmd_compute(args) -> int:
             print(f"plucker canonical={'true' if rep.canonical else 'false'}")
             print(format_terms(rep.poly))
     return 0
+
+
+def _plucker(ca: CayleyBiform):
+    try:
+        return plucker_rewrite(ca)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def cmd_incident(args) -> int:
@@ -185,15 +194,18 @@ def _verdict(b: bool) -> str:
 def cmd_check(args) -> int:
     f = load_curve(args.curve)
     report = check_curve(f, rng=random.Random(args.seed))
-    doc = {
+    print(json.dumps(_report_doc(report, args.seed)))
+    return 0
+
+
+def _report_doc(report, seed: int) -> dict:
+    return {
         "base_free": report.base_free,
         "map_degree": report.map_degree,
         "image_degree": report.image_degree,
         "in_U": report.birational,
-        "seed": args.seed,
+        "seed": seed,
     }
-    print(json.dumps(doc))
-    return 0
 
 
 def cmd_degenerate(args) -> int:
@@ -251,14 +263,7 @@ def cmd_implicitize(args) -> int:
         raise InputError("implicitize needs a plane curve (n = 2)")
     report = check_curve(f, rng=random.Random(args.seed))
     if not report.birational:
-        doc = {
-            "base_free": report.base_free,
-            "map_degree": report.map_degree,
-            "image_degree": report.image_degree,
-            "in_U": report.birational,
-            "seed": args.seed,
-        }
-        print(json.dumps(doc))
+        print(json.dumps(_report_doc(report, args.seed)))
         return 3
     poly = implicitize_plane_curve(f, rng=random.Random(args.seed))
     print(format_terms(poly))
@@ -272,7 +277,7 @@ def cmd_plucker(args) -> int:
     if ca.is_zero:
         print("zero Cayley biform (base locus)", file=sys.stderr)
         return 3
-    rep = plucker_rewrite(ca.normalized())
+    rep = _plucker(ca.normalized())
     print(f"plucker canonical={'true' if rep.canonical else 'false'}")
     print(format_terms(rep.poly))
     return 0
@@ -336,7 +341,14 @@ def main(argv=None) -> int:
     except DegenerateInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

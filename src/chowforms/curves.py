@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomial import BinaryForm, ScalarLike
+from .polynomial import BinaryForm, ScalarLike, contract
 from .resultant import det_bareiss
 
 __all__ = ["CurveMap", "Plane", "act_gl2", "act_gln"]
@@ -103,12 +103,4 @@ def act_gln(f: CurveMap, B: Sequence[Sequence[ScalarLike]]) -> CurveMap:
         raise ValueError(f"matrix must be {m}x{m}")
     if det_bareiss(rows) == 0:
         raise ValueError("singular matrix")
-    zero = BinaryForm.zero(f.d)
-    new = []
-    for i in range(m):
-        acc = zero
-        for j in range(m):
-            if rows[i][j]:
-                acc = acc + rows[i][j] * f.components[j]
-        new.append(acc)
-    return CurveMap(tuple(new))
+    return CurveMap(tuple(contract(f.components, row) for row in rows))

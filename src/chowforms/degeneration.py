@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .chow import EPS, CayleyBiform, _contraction_resultant, cayley_biform, proportional, uv_names
+from .chow import EPS, CayleyBiform, cayley_biform, contraction_resultant, proportional, uv_names
 from .curves import CurveMap, act_gl2
 from .polynomial import BinaryForm, MPoly, ScalarLike
 
@@ -135,7 +135,8 @@ def normalize_attachment(
     rescaled = CurveMap(
         tuple((1 / w) * c for w, c in zip(values, moved.components))
     )
-    assert rescaled.point(at) == (Fraction(1),) * (f.n + 1)
+    if rescaled.point(at) != (Fraction(1),) * (f.n + 1):
+        raise RuntimeError("attachment normalization missed (1, ..., 1)")
     return rescaled
 
 
@@ -157,11 +158,11 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[Fraction, Fraction]:
 def family_biform(F: DegenerationFamily) -> CayleyBiform:
     """Chow biform of the family with eps carried as a ring variable."""
     names = uv_names(F.n, eps=True)
-    rows = [
-        [c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs]
+    forms = [
+        BinaryForm([c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs])
         for comp in F.components
     ]
-    return CayleyBiform(F.n, F.d, _contraction_resultant(rows, names))
+    return CayleyBiform(F.n, F.d, contraction_resultant(forms, names))
 
 
 def limit_direction(ca: CayleyBiform) -> CayleyBiform:

@@ -10,14 +10,13 @@ cross-validated.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .curves import CurveMap, Plane
-from .polynomial import BinaryForm, form_gcd, form_gcd_all, _int_list, _int_poly_gcd, _deg, _split_monomial
+from .polynomial import contract, distinct_root_count, form_gcd, form_gcd_all
 
 __all__ = ["CurveCheck", "base_locus_free", "incident_oracle", "map_degree", "check_curve"]
 
@@ -25,14 +24,6 @@ __all__ = ["CurveCheck", "base_locus_free", "incident_oracle", "map_degree", "ch
 def base_locus_free(f: CurveMap) -> bool:
     """True iff the components share no projective root."""
     return form_gcd_all(f.components).degree == 0
-
-
-def _contract(f: CurveMap, covector) -> BinaryForm:
-    acc = BinaryForm.zero(f.d)
-    for c, comp in zip(covector, f.components):
-        if c:
-            acc = acc + c * comp
-    return acc
 
 
 def incident_oracle(f: CurveMap, plane: Plane) -> bool:
@@ -47,25 +38,11 @@ def incident_oracle(f: CurveMap, plane: Plane) -> bool:
     """
     if not base_locus_free(f):
         raise ValueError("parametrization has base locus")
-    h1 = _contract(f, plane.u)
-    h2 = _contract(f, plane.v)
+    h1 = contract(f.components, plane.u)
+    h2 = contract(f.components, plane.v)
     if h1.is_zero or h2.is_zero:
         return True
     return form_gcd(h1, h2).degree >= 1
-
-
-def _distinct_root_count(h: BinaryForm) -> tuple[int, bool]:
-    """Number of distinct projective roots of h, plus a squarefree flag."""
-    p0, p1, core = _split_monomial(h)
-    count = (1 if p0 else 0) + (1 if p1 else 0)
-    squarefree = p0 <= 1 and p1 <= 1
-    if core.degree >= 1:
-        u = _int_list(core)
-        du = [k * c for k, c in enumerate(u)][1:]
-        g = _int_poly_gcd(u, du)
-        count += _deg(u) - _deg(g)
-        squarefree = squarefree and _deg(g) == 0
-    return count, squarefree
 
 
 def map_degree(f: CurveMap, rng: Optional[random.Random] = None, trials: int = 3) -> int:
@@ -100,7 +77,7 @@ def map_degree(f: CurveMap, rng: Optional[random.Random] = None, trials: int = 3
         G = form_gcd_all(minors)
         if G.degree == 0:
             continue
-        count, squarefree = _distinct_root_count(G)
+        count, squarefree = distinct_root_count(G)
         if not squarefree:
             continue
         counts.append(count)

@@ -32,9 +32,11 @@ __all__ = [
     "MPoly",
     "BinaryForm",
     "content_primitive",
+    "contract",
     "poly_divides",
     "form_gcd",
     "form_gcd_all",
+    "distinct_root_count",
     "format_terms",
     "parse_terms",
 ]
@@ -356,6 +358,17 @@ class MPoly:
         return {k: MPoly(rest, t) for k, t in buckets.items()}
 
 
+def _content(values: Iterable[Fraction]) -> Fraction:
+    """Positive rational c with every value / c an integer, coprime overall:
+    the gcd of the numerators over the lcm of the denominators."""
+    num_gcd = 0
+    den_lcm = 1
+    for c in values:
+        num_gcd = math.gcd(num_gcd, c.numerator)
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    return Fraction(num_gcd, den_lcm)
+
+
 def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     """Split ``p = c * q`` with q having coprime integer coefficients.
 
@@ -364,12 +377,7 @@ def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     """
     if p.is_zero:
         raise ValueError("content of zero polynomial")
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    c = Fraction(num_gcd, den_lcm)
+    c = _content(p.terms.values())
     if p.leading_coeff() < 0:
         c = -c
     return c, p * (1 / c)
@@ -485,7 +493,7 @@ class BinaryForm:
 
     @property
     def is_zero(self) -> bool:
-        return all(_entry_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def is_numeric(self) -> bool:
@@ -520,7 +528,7 @@ class BinaryForm:
         if isinstance(other, BinaryForm):
             out = [Fraction(0)] * (self.degree + other.degree + 1)
             for i, a in enumerate(self.coeffs):
-                if _entry_is_zero(a):
+                if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
@@ -554,7 +562,7 @@ class BinaryForm:
         d = self.degree
         parts = []
         for j, c in enumerate(self.coeffs):
-            if _entry_is_zero(c):
+            if not c:
                 continue
             mono = "".join(
                 f"{v}^{e}" if e > 1 else v
@@ -572,7 +580,7 @@ class BinaryForm:
         d = self.degree
         out = BinaryForm.zero(d * p.degree)
         for j, c in enumerate(self.coeffs):
-            if _entry_is_zero(c):
+            if not c:
                 continue
             out = out + c * (p ** (d - j) * q**j)
         return out
@@ -592,22 +600,25 @@ class BinaryForm:
             raise ValueError("normalization needs numeric coefficients")
         if self.is_zero:
             raise ValueError("cannot normalize the zero form")
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
+        scale = 1 / _content(self.coeffs)
         lead = next(c for c in self.coeffs if c)
         if lead < 0:
             scale = -scale
         return BinaryForm([c * scale for c in self.coeffs])
 
 
-def _entry_is_zero(c) -> bool:
-    if isinstance(c, MPoly):
-        return c.is_zero
-    return not c
+def contract(forms: Sequence[BinaryForm], covector: Sequence) -> BinaryForm:
+    """The form sum_i covector[i] * forms[i].
+
+    Covector entries may be numbers or MPolys, so one routine contracts a
+    curve against a numeric plane covector, a row of a linear action, or a
+    block of covector variables.
+    """
+    acc = BinaryForm.zero(forms[0].degree)
+    for c, h in zip(covector, forms, strict=True):
+        if c:
+            acc = acc + c * h
+    return acc
 
 
 # -- gcd of numeric binary forms --------------------------------------------
@@ -625,14 +636,8 @@ def _split_monomial(h: BinaryForm) -> tuple[int, int, BinaryForm]:
 
 def _int_list(core: BinaryForm) -> list[int]:
     """Dehomogenize at z1 = 1 as an integer list, low power first."""
-    den_lcm = 1
-    for c in core.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in reversed(core.coeffs)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return [v // g for v in ints]
+    q = _content(core.coeffs)
+    return [int(c / q) for c in reversed(core.coeffs)]
 
 
 def _deg(p: list[int]) -> int:
@@ -727,6 +732,21 @@ def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
     for j in range(e + 1):
         out[p1 + j] = Fraction(g[e - j])
     return BinaryForm(out)
+
+
+def distinct_root_count(h: BinaryForm) -> tuple[int, bool]:
+    """Number of distinct projective roots of a nonzero numeric form, plus a
+    squarefree flag."""
+    p0, p1, core = _split_monomial(h)
+    count = (1 if p0 else 0) + (1 if p1 else 0)
+    squarefree = p0 <= 1 and p1 <= 1
+    if core.degree >= 1:
+        u = _int_list(core)
+        du = [k * c for k, c in enumerate(u)][1:]
+        g = _int_poly_gcd(u, du)
+        count += _deg(u) - _deg(g)
+        squarefree = squarefree and _deg(g) == 0
+    return count, squarefree
 
 
 def form_gcd_all(forms: Iterable[BinaryForm]) -> BinaryForm:

@@ -1,12 +1,14 @@
 """Sylvester matrices and exact resultants of equal-degree binary forms.
 
-Two determinant backends are provided.  Fraction-free Bareiss elimination
-handles any square matrix with exact entries.  For Sylvester matrices whose
-top rows involve one covector block and bottom rows another, a Laplace
-expansion along the top block is much cheaper: the determinant becomes a
-signed sum over column subsets of products of two d x d minors, and every
-top minor collects the u-variables while every bottom minor collects the
-v-variables, which makes the bidegree (d, d) of the result explicit.
+Two determinant backends are provided.  The production one, used by
+:func:`resultant`, is a Laplace expansion along the top block of the
+Sylvester matrix: the determinant becomes a signed sum over column subsets
+of products of two d x d minors, and when the top rows involve one covector
+block and the bottom rows another, every top minor collects the
+u-variables while every bottom minor collects the v-variables, which makes
+the bidegree (d, d) of the result explicit.  Fraction-free Bareiss
+elimination handles any square matrix with exact entries and serves as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ from .polynomial import BinaryForm, MPoly
 Entry = Union[Fraction, MPoly]
 
 __all__ = ["SylvesterMatrix", "sylvester", "det_bareiss", "det_laplace_split", "resultant"]
-
-
-def _is_zero(x: Entry) -> bool:
-    if isinstance(x, MPoly):
-        return x.is_zero
-    return not x
 
 
 def _exact_div(num: Entry, den: Entry) -> Entry:
@@ -123,7 +119,7 @@ def det_bareiss(M) -> Entry:
     sign = 1
     prev: Entry = Fraction(1)
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not _is_zero(A[r][k])), None)
+        pivot_row = next((r for r in range(k, n) if A[r][k]), None)
         if pivot_row is None:
             return zero
         if pivot_row != k:
@@ -168,10 +164,10 @@ def det_laplace_split(M) -> Entry:
             acc = None
             for idx, c in enumerate(cols):
                 entry = block[row][c]
-                if _is_zero(entry):
+                if not entry:
                     continue
                 sub = minor(cols[:idx] + cols[idx + 1 :])
-                if _is_zero(sub):
+                if not sub:
                     continue
                 term = entry * sub
                 if idx % 2:
@@ -190,11 +186,11 @@ def det_laplace_split(M) -> Entry:
     cols = range(n)
     for S in combinations(cols, d):
         t = minor_top(S)
-        if _is_zero(t):
+        if not t:
             continue
         comp = tuple(c for c in cols if c not in set(S))
         b = minor_bottom(comp)
-        if _is_zero(b):
+        if not b:
             continue
         term = t * b
         if (sum(S) + base_sign) % 2:
@@ -203,19 +199,7 @@ def det_laplace_split(M) -> Entry:
     return zero if acc is None else acc
 
 
-def resultant(h1: BinaryForm, h2: BinaryForm, method: str = "auto") -> Entry:
-    """Resultant of two degree-d binary forms as the Sylvester determinant.
-
-    ``method`` picks the backend: "bareiss", "laplace", or "auto", which
-    uses the Laplace split when coefficients are symbolic (the Sylvester
-    blocks then separate by covector block) and Bareiss for plain numbers.
-    """
-    M = sylvester(h1, h2)
-    if method == "auto":
-        symbolic = any(isinstance(c, MPoly) for c in h1.coeffs + h2.coeffs)
-        method = "laplace" if symbolic else "bareiss"
-    if method == "bareiss":
-        return det_bareiss(M)
-    if method == "laplace":
-        return det_laplace_split(M)
-    raise ValueError(f"unknown method {method!r}")
+def resultant(h1: BinaryForm, h2: BinaryForm) -> Entry:
+    """Resultant of two degree-d binary forms: the Sylvester determinant by
+    the Laplace split."""
+    return det_laplace_split(sylvester(h1, h2))

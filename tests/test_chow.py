@@ -356,3 +356,21 @@ def test_implicitize_errors():
     double = CurveMap.from_coeffs([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(ValueError, match="birational"):
         implicitize_plane_curve(double)
+
+
+def test_plucker_rejects_non_wedge_biform_in_p2():
+    # u0*v0 has bidegree (1, 1) but is not a linear form in the p_ij; the
+    # exact solve must reject it without a separate wedge pre-check
+    names = uv_names(2)
+    bad = CayleyBiform(2, 1, MPoly.var(names, "u0") * MPoly.var(names, "v0"))
+    with pytest.raises(ValueError, match="wedge"):
+        plucker_rewrite(bad)
+
+
+def test_plucker_rejects_eps_biform():
+    names = uv_names(1, eps=True)
+    p01 = MPoly.var(names, "u0") * MPoly.var(names, "v1") - MPoly.var(
+        names, "u1"
+    ) * MPoly.var(names, "v0")
+    with pytest.raises(ValueError, match="eps"):
+        plucker_rewrite(CayleyBiform(1, 1, MPoly.var(names, "eps") * p01))

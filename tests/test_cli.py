@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,70 @@ def test_incident_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["incident", path, "--plane", "0,1,0;1,0,-1"])
     assert code == 4
     assert out.rstrip().endswith("DISAGREE")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": True, "d": 1, "coeffs": [[True, False], [False, True]]}, "integer fields"),
+        ({"n": 1, "d": True, "coeffs": [["1", "0"], ["0", "1"]]}, "integer fields"),
+        ({"n": 1, "d": 1, "coeffs": [[1, 0], [False, 1]]}, "invalid rational at row 1 col 0"),
+    ],
+)
+def test_json_booleans_rejected(tmp_path, capsys, doc, message):
+    # bool is an int subclass, so true/false must be refused explicitly
+    path = write(tmp_path, "bool.json", doc)
+    code, out, err = run(capsys, ["compute", path])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["compute", "--plucker"], ["plucker"]])
+def test_plucker_beyond_naming_range_exits_2(tmp_path, capsys, argv):
+    # a line in P^10: the biform is fine, but p_ij names stop at n = 9
+    big = {"n": 10, "d": 1, "coeffs": [["1", "0"], ["0", "1"]] + [["0", "0"]] * 9}
+    path = write(tmp_path, "p10.json", big)
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "n <= 9" in err
+
+
+def test_internal_runtime_error_exits_4(tmp_path, capsys, monkeypatch):
+    import chowforms.cli as cli
+
+    def fail(ca):
+        raise RuntimeError("plucker rewrite failed to round-trip")
+
+    path = write(tmp_path, "conic.json", CONIC)
+    monkeypatch.setattr(cli, "plucker_rewrite", fail)
+    code, out, err = run(capsys, ["plucker", path])
+    assert (code, out) == (4, "")
+    assert err == "error: plucker rewrite failed to round-trip\n"
+
+
+def test_attachment_postcondition_exits_4(tmp_path, capsys, monkeypatch):
+    import chowforms.degeneration as degeneration
+
+    monkeypatch.setattr(degeneration, "act_gl2", lambda f, A: f)
+    f = {"n": 2, "d": 1, "coeffs": [["2", "1"], ["1", "3"], ["1", "1"]]}
+    pf = write(tmp_path, "f.json", f)
+    pg = write(tmp_path, "g.json", LINE_G)
+    code, out, err = run(capsys, ["degenerate", pf, pg, "--normalize-attachment"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and "attachment" in err
+
+
+def test_module_entry_point(tmp_path):
+    path = write(tmp_path, "line.json", LINE)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowforms.cli", "compute", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "biform n=2 d=1\n+1 * u0^1 v1^1\n-1 * u1^1 v0^1\n"

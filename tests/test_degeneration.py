@@ -173,3 +173,13 @@ def test_random_join_factors():
         fam = join_family(f, g)
         limit = limit_direction(family_biform(fam))
         assert boundary_factor_check(limit, [cayley_biform(f), cayley_biform(g)])
+
+
+def test_normalize_attachment_postcondition_is_checked(monkeypatch):
+    # a reparametrization that fails to move the point must not slip through
+    import chowforms.degeneration as degeneration
+
+    monkeypatch.setattr(degeneration, "act_gl2", lambda f, A: f)
+    f = CurveMap.from_coeffs([[2, 1], [1, 3], [1, 1]])
+    with pytest.raises(RuntimeError, match="attachment"):
+        normalize_attachment(f, z_star=(1, 1), at=(1, 0))

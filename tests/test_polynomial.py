@@ -9,6 +9,8 @@ from chowforms import (
     BinaryForm,
     MPoly,
     content_primitive,
+    contract,
+    distinct_root_count,
     form_gcd,
     form_gcd_all,
     format_terms,
@@ -297,3 +299,32 @@ def test_normalized_form():
     assert h.normalized() == BinaryForm([1, -2])
     with pytest.raises(ValueError):
         BinaryForm.zero(1).normalized()
+
+
+# -- contraction and root counts ------------------------------------------------
+
+
+def test_contract_numeric_and_symbolic():
+    forms = [BinaryForm([1, 0]), BinaryForm([0, 1]), BinaryForm([1, 1])]
+    assert contract(forms, [2, 0, Fraction(1, 2)]) == BinaryForm(
+        [Fraction(5, 2), Fraction(1, 2)]
+    )
+    assert contract(forms, [0, 0, 0]) == BinaryForm.zero(1)
+    names = ("u0", "u1", "u2")
+    u = [MPoly.var(names, n) for n in names]
+    h = contract(forms, u)
+    assert h.coeffs == (u[0] + u[2], u[1] + u[2])
+    with pytest.raises(ValueError):
+        contract(forms, [1, 2])
+
+
+def test_distinct_root_count():
+    # z0^2 z1 (z0 - z1): roots (0:1) twice, (1:0) and (1:1)
+    h = BinaryForm([1, -1]) * BinaryForm([1, 0, 0]) * BinaryForm([0, 1])
+    assert distinct_root_count(h) == (3, False)
+    # z0^2 - z1^2 splits into two simple roots
+    assert distinct_root_count(BinaryForm([1, 0, -1])) == (2, True)
+    # z0^2 + z1^2 has two conjugate roots and (z0 - z1)^2 one double root
+    assert distinct_root_count(BinaryForm([1, 0, 1])) == (2, True)
+    assert distinct_root_count(BinaryForm([1, -2, 1])) == (1, False)
+    assert distinct_root_count(BinaryForm([5])) == (0, True)
