@@ -1,7 +1,8 @@
 """Exact Chow forms of rational curves in projective space.
 
 Builds the bidegree-(d, d) Chow (Cayley) biform of a parametrized rational
-curve from the resultant of its covector contractions, tests incidence with
+curve from the resultant of its covector contractions (taken as the
+determinant of their Plucker-weighted Bezout matrix), tests incidence with
 codimension-2 planes (and cross-validates against an independent gcd-based
 oracle), rewrites biforms in Plucker coordinates, implicitizes plane
 curves, and realizes one-parameter degenerations of a curve onto a joined
@@ -11,6 +12,7 @@ forms.  All arithmetic is exact over Q.
 
 from .chow import (
     CayleyBiform,
+    NotBirational,
     PluckerRep,
     cayley_biform,
     contraction_resultant,
@@ -42,7 +44,15 @@ from .polynomial import (
     parse_terms,
     poly_divides,
 )
-from .resultant import SylvesterMatrix, det_bareiss, det_laplace_split, resultant, sylvester
+from .resultant import (
+    SylvesterMatrix,
+    bezout,
+    det_bareiss,
+    det_expand,
+    det_laplace_split,
+    resultant,
+    sylvester,
+)
 
 __all__ = [
     "BinaryForm",
@@ -51,12 +61,14 @@ __all__ = [
     "CurveMap",
     "DegenerationFamily",
     "MPoly",
+    "NotBirational",
     "Plane",
     "PluckerRep",
     "SylvesterMatrix",
     "act_gl2",
     "act_gln",
     "base_locus_free",
+    "bezout",
     "boundary_factor_check",
     "cayley_biform",
     "check_curve",
@@ -64,6 +76,7 @@ __all__ = [
     "contract",
     "contraction_resultant",
     "det_bareiss",
+    "det_expand",
     "det_laplace_split",
     "distinct_root_count",
     "family_biform",

@@ -7,6 +7,14 @@ meeting the image curve.  That biform is the curve's Chow (Cayley) form, up
 to scalar; it depends on the covectors only through the wedge u ^ v, so it
 also admits a rewrite into Plucker coordinates p_ij = u_i v_j - u_j v_i.
 
+The production route uses that dependence directly.  The Bezout matrix is
+bilinear and alternating, so Bez(h1, h2) = sum_{k<l} p_kl Bez(f_k, f_l), a
+d x d matrix whose entries are linear in the p_kl with numeric (or Q[eps])
+coefficients.  Its determinant, expanded back into (u, v), is the resultant
+up to a sign fixed by d; the 2d x 2d Sylvester determinant over the u- and
+v-variables is never formed.  The Sylvester backends in
+:mod:`chowforms.resultant` remain as cross-checks.
+
 Biform coefficient tables are a faithful, canonical encoding: two curves
 have the same image exactly when their normalized biforms agree, which is
 why all projective comparisons happen on biforms rather than on Plucker
@@ -19,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
-from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive, contract
-from .resultant import resultant
+from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive
+from .resultant import bezout, det_expand
 
 __all__ = [
     "uv_names",
@@ -35,6 +44,7 @@ __all__ = [
     "incident",
     "plucker_rewrite",
     "implicitize_plane_curve",
+    "NotBirational",
     "proportional",
 ]
 
@@ -128,12 +138,40 @@ class CayleyBiform:
 def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -> MPoly:
     """Resultant of sum_i u_i f_i against sum_i v_i f_i over the given ring.
 
-    The ring ``names`` holds the u- and v-blocks; MPoly coefficients of the
-    forms must already live in it.
+    The ring ``names`` is the u-block and the v-block, one variable per
+    form each, then any coefficient variables (such as eps); MPoly
+    coefficients of the forms live in it and involve only the coefficient
+    variables.  The result equals the Sylvester resultant exactly, sign
+    included.  It is computed as the determinant of
+    sum_{k<l} p_kl Bez(f_k, f_l) over the ring of the p_kl and the
+    coefficient variables, with p_kl -> u_k v_l - u_l v_k substituted at the
+    end.  Raises ValueError unless the forms share one degree d >= 1.
     """
-    u = [MPoly.var(names, f"u{i}") for i in range(len(forms))]
-    v = [MPoly.var(names, f"v{i}") for i in range(len(forms))]
-    return resultant(contract(forms, u), contract(forms, v))
+    d = forms[0].degree
+    if any(h.degree != d for h in forms):
+        raise ValueError("forms must have equal degrees")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    m = len(forms)
+    coeff_vars = names[2 * m :]
+    pairs = list(combinations(range(m), 2))
+    # Internal names only: "p{k},{l}" stays unambiguous for every m.
+    pvars = tuple(f"p{k},{l}" for k, l in pairs)
+    ring = pvars + coeff_vars
+    weighted = [[MPoly.zero(ring)] * d for _ in range(d)]
+    for (k, l), p in zip(pairs, pvars):
+        w = MPoly.var(ring, p)
+        for i, row in enumerate(bezout(forms[k], forms[l])):
+            for j, c in enumerate(row):
+                if c:
+                    if isinstance(c, MPoly):
+                        c = c.restrict(coeff_vars).embed(ring)
+                    weighted[i][j] = weighted[i][j] + w * c
+    env = {p: _wedge_coord(names, k, l) for (k, l), p in zip(pairs, pvars)}
+    env.update((x, MPoly.var(names, x)) for x in coeff_vars)
+    out = det_expand(weighted).evaluate(env, one=MPoly.const(names, 1))
+    # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
+    return -out if (d * (d + 1) // 2) % 2 else out
 
 
 def cayley_biform(f: CurveMap) -> CayleyBiform:
@@ -323,21 +361,31 @@ def _rref_solve(A: list[list[Fraction]], ncols: int) -> Optional[list[Fraction]]
 # -- plane-curve implicitization ---------------------------------------------
 
 
+class NotBirational(ValueError):
+    """Raised by :func:`implicitize_plane_curve`; ``report`` is the
+    :class:`~chowforms.oracle.CurveCheck` that rejected the curve."""
+
+    def __init__(self, report):
+        super().__init__(
+            "parametrization is not birational onto its image: "
+            f"base_free={report.base_free} map_degree={report.map_degree}"
+        )
+        self.report = report
+
+
 def implicitize_plane_curve(f: CurveMap, rng=None) -> MPoly:
     """Implicit equation of a birationally parametrized plane curve.
 
     Rewrites the Chow form in p_ij and applies the P^2 duality
     x0 = p12, x1 = -p02, x2 = p01; the normalized result is the degree-d
-    equation of the image.
+    equation of the image.  Raises :class:`NotBirational` when
+    :func:`~chowforms.oracle.check_curve` rejects the parametrization.
     """
     if f.n != 2:
         raise ValueError("implicitization needs a plane curve (n = 2)")
     report = check_curve(f, rng=rng)
     if not report.birational:
-        raise ValueError(
-            "parametrization is not birational onto its image: "
-            f"base_free={report.base_free} map_degree={report.map_degree}"
-        )
+        raise NotBirational(report)
     rep = plucker_rewrite(cayley_biform(f))
     xnames = ("x0", "x1", "x2")
     env = {

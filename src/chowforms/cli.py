@@ -23,7 +23,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .chow import CayleyBiform, cayley_biform, implicitize_plane_curve, incident, plucker_rewrite
+from .chow import (
+    CayleyBiform,
+    NotBirational,
+    cayley_biform,
+    implicitize_plane_curve,
+    incident,
+    plucker_rewrite,
+)
 from .curves import CurveMap, Plane
 from .degeneration import boundary_factor_check, family_biform, join_family, limit_direction, normalize_attachment
 from .oracle import check_curve, incident_oracle
@@ -261,11 +268,11 @@ def cmd_implicitize(args) -> int:
     f = load_curve(args.curve)
     if f.n != 2:
         raise InputError("implicitize needs a plane curve (n = 2)")
-    report = check_curve(f, rng=random.Random(args.seed))
-    if not report.birational:
-        print(json.dumps(_report_doc(report, args.seed)))
+    try:
+        poly = implicitize_plane_curve(f, rng=random.Random(args.seed))
+    except NotBirational as exc:
+        print(json.dumps(_report_doc(exc.report, args.seed)))
         return 3
-    poly = implicitize_plane_curve(f, rng=random.Random(args.seed))
     print(format_terms(poly))
     return 0
 

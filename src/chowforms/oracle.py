@@ -57,7 +57,11 @@ def map_degree(f: CurveMap, rng: Optional[random.Random] = None, trials: int = 3
     """
     if not base_locus_free(f):
         raise ValueError("parametrization has base locus")
-    rng = rng or random.Random(0)
+    return _sample_map_degree(f, rng or random.Random(0), trials)
+
+
+def _sample_map_degree(f: CurveMap, rng: random.Random, trials: int = 3) -> int:
+    """The sampling loop of :func:`map_degree`, for a base-point-free f."""
     counts = []
     attempts = 0
     while len(counts) < trials:
@@ -104,7 +108,7 @@ def check_curve(f: CurveMap, rng: Optional[random.Random] = None) -> CurveCheck:
         return CurveCheck(False, None, None, False)
     rng = rng or random.Random(0)
     for _ in range(5):
-        e = map_degree(f, rng=rng)
+        e = _sample_map_degree(f, rng)
         if f.d % e == 0:
             return CurveCheck(True, e, f.d // e, e == 1)
     raise RuntimeError("map degree sampling failed to divide the curve degree")

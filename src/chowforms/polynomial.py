@@ -276,6 +276,8 @@ class MPoly:
         Values may live in any commutative ring supporting ``+`` and ``*``
         with Fraction scalars (Fractions, MPoly of another ring,
         BinaryForm); ``one`` must be that ring's multiplicative identity.
+        MPoly results are summed into one term dict, since chaining ``+``
+        would rebuild the whole accumulator once per term.
         """
         maxes = [0] * len(self.names)
         for exps in self.terms:
@@ -294,6 +296,20 @@ class MPoly:
             for _ in range(m - 1):
                 table.append(table[-1] * v)
             pows[i] = table
+        if isinstance(one, MPoly):
+            out: dict[tuple[int, ...], Fraction] = {}
+            for exps, c in self.terms.items():
+                val = one
+                for i, e in enumerate(exps):
+                    if e:
+                        val = val * pows[i][e]
+                for mono, x in val.terms.items():
+                    s = out.get(mono, 0) + c * x
+                    if s:
+                        out[mono] = s
+                    else:
+                        out.pop(mono, None)
+            return MPoly(one.names, out)
         acc = None
         for exps, c in self.terms.items():
             val = c * one

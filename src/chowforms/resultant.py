@@ -1,14 +1,17 @@
-"""Sylvester matrices and exact resultants of equal-degree binary forms.
+"""Bezout and Sylvester matrices of equal-degree binary forms, and exact
+determinants.
 
-Two determinant backends are provided.  The production one, used by
-:func:`resultant`, is a Laplace expansion along the top block of the
-Sylvester matrix: the determinant becomes a signed sum over column subsets
-of products of two d x d minors, and when the top rows involve one covector
-block and the bottom rows another, every top minor collects the
-u-variables while every bottom minor collects the v-variables, which makes
-the bidegree (d, d) of the result explicit.  Fraction-free Bareiss
-elimination handles any square matrix with exact entries and serves as the
-independent cross-check.
+The production route to a Chow form (:func:`chowforms.chow.contraction_resultant`)
+takes the determinant of a weighted sum of the d x d Bezout matrices from
+:func:`bezout`, by :func:`det_expand`: first-row expansion with memoized
+minors, division-free, so it needs only ring operations on the entries.
+
+The Sylvester route is kept as the independent cross-check.  It has two
+determinant backends.  :func:`resultant` uses the Laplace split along the
+top block of the Sylvester matrix: a signed sum over column subsets of
+products of two d x d minors, built from the same memoized minors.
+Fraction-free Bareiss elimination handles any square matrix with exact
+entries and is the second, independent backend.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from .polynomial import BinaryForm, MPoly
 
 Entry = Union[Fraction, MPoly]
 
-__all__ = ["SylvesterMatrix", "sylvester", "det_bareiss", "det_laplace_split", "resultant"]
+__all__ = [
+    "SylvesterMatrix",
+    "sylvester",
+    "bezout",
+    "det_bareiss",
+    "det_expand",
+    "det_laplace_split",
+    "resultant",
+]
 
 
 def _exact_div(num: Entry, den: Entry) -> Entry:
@@ -56,11 +67,7 @@ class SylvesterMatrix:
 
 def sylvester(h1: BinaryForm, h2: BinaryForm) -> SylvesterMatrix:
     """Build the Sylvester matrix; both forms must share a degree d >= 1."""
-    d = h1.degree
-    if h2.degree != d:
-        raise ValueError("forms must have equal degrees")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    d = _common_degree(h1, h2)
     c1, c2 = _join_coeffs(h1, h2)
     zero = _zero_like(c1 + c2)
     rows = []
@@ -71,6 +78,39 @@ def sylvester(h1: BinaryForm, h2: BinaryForm) -> SylvesterMatrix:
                 row[i + j] = c
             rows.append(tuple(row))
     return SylvesterMatrix(d, tuple(rows))
+
+
+def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
+    """d x d Bezout matrix of two forms sharing a degree d >= 1.
+
+    With t = z1/z0, entry [i][j] is the coefficient of s^i t^j in
+    (h1(s) h2(t) - h1(t) h2(s)) / (s - t).  The matrix is bilinear and
+    alternating in (h1, h2), and its determinant is
+    (-1)^(d(d+1)/2) * resultant(h1, h2).
+    """
+    d = _common_degree(h1, h2)
+    a, b = _join_coeffs(h1, h2)
+    # c[p][q]: coefficient of s^p t^q in h1(s) h2(t) - h1(t) h2(s).
+    c = [[a[p] * b[q] - a[q] * b[p] for q in range(d + 1)] for p in range(d + 1)]
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = c[i + 1][j]
+            for k in range(1, min(j, d - 1 - i) + 1):
+                acc = acc + c[i + 1 + k][j - k]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _common_degree(h1: BinaryForm, h2: BinaryForm) -> int:
+    d = h1.degree
+    if h2.degree != d:
+        raise ValueError("forms must have equal degrees")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    return d
 
 
 def _join_coeffs(h1: BinaryForm, h2: BinaryForm) -> tuple[list[Entry], list[Entry]]:
@@ -134,6 +174,53 @@ def det_bareiss(M) -> Entry:
     return -det if sign < 0 else det
 
 
+def _minors(block: list[list[Entry]], zero: Entry):
+    """Memoized minors of the last rows of a block, keyed by column tuple.
+
+    ``minors(cols)`` is the determinant of the last len(cols) rows restricted
+    to ``cols``, by expansion along the first of those rows.  Subsets share
+    their sub-minors, so all minors of a k-row block cost at most one
+    product per (subset, column) pair, and no entry is ever divided.
+    """
+    k = len(block)
+    memo: dict[tuple[int, ...], Entry] = {(): Fraction(1)}
+
+    def minor(cols: tuple[int, ...]) -> Entry:
+        val = memo.get(cols)
+        if val is not None:
+            return val
+        row = k - len(cols)
+        acc = None
+        for idx, c in enumerate(cols):
+            entry = block[row][c]
+            if not entry:
+                continue
+            sub = minor(cols[:idx] + cols[idx + 1 :])
+            if not sub:
+                continue
+            term = entry * sub
+            if idx % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        val = zero if acc is None else acc
+        memo[cols] = val
+        return val
+
+    return minor
+
+
+def det_expand(M) -> Entry:
+    """Exact, division-free determinant by memoized first-row expansion.
+
+    Costs one product per (column subset, column) pair, 2^n subsets in all,
+    so it suits small matrices over polynomial rings where Bareiss would
+    need exact polynomial division.
+    """
+    A = _rows(M)
+    zero = _zero_like([x for row in A for x in row])
+    return _minors(A, zero)(tuple(range(len(A))))
+
+
 def det_laplace_split(M) -> Entry:
     """Determinant via Laplace expansion along the first half of the rows.
 
@@ -150,37 +237,8 @@ def det_laplace_split(M) -> Entry:
         raise ValueError("split expansion needs an even-sized matrix")
     d = n // 2
     zero = _zero_like([x for row in A for x in row])
-    top = A[:d]
-    bottom = A[d:]
-
-    def make_minor(block):
-        memo: dict[tuple[int, ...], Entry] = {(): Fraction(1)}
-
-        def minor(cols: tuple[int, ...]) -> Entry:
-            val = memo.get(cols)
-            if val is not None:
-                return val
-            row = d - len(cols)
-            acc = None
-            for idx, c in enumerate(cols):
-                entry = block[row][c]
-                if not entry:
-                    continue
-                sub = minor(cols[:idx] + cols[idx + 1 :])
-                if not sub:
-                    continue
-                term = entry * sub
-                if idx % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            val = zero if acc is None else acc
-            memo[cols] = val
-            return val
-
-        return minor
-
-    minor_top = make_minor(top)
-    minor_bottom = make_minor(bottom)
+    minor_top = _minors(A[:d], zero)
+    minor_bottom = _minors(A[d:], zero)
     base_sign = (d * (d - 1) // 2) % 2
     acc = None
     cols = range(n)
@@ -201,5 +259,5 @@ def det_laplace_split(M) -> Entry:
 
 def resultant(h1: BinaryForm, h2: BinaryForm) -> Entry:
     """Resultant of two degree-d binary forms: the Sylvester determinant by
-    the Laplace split."""
+    the Laplace split.  A cross-check: no production path calls it."""
     return det_laplace_split(sylvester(h1, h2))

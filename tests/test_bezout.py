@@ -1,0 +1,155 @@
+"""The Plucker-weighted Bezout route to the Chow form, checked exactly against
+the Sylvester backends (and, where sympy is installed, against sympy)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from chowforms import (
+    BinaryForm,
+    CayleyBiform,
+    CurveMap,
+    MPoly,
+    bezout,
+    cayley_biform,
+    check_curve,
+    contract,
+    contraction_resultant,
+    det_bareiss,
+    det_expand,
+    family_biform,
+    join_family,
+    proportional,
+    resultant,
+    uv_names,
+)
+from helpers import naive_det, rand_curve, rand_form
+
+
+def sylvester_route(forms, names, m):
+    """Res(sum u_i f_i, sum v_i f_i) by the Sylvester Laplace backend."""
+    u = [MPoly.var(names, f"u{i}") for i in range(m)]
+    v = [MPoly.var(names, f"v{i}") for i in range(m)]
+    return resultant(contract(forms, u), contract(forms, v))
+
+
+def eps_forms(fam):
+    names = uv_names(fam.n, eps=True)
+    forms = [
+        BinaryForm([c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs])
+        for comp in fam.components
+    ]
+    return forms, names
+
+
+# Largest d per n keeps the Sylvester reference (2d x 2d over 2(n+1)
+# variables) to about a second.
+@pytest.mark.parametrize("n, d_max", [(1, 6), (2, 4), (3, 3), (4, 3)])
+def test_cayley_biform_equals_sylvester_route(n, d_max):
+    rng = random.Random(300 + n)
+    for d in range(1, d_max + 1):
+        f = rand_curve(rng, n, d)
+        expected = sylvester_route(f.components, uv_names(n), n + 1)
+        assert cayley_biform(f).poly == expected, (n, d)
+
+
+def test_base_pointed_curve_gives_zero_on_both_routes():
+    common = BinaryForm([1, 1])  # z0 + z1 divides every component
+    lines = CurveMap.from_coeffs([[1, 2], [0, 1], [3, -1]])
+    f = CurveMap(tuple(common * c for c in lines.components))
+    assert cayley_biform(f).is_zero
+    assert sylvester_route(f.components, uv_names(2), 3).is_zero
+
+
+def test_ten_dimensional_conic_has_unambiguous_pair_ring():
+    rng = random.Random(1010)
+    f = rand_curve(rng, 10, 2)
+    ca = cayley_biform(f)
+    assert ca.n == 10 and not ca.is_zero
+    assert ca.poly == sylvester_route(f.components, uv_names(10), 11)
+
+
+LINE_P3 = CurveMap.from_coeffs([[1, 0], [1, 1], [1, 2], [1, 3]])
+CONIC_P3 = CurveMap.from_coeffs([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+CONIC_F = CurveMap.from_coeffs([[1, 0, 0], [1, 1, 0], [1, 0, 1]])  # (1,1,1) at (1,0)
+CONIC_G = CurveMap.from_coeffs([[1, 0, 1], [0, 0, 1], [0, 1, 1]])  # (1,1,1) at (0,1)
+
+
+@pytest.mark.parametrize(
+    "f, g", [(LINE_P3, CONIC_P3), (CONIC_F, CONIC_G)], ids=["line_conic_P3", "conic_conic_P2"]
+)
+def test_family_biform_equals_sylvester_route(f, g):
+    assert check_curve(f).birational and check_curve(g).birational
+    fam = join_family(f, g)
+    forms, names = eps_forms(fam)
+    biform = family_biform(fam)
+    assert biform.has_eps
+    assert biform.poly == sylvester_route(forms, names, fam.n + 1)
+
+
+def test_bezout_determinant_sign_against_both_backends():
+    rng = random.Random(77)
+    for d in range(1, 7):
+        h1, h2 = rand_form(rng, d), rand_form(rng, d)
+        sign = -1 if (d * (d + 1) // 2) % 2 else 1
+        B = bezout(h1, h2)
+        assert det_expand(B) == sign * resultant(h1, h2)
+        assert det_bareiss(B) == det_expand(B)
+
+
+def test_bezout_is_alternating_and_bilinear():
+    rng = random.Random(78)
+    f, g, h = (rand_form(rng, 3) for _ in range(3))
+    lam = Fraction(-2, 3)
+    assert bezout(f, f) == ((0,) * 3,) * 3
+    minus = tuple(tuple(-x for x in row) for row in bezout(g, f))
+    assert bezout(f, g) == minus
+    lhs = bezout(f + lam * h, g)
+    rhs = tuple(
+        tuple(a + lam * b for a, b in zip(r1, r2)) for r1, r2 in zip(bezout(f, g), bezout(h, g))
+    )
+    assert lhs == rhs
+
+
+def test_det_expand_matches_naive_on_symbolic_matrix():
+    names = ("x", "y")
+    x, y = MPoly.var(names, "x"), MPoly.var(names, "y")
+    M = [[x, y, 1], [y - 1, x * y, x], [2, x + y, y * y]]
+    assert det_expand(M) == naive_det(M)
+
+
+def test_contraction_resultant_rejects_bad_degrees():
+    names = uv_names(1)
+    with pytest.raises(ValueError):
+        contraction_resultant([BinaryForm([1]), BinaryForm([2])], names)
+    with pytest.raises(ValueError):
+        contraction_resultant([BinaryForm([1, 0]), BinaryForm([0, 1, 1])], names)
+
+
+# -- independent oracle: sympy ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3)])
+def test_cayley_biform_proportional_to_sympy_resultant(n, d):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(900 + 10 * n + d)
+    while True:
+        f = rand_curve(rng, n, d)
+        if any(c.coeffs[d] for c in f.components):  # degree d after z0 -> 1
+            break
+    t = sympy.Symbol("t")
+    u = sympy.symbols(f"u0:{n + 1}")
+    v = sympy.symbols(f"v0:{n + 1}")
+
+    def dehomogenized(covector):
+        return sum(
+            c * sympy.Rational(x.numerator, x.denominator) * t**j
+            for c, comp in zip(covector, f.components)
+            for j, x in enumerate(comp.coeffs)
+        )
+
+    res = sympy.Poly(sympy.resultant(dehomogenized(u), dehomogenized(v), t), *u, *v)
+    terms = {exps: Fraction(int(c.p), int(c.q)) for exps, c in res.terms()}
+    oracle = CayleyBiform(n, d, MPoly(uv_names(n), terms))
+    assert proportional(cayley_biform(f), oracle)

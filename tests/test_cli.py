@@ -236,6 +236,25 @@ def test_implicitize_errors(tmp_path, capsys):
     assert doc["in_U"] is False and doc["map_degree"] == 2
 
 
+@pytest.mark.parametrize("doc, code", [(CONIC, 0), (DOUBLE, 3), (BASED, 3)], ids=["conic", "double", "based"])
+def test_implicitize_checks_the_curve_once(tmp_path, capsys, monkeypatch, doc, code):
+    import chowforms.chow
+    import chowforms.cli
+    import chowforms.oracle
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chowforms.oracle.check_curve(*args, **kwargs)
+
+    for module in (chowforms.chow, chowforms.cli):
+        monkeypatch.setattr(module, "check_curve", counting)
+    path = write(tmp_path, "curve.json", doc)
+    assert run(capsys, ["implicitize", path])[0] == code
+    assert len(calls) == 1
+
+
 def test_plucker_subcommand(tmp_path, capsys):
     path = write(tmp_path, "conic.json", CONIC)
     code, out, _ = run(capsys, ["plucker", path])

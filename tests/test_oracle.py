@@ -83,6 +83,27 @@ def test_check_curve_examples():
     )
 
 
+def test_check_curve_tests_the_base_locus_once(monkeypatch):
+    import chowforms.oracle as oracle
+
+    calls = []
+    original = oracle.base_locus_free
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(oracle, "base_locus_free", counting)
+    for f in (CONIC, DOUBLE, BASED):
+        calls.clear()
+        check_curve(f, rng=random.Random(1))
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ValueError):
+        map_degree(BASED)
+    assert len(calls) == 1
+
+
 def test_map_degree_reparametrization_invariant():
     rng = random.Random(3)
     for _ in range(10):
