@@ -43,6 +43,7 @@ from .polynomial import (
     format_terms,
     parse_terms,
     poly_divides,
+    rational,
 )
 from .resultant import (
     SylvesterMatrix,
@@ -94,6 +95,7 @@ __all__ = [
     "plucker_rewrite",
     "poly_divides",
     "proportional",
+    "rational",
     "resultant",
     "sylvester",
     "uv_names",

@@ -24,6 +24,7 @@ n >= 3 and d >= 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
-from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive
+from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive, rational
 from .resultant import bezout, det_expand
 
 __all__ = [
@@ -90,13 +91,17 @@ class CayleyBiform:
         return self.poly.is_zero
 
     def eval(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]):
-        """Value at numeric covectors: a Fraction, or a poly in eps."""
+        """Value at numeric covectors: a Fraction, or a poly in eps.
+
+        Entries must be exact rationals (int or Fraction); anything else
+        raises TypeError.
+        """
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError(f"covectors must have length {self.n + 1}")
         env: dict[str, object] = {}
         for i in range(self.n + 1):
-            env[f"u{i}"] = Fraction(u[i])
-            env[f"v{i}"] = Fraction(v[i])
+            env[f"u{i}"] = rational(u[i])
+            env[f"v{i}"] = rational(v[i])
         if self.has_eps:
             env[EPS] = MPoly.var((EPS,), EPS)
             return self.poly.evaluate(env, one=MPoly.const((EPS,), 1))
@@ -146,12 +151,19 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     sum_{k<l} p_kl Bez(f_k, f_l) over the ring of the p_kl and the
     coefficient variables, with p_kl -> u_k v_l - u_l v_k substituted at the
     end.  Raises ValueError unless the forms share one degree d >= 1.
+
+    The determinant runs over Z: every form is first scaled by the lcm
+    lam of all coefficient denominators, which multiplies the resultant by
+    lam^(2d), and the result is divided by lam^(2d) at the end.
     """
     d = forms[0].degree
     if any(h.degree != d for h in forms):
         raise ValueError("forms must have equal degrees")
     if d < 1:
         raise ValueError("degree must be at least 1")
+    lam = _denominator_lcm(forms)
+    if lam != 1:
+        forms = [h * lam for h in forms]
     m = len(forms)
     coeff_vars = names[2 * m :]
     pairs = list(combinations(range(m), 2))
@@ -170,8 +182,23 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     env = {p: _wedge_coord(names, k, l) for (k, l), p in zip(pairs, pvars)}
     env.update((x, MPoly.var(names, x)) for x in coeff_vars)
     out = det_expand(weighted).evaluate(env, one=MPoly.const(names, 1))
+    if lam != 1:
+        out = out * Fraction(1, lam ** (2 * d))
     # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
     return -out if (d * (d + 1) // 2) % 2 else out
+
+
+def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:
+    """Least common multiple of the denominators of every coefficient,
+    including those inside MPoly coefficients."""
+    lam = 1
+    for h in forms:
+        for c in h.coeffs:
+            for q in c.terms.values() if isinstance(c, MPoly) else (c,):
+                den = q.denominator
+                if den != 1:
+                    lam = math.lcm(lam, den)
+    return lam
 
 
 def cayley_biform(f: CurveMap) -> CayleyBiform:
@@ -315,22 +342,34 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
     for c in cols:
         row_keys.update(c.terms)
     row_keys = sorted(row_keys)
+    # The columns are integral; clearing the biform's denominators into the
+    # right-hand side keeps the whole system over Z.
+    mu = math.lcm(*(c.denominator for c in ca.poly.terms.values()))
     A = [
-        [c.terms.get(rk, Fraction(0)) for c in cols] + [ca.poly.terms.get(rk, Fraction(0))]
+        [c.terms.get(rk, 0) for c in cols] + [int(ca.poly.terms.get(rk, 0) * mu)]
         for rk in row_keys
     ]
     x = _rref_solve(A, len(cols))
     if x is None:
         raise ValueError("not a function of u wedge v")
-    rep = MPoly(pnames, {m: c for m, c in zip(monos, x) if c})
+    rep = MPoly(pnames, {m: c / mu for m, c in zip(monos, x) if c})
     out = PluckerRep(ca.n, ca.d, rep, ca.n == 2 or ca.d == 1)
     if out.expand().poly != ca.poly:
         raise RuntimeError("plucker rewrite failed to round-trip")
     return out
 
 
-def _rref_solve(A: list[list[Fraction]], ncols: int) -> Optional[list[Fraction]]:
-    """Reduced echelon solve of [A | b]; free variables pinned to zero."""
+def _rref_solve(A: list[list[int]], ncols: int) -> Optional[list[Fraction]]:
+    """Reduced echelon solve of the integer system [A | b]; free variables
+    pinned to zero.
+
+    Fraction-free Gauss-Jordan: columns in order, the first row with a
+    nonzero entry pivots, and every other row r becomes
+    pv * r - r[c] * pivot_row divided by its content.  Each row stays a
+    nonzero multiple of the row rational elimination would hold, so the
+    pivots and the solution are the same; the only divisions come when the
+    solution is read off.
+    """
     nrows = len(A)
     pivots = []
     r = 0
@@ -339,12 +378,14 @@ def _rref_solve(A: list[list[Fraction]], ncols: int) -> Optional[list[Fraction]]
         if pr is None:
             continue
         A[r], A[pr] = A[pr], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
+        prow = A[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and A[i][c]:
-                factor = A[i][c]
-                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
+            factor = A[i][c]
+            if i != r and factor:
+                row = [pv * x - factor * y for x, y in zip(A[i], prow)]
+                g = math.gcd(*row)
+                A[i] = [x // g for x in row] if g > 1 else row
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -354,7 +395,7 @@ def _rref_solve(A: list[list[Fraction]], ncols: int) -> Optional[list[Fraction]]
             return None
     x = [Fraction(0)] * ncols
     for row, col in pivots:
-        x[col] = A[row][ncols]
+        x[col] = Fraction(A[row][ncols], A[row][col])
     return x
 
 

@@ -240,6 +240,8 @@ def cmd_degenerate(args) -> int:
     ca_g = cayley_biform(g)
     if ca_f.is_zero or ca_g.is_zero:
         raise DegenerateInput("component Cayley biform is zero (base locus)")
+    # Primitive integer components keep both products below over Z.
+    ca_f, ca_g = ca_f.normalized(), ca_g.normalized()
     product = (ca_f * ca_g).normalized()
     factors = boundary_factor_check(limit, [ca_f, ca_g])
     print(_biform_lines(limit, label="limit"))

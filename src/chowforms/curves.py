@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomial import BinaryForm, ScalarLike, contract
+from .polynomial import BinaryForm, ScalarLike, contract, rational
 from .resultant import det_bareiss
 
 __all__ = ["CurveMap", "Plane", "act_gl2", "act_gln"]
@@ -59,14 +59,18 @@ class CurveMap:
 
 @dataclass(frozen=True)
 class Plane:
-    """Codimension-2 plane { x : <x, u> = <x, v> = 0 } in P^n."""
+    """Codimension-2 plane { x : <x, u> = <x, v> = 0 } in P^n.
 
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
+    Covector entries must be exact rationals (int or Fraction); anything
+    else raises TypeError.
+    """
+
+    u: tuple[ScalarLike, ...]
+    v: tuple[ScalarLike, ...]
 
     def __post_init__(self):
-        u = tuple(Fraction(x) if isinstance(x, int) else x for x in self.u)
-        v = tuple(Fraction(x) if isinstance(x, int) else x for x in self.v)
+        u = tuple(rational(x) for x in self.u)
+        v = tuple(rational(x) for x in self.v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         if len(u) != len(v) or len(u) < 2:

@@ -1,10 +1,18 @@
 """Exact sparse multivariate polynomials and homogeneous binary forms.
 
-All arithmetic is over the rationals with ``fractions.Fraction``
-coefficients, so every comparison in the package is an exact identity.
+All arithmetic is exact over the rationals, so every comparison in the
+package is an exact identity.
 
 An :class:`MPoly` maps exponent tuples (one slot per variable of its ring)
 to nonzero coefficients; the ring is fixed by the tuple of variable names.
+Its coefficients are stored in one normal form, the one :func:`rational`
+returns: a Python ``int`` when the value is integral, a
+``fractions.Fraction`` otherwise.  Polynomials over Z therefore never touch
+``Fraction`` arithmetic, and queries that hand single coefficients to
+callers (:meth:`MPoly.constant_value`, :meth:`MPoly.leading_term`,
+:meth:`MPoly.leading_coeff`) return ``Fraction``, so true division on them
+stays exact.
+
 The monomial order used everywhere (leading terms, sign normalization,
 serialized output) is graded lexicographic: higher total degree first, ties
 broken by comparing exponent tuples left to right, first declared variable
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ScalarLike = Union[int, Fraction]
@@ -39,15 +48,34 @@ __all__ = [
     "distinct_root_count",
     "format_terms",
     "parse_terms",
+    "rational",
 ]
 
 
-def _as_fraction(x: ScalarLike) -> Fraction:
-    if isinstance(x, Fraction):
+def rational(x: ScalarLike) -> ScalarLike:
+    """The exact rational x in coefficient normal form: an ``int`` when
+    integral, else a ``Fraction``.
+
+    Only ``int`` and ``Fraction`` are exact rationals here; anything else
+    (floats, strings, bools) raises TypeError instead of being coerced.
+    """
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _normal_terms(terms: dict) -> dict:
+    """Copy of an arithmetic result's terms in normal form: zero
+    coefficients dropped, integral ``Fraction`` values turned into ``int``."""
+    return {
+        e: c.numerator if type(c) is not int and c.denominator == 1 else c
+        for e, c in terms.items()
+        if c
+    }
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -55,16 +83,21 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Q with a named variable ring."""
+    """Sparse multivariate polynomial over Q with a named variable ring.
+
+    Coefficients are ``int`` when integral and ``Fraction`` otherwise (see
+    :func:`rational`); the constructor validates and normalizes its input,
+    while arithmetic builds results through :meth:`_trusted`.
+    """
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names: Iterable[str], terms: Optional[Mapping] = None):
         names = tuple(names)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], ScalarLike] = {}
         if terms:
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = rational(c)
                 if not c:
                     continue
                 exps = tuple(exps)
@@ -79,6 +112,17 @@ class MPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], terms: dict) -> "MPoly":
+        """Wrap ``terms`` without checks.  The caller guarantees what
+        ``__init__`` would enforce: ``names`` is a tuple, every key an
+        exponent tuple of its arity, every value nonzero and in normal form;
+        ``terms`` is not shared."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "names", names)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -88,18 +132,18 @@ class MPoly:
     @classmethod
     def const(cls, names: Iterable[str], c: ScalarLike) -> "MPoly":
         names = tuple(names)
-        return cls(names, {(0,) * len(names): _as_fraction(c)})
+        return cls(names, {(0,) * len(names): c})
 
     @classmethod
     def var(cls, names: Iterable[str], name: str) -> "MPoly":
         names = tuple(names)
         i = names.index(name)
         exps = tuple(1 if k == i else 0 for k in range(len(names)))
-        return cls(names, {exps: Fraction(1)})
+        return cls(names, {exps: 1})
 
     @classmethod
     def monomial(cls, names: Iterable[str], exps: Sequence[int], c: ScalarLike = 1) -> "MPoly":
-        return cls(names, {tuple(exps): _as_fraction(c)})
+        return cls(names, {tuple(exps): c})
 
     # -- queries -----------------------------------------------------------
 
@@ -116,7 +160,7 @@ class MPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -135,12 +179,12 @@ class MPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        return exps, Fraction(self.terms[exps])
 
     def leading_coeff(self) -> Fraction:
         return self.leading_term()[1]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], ScalarLike]]:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -160,18 +204,15 @@ class MPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MPoly(self.names, out)
+            out[exps] = get(exps, 0) + c
+        return MPoly._trusted(self.names, _normal_terms(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.names, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -187,23 +228,21 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return MPoly.zero(self.names)
-            return MPoly(self.names, {e: k * c for e, k in self.terms.items()})
+            c = rational(other)
+            return MPoly._trusted(
+                self.names, _normal_terms({e: k * c for e, k in self.terms.items()})
+            )
         if isinstance(other, MPoly):
             if other.names != self.names:
                 raise ValueError("polynomials from different rings")
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], ScalarLike] = {}
+            get = out.get
+            right = list(other.terms.items())
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return MPoly(self.names, out)
+                for e2, c2 in right:
+                    e = tuple(map(_add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+            return MPoly._trusted(self.names, _normal_terms(out))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -222,10 +261,10 @@ class MPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = rational(other)
             if not c:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / c)
+            return self * (1 / Fraction(c))
         if isinstance(other, MPoly):
             q = poly_divides(other, self)
             if q is None:
@@ -237,7 +276,7 @@ class MPoly:
         if isinstance(other, MPoly):
             return self.names == other.names and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = rational(other)
             if not c:
                 return not self.terms
             return self.terms == {(0,) * len(self.names): c}
@@ -274,7 +313,7 @@ class MPoly:
         """Substitute a value for every variable.
 
         Values may live in any commutative ring supporting ``+`` and ``*``
-        with Fraction scalars (Fractions, MPoly of another ring,
+        with rational scalars (Fractions, MPoly of another ring,
         BinaryForm); ``one`` must be that ring's multiplicative identity.
         MPoly results are summed into one term dict, since chaining ``+``
         would rebuild the whole accumulator once per term.
@@ -297,19 +336,16 @@ class MPoly:
                 table.append(table[-1] * v)
             pows[i] = table
         if isinstance(one, MPoly):
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], ScalarLike] = {}
+            get = out.get
             for exps, c in self.terms.items():
                 val = one
                 for i, e in enumerate(exps):
                     if e:
                         val = val * pows[i][e]
                 for mono, x in val.terms.items():
-                    s = out.get(mono, 0) + c * x
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            return MPoly(one.names, out)
+                    out[mono] = get(mono, 0) + c * x
+            return MPoly._trusted(one.names, _normal_terms(out))
         acc = None
         for exps, c in self.terms.items():
             val = c * one
@@ -346,7 +382,7 @@ class MPoly:
             for p, e in zip(pos, exps):
                 new[p] = e
             out[tuple(new)] = c
-        return MPoly(names, out)
+        return MPoly._trusted(names, out)
 
     def restrict(self, names: Iterable[str]) -> "MPoly":
         """Drop unused variables; errors if a dropped variable occurs."""
@@ -358,7 +394,7 @@ class MPoly:
             if any(exps[i] for i in dropped):
                 raise ValueError("polynomial uses a dropped variable")
             out[tuple(exps[i] for i in keep)] = c
-        return MPoly(names, out)
+        return MPoly._trusted(names, out)
 
     def decompose(self, name: str) -> dict[int, "MPoly"]:
         """Coefficient polynomials by power of one variable.
@@ -371,10 +407,10 @@ class MPoly:
         for exps, c in self.terms.items():
             k = exps[i]
             buckets.setdefault(k, {})[exps[:i] + exps[i + 1 :]] = c
-        return {k: MPoly(rest, t) for k, t in buckets.items()}
+        return {k: MPoly._trusted(rest, t) for k, t in buckets.items()}
 
 
-def _content(values: Iterable[Fraction]) -> Fraction:
+def _content(values: Iterable[ScalarLike]) -> Fraction:
     """Positive rational c with every value / c an integer, coprime overall:
     the gcd of the numerators over the lcm of the denominators."""
     num_gcd = 0
