@@ -91,10 +91,13 @@ class CayleyBiform:
         return self.poly.is_zero
 
     def eval(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]):
-        """Value at numeric covectors: a Fraction, or a poly in eps.
+        """Value at numeric covectors, or a poly in eps for an eps biform.
 
-        Entries must be exact rationals (int or Fraction); anything else
-        raises TypeError.
+        A numeric value comes in coefficient normal form (see
+        :func:`~chowforms.polynomial.rational`): an ``int`` when integral,
+        else a ``Fraction``.  Integer covectors against an integer biform
+        are evaluated over Z throughout.  Entries must be exact rationals
+        (int or Fraction); anything else raises TypeError.
         """
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError(f"covectors must have length {self.n + 1}")
@@ -105,7 +108,7 @@ class CayleyBiform:
         if self.has_eps:
             env[EPS] = MPoly.var((EPS,), EPS)
             return self.poly.evaluate(env, one=MPoly.const((EPS,), 1))
-        return self.poly.evaluate(env)
+        return rational(self.poly.evaluate(env))
 
     def normalized(self) -> "CayleyBiform":
         """Primitive integer coefficients, positive graded-lex leading term."""
@@ -117,7 +120,7 @@ class CayleyBiform:
     def specialize_eps(self, value: ScalarLike) -> "CayleyBiform":
         if not self.has_eps:
             raise ValueError("biform carries no eps")
-        val = Fraction(value)
+        val = rational(value)
         parts = self.poly.decompose(EPS)
         acc = MPoly.zero(uv_names(self.n))
         for k, c in parts.items():
@@ -211,12 +214,24 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:
-    """True iff the plane meets the curve, i.e. the biform vanishes on it."""
+    """True iff the plane meets the curve, i.e. the biform vanishes on it.
+
+    Each covector is first scaled by the lcm of its entries' denominators.
+    The biform has bidegree (d, d), so B(lam u, mu v) = lam^d mu^d B(u, v)
+    vanishes exactly when B(u, v) does, and every query on an integer
+    biform runs over Z.
+    """
     if ca.is_zero:
         raise ValueError("degenerate Cayley form")
     if ca.has_eps:
         raise ValueError("incidence needs a numeric biform")
-    return ca.eval(plane.u, plane.v) == 0
+    return ca.eval(_integral(plane.u), _integral(plane.v)) == 0
+
+
+def _integral(w: Sequence[ScalarLike]) -> Sequence[ScalarLike]:
+    """The covector w scaled by the lcm of its entries' denominators."""
+    lam = math.lcm(*(x.denominator for x in w))
+    return w if lam == 1 else [int(x * lam) for x in w]
 
 
 def proportional(a: CayleyBiform, b: CayleyBiform) -> bool:

@@ -240,12 +240,12 @@ def cmd_degenerate(args) -> int:
     ca_g = cayley_biform(g)
     if ca_f.is_zero or ca_g.is_zero:
         raise DegenerateInput("component Cayley biform is zero (base locus)")
-    # Primitive integer components keep both products below over Z.
-    ca_f, ca_g = ca_f.normalized(), ca_g.normalized()
-    product = (ca_f * ca_g).normalized()
-    factors = boundary_factor_check(limit, [ca_f, ca_g])
+    # Primitive integer components keep the product over Z; it is formed
+    # once and serves both the factor check and the printed line.
+    product = ca_f.normalized() * ca_g.normalized()
+    factors = boundary_factor_check(limit, [product])
     print(_biform_lines(limit, label="limit"))
-    print(_biform_lines(product, label="product"))
+    print(_biform_lines(product.normalized(), label="product"))
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4
 

@@ -50,7 +50,9 @@ class CurveMap:
         return cls(tuple(BinaryForm(row) for row in rows))
 
     def point(self, z: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
-        z0, z1 = (Fraction(v) if isinstance(v, int) else v for v in z)
+        """Image of the parameter z = (z0, z1).  Its entries must be exact
+        rationals (int or Fraction); anything else raises TypeError."""
+        z0, z1 = (rational(v) for v in z)
         return tuple(c.evaluate(z0, z1) for c in self.components)
 
     def scale(self, factor: ScalarLike) -> "CurveMap":

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .chow import EPS, CayleyBiform, cayley_biform, contraction_resultant, proportional, uv_names
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, ScalarLike
+from .polynomial import BinaryForm, MPoly, ScalarLike, rational
 
 __all__ = [
     "DegenerationFamily",
@@ -53,8 +53,12 @@ class DegenerationFamily:
         return self.first.d + self.second.d
 
     def at_eps(self, value: ScalarLike) -> CurveMap:
-        """Specialize eps to a number, giving an honest curve map."""
-        val = Fraction(value)
+        """Specialize eps to a number, giving an honest curve map.
+
+        The value must be an exact rational (int or Fraction); anything else
+        raises TypeError.
+        """
+        val = rational(value)
         rows = []
         for comp in self.components:
             row = [
@@ -110,7 +114,8 @@ def normalize_attachment(
     Reparametrizes so the chosen point sits at the parameter ``at`` and
     rescales coordinates by a diagonal ambient matrix.  If no suitable
     parameter exists the curve lies in a coordinate hyperplane and no
-    diagonal normalization can work.
+    diagonal normalization can work.  Entries of ``z_star`` must be exact
+    rationals (int or Fraction); anything else raises TypeError.
     """
     for i, comp in enumerate(f.components):
         if comp.is_zero:
@@ -120,7 +125,7 @@ def normalize_attachment(
             )
     if z_star is None:
         z_star = _find_nonvanishing_parameter(f)
-    s, t = (Fraction(v) if isinstance(v, int) else v for v in z_star)
+    s, t = (rational(v) for v in z_star)
     values = f.point((s, t))
     if any(v == 0 for v in values):
         bad = [i for i, v in enumerate(values) if v == 0]

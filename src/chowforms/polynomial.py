@@ -309,12 +309,16 @@ class MPoly:
 
     # -- substitution and ring changes ------------------------------------
 
-    def evaluate(self, env: Mapping[str, object], one=Fraction(1)):
+    def evaluate(self, env: Mapping[str, object], one=1):
         """Substitute a value for every variable.
 
         Values may live in any commutative ring supporting ``+`` and ``*``
-        with rational scalars (Fractions, MPoly of another ring,
+        with rational scalars (ints and Fractions, MPoly of another ring,
         BinaryForm); ``one`` must be that ring's multiplicative identity.
+        The default ``one`` is the integer 1, so numeric evaluation stays in
+        the ring of its inputs: integer coefficients at integer values give
+        an ``int``, and a ``Fraction`` appears only where a coefficient or a
+        value is one (the result is not normalized; see :func:`rational`).
         MPoly results are summed into one term dict, since chaining ``+``
         would rebuild the whole accumulator once per term.
         """
@@ -354,7 +358,7 @@ class MPoly:
                     val = val * pows[i][e]
             acc = val if acc is None else acc + val
         if acc is None:
-            return one * Fraction(0)
+            return one * 0
         return acc
 
     def subs(self, env: Mapping[str, "MPoly | ScalarLike"]) -> "MPoly":
@@ -432,6 +436,11 @@ def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     c = _content(p.terms.values())
     if p.leading_coeff() < 0:
         c = -c
+    if c.denominator == 1:
+        # An integral content means every coefficient is an int, so exact
+        # floor division gives the primitive part without Fraction work.
+        g = c.numerator
+        return c, MPoly._trusted(p.names, {e: k // g for e, k in p.terms.items()})
     return c, p * (1 / c)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -181,32 +182,35 @@ def _minors(block: list[list[Entry]], zero: Entry):
     to ``cols``, by expansion along the first of those rows.  Subsets share
     their sub-minors, so all minors of a k-row block cost at most one
     product per (subset, column) pair, and no entry is ever divided.
+
+    The recursion goes through the module-level :func:`_minor` rather than
+    a closure that calls itself: such a closure is a reference cycle, which
+    would keep every memoized minor alive until the cyclic garbage collector
+    runs.
     """
-    k = len(block)
-    memo: dict[tuple[int, ...], Entry] = {(): Fraction(1)}
+    return partial(_minor, block, zero, {(): Fraction(1)})
 
-    def minor(cols: tuple[int, ...]) -> Entry:
-        val = memo.get(cols)
-        if val is not None:
-            return val
-        row = k - len(cols)
-        acc = None
-        for idx, c in enumerate(cols):
-            entry = block[row][c]
-            if not entry:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1 :])
-            if not sub:
-                continue
-            term = entry * sub
-            if idx % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        val = zero if acc is None else acc
-        memo[cols] = val
+
+def _minor(block: list[list[Entry]], zero: Entry, memo: dict, cols: tuple[int, ...]) -> Entry:
+    val = memo.get(cols)
+    if val is not None:
         return val
-
-    return minor
+    row = len(block) - len(cols)
+    acc = None
+    for idx, c in enumerate(cols):
+        entry = block[row][c]
+        if not entry:
+            continue
+        sub = _minor(block, zero, memo, cols[:idx] + cols[idx + 1 :])
+        if not sub:
+            continue
+        term = entry * sub
+        if idx % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    val = zero if acc is None else acc
+    memo[cols] = val
+    return val
 
 
 def det_expand(M) -> Entry:

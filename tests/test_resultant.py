@@ -247,3 +247,23 @@ def test_laplace_equals_bareiss_on_symbolic_instances():
             ]
         )
         assert resultant(h1, h2) == det_bareiss(sylvester(h1, h2))
+
+
+def test_minor_expansion_leaves_no_reference_cycles():
+    # Memoized minors must be freed by reference counting when the
+    # determinant returns, not held until the cyclic collector runs.
+    import gc
+
+    from chowforms import CurveMap, cayley_biform, det_expand
+
+    rng = random.Random(11)
+    M = [[MPoly.var(UV2, rng.choice(UV2)) * rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+    f = CurveMap.from_coeffs([[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)])
+    gc.collect()
+    gc.disable()
+    try:
+        for compute in (lambda: det_expand(M), lambda: det_laplace_split(M), lambda: cayley_biform(f)):
+            compute()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
