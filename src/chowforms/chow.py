@@ -214,24 +214,12 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:
-    """True iff the plane meets the curve, i.e. the biform vanishes on it.
-
-    Each covector is first scaled by the lcm of its entries' denominators.
-    The biform has bidegree (d, d), so B(lam u, mu v) = lam^d mu^d B(u, v)
-    vanishes exactly when B(u, v) does, and every query on an integer
-    biform runs over Z.
-    """
+    """True iff the plane meets the curve, i.e. the biform vanishes on it."""
     if ca.is_zero:
         raise ValueError("degenerate Cayley form")
     if ca.has_eps:
         raise ValueError("incidence needs a numeric biform")
-    return ca.eval(_integral(plane.u), _integral(plane.v)) == 0
-
-
-def _integral(w: Sequence[ScalarLike]) -> Sequence[ScalarLike]:
-    """The covector w scaled by the lcm of its entries' denominators."""
-    lam = math.lcm(*(x.denominator for x in w))
-    return w if lam == 1 else [int(x * lam) for x in w]
+    return ca.eval(plane.u, plane.v) == 0
 
 
 def proportional(a: CayleyBiform, b: CayleyBiform) -> bool:

@@ -245,7 +245,10 @@ def cmd_degenerate(args) -> int:
     product = ca_f.normalized() * ca_g.normalized()
     factors = boundary_factor_check(limit, [product])
     print(_biform_lines(limit, label="limit"))
-    print(_biform_lines(product.normalized(), label="product"))
+    # By Gauss's lemma the product of primitive biforms is primitive, and its
+    # leading term is the product of two positive leading terms, so it is
+    # already normalized.
+    print(_biform_lines(product, label="product"))
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4
 

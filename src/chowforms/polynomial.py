@@ -436,12 +436,9 @@ def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     c = _content(p.terms.values())
     if p.leading_coeff() < 0:
         c = -c
-    if c.denominator == 1:
-        # An integral content means every coefficient is an int, so exact
-        # floor division gives the primitive part without Fraction work.
-        g = c.numerator
-        return c, MPoly._trusted(p.names, {e: k // g for e, k in p.terms.items()})
-    return c, p * (1 / c)
+    # k / c = k * den / num is an exact integer division for every k.
+    num, den = c.numerator, c.denominator
+    return c, MPoly._trusted(p.names, {e: k * den // num for e, k in p.terms.items()})
 
 
 def poly_divides(a: MPoly, b: MPoly) -> Optional[MPoly]:
