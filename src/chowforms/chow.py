@@ -42,6 +42,8 @@ __all__ = [
     "PluckerRep",
     "cayley_biform",
     "contraction_resultant",
+    "bezout_pform",
+    "wedge_env",
     "incident",
     "plucker_rewrite",
     "implicitize_plane_curve",
@@ -150,14 +152,46 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     form each, then any coefficient variables (such as eps); MPoly
     coefficients of the forms live in it and involve only the coefficient
     variables.  The result equals the Sylvester resultant exactly, sign
-    included.  It is computed as the determinant of
-    sum_{k<l} p_kl Bez(f_k, f_l) over the ring of the p_kl and the
-    coefficient variables, with p_kl -> u_k v_l - u_l v_k substituted at the
-    end.  Raises ValueError unless the forms share one degree d >= 1.
+    included.  It is computed as the determinant of :func:`bezout_pform`
+    over the ring of the p_kl and the coefficient variables, with
+    p_kl -> u_k v_l - u_l v_k substituted at the end.  Raises ValueError
+    unless the forms share one degree d >= 1.
 
-    The determinant runs over Z: every form is first scaled by the lcm
-    lam of all coefficient denominators, which multiplies the resultant by
-    lam^(2d), and the result is divided by lam^(2d) at the end.
+    The determinant runs over Z: :func:`bezout_pform` scales every form by
+    the lcm lam of all coefficient denominators, which multiplies the
+    resultant by lam^(2d), and the result is divided by lam^(2d) at the end.
+    """
+    m = len(forms)
+    coeff_vars = names[2 * m :]
+    weighted, lam = bezout_pform(forms, coeff_vars)
+    d = len(weighted)
+    env = wedge_env(m, names)
+    env.update((x, MPoly.var(names, x)) for x in coeff_vars)
+    out = det_expand(weighted).evaluate(env, one=MPoly.const(names, 1))
+    if lam != 1:
+        out = out * Fraction(1, lam ** (2 * d))
+    # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
+    return -out if (d * (d + 1) // 2) % 2 else out
+
+
+@lru_cache(maxsize=None)
+def _pair_vars(m: int) -> tuple[tuple[tuple[int, int], str], ...]:
+    # Internal names only: "p{k},{l}" stays unambiguous for every m.
+    return tuple(((k, l), f"p{k},{l}") for k, l in combinations(range(m), 2))
+
+
+def bezout_pform(
+    forms: Sequence[BinaryForm], coeff_vars: tuple[str, ...]
+) -> tuple[list[list[MPoly]], int]:
+    """The d x d matrix sum_{k<l} p_kl Bez(lam f_k, lam f_l), and lam.
+
+    lam is the lcm of every coefficient denominator, so the entries have
+    integer coefficients.  They live in the ring of the pair variables p_kl
+    followed by ``coeff_vars``; MPoly coefficients of the forms may involve
+    only ``coeff_vars``.  The determinant, with p_kl -> u_k v_l - u_l v_k
+    substituted by :func:`wedge_env`, is
+    (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
+    Raises ValueError unless the forms share one degree d >= 1.
     """
     d = forms[0].degree
     if any(h.degree != d for h in forms):
@@ -167,14 +201,10 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     lam = _denominator_lcm(forms)
     if lam != 1:
         forms = [h * lam for h in forms]
-    m = len(forms)
-    coeff_vars = names[2 * m :]
-    pairs = list(combinations(range(m), 2))
-    # Internal names only: "p{k},{l}" stays unambiguous for every m.
-    pvars = tuple(f"p{k},{l}" for k, l in pairs)
-    ring = pvars + coeff_vars
+    pairs = _pair_vars(len(forms))
+    ring = tuple(p for _, p in pairs) + tuple(coeff_vars)
     weighted = [[MPoly.zero(ring)] * d for _ in range(d)]
-    for (k, l), p in zip(pairs, pvars):
+    for (k, l), p in pairs:
         w = MPoly.var(ring, p)
         for i, row in enumerate(bezout(forms[k], forms[l])):
             for j, c in enumerate(row):
@@ -182,13 +212,13 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
                     if isinstance(c, MPoly):
                         c = c.restrict(coeff_vars).embed(ring)
                     weighted[i][j] = weighted[i][j] + w * c
-    env = {p: _wedge_coord(names, k, l) for (k, l), p in zip(pairs, pvars)}
-    env.update((x, MPoly.var(names, x)) for x in coeff_vars)
-    out = det_expand(weighted).evaluate(env, one=MPoly.const(names, 1))
-    if lam != 1:
-        out = out * Fraction(1, lam ** (2 * d))
-    # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
-    return -out if (d * (d + 1) // 2) % 2 else out
+    return weighted, lam
+
+
+def wedge_env(m: int, names: tuple[str, ...]) -> dict[str, MPoly]:
+    """Substitution p_kl -> u_k v_l - u_l v_k, into the ring ``names``, for
+    the pair variables of :func:`bezout_pform` on m forms."""
+    return {p: _wedge_coord(names, k, l) for (k, l), p in _pair_vars(m)}
 
 
 def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:

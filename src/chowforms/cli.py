@@ -32,7 +32,14 @@ from .chow import (
     plucker_rewrite,
 )
 from .curves import CurveMap, Plane
-from .degeneration import boundary_factor_check, family_biform, join_family, limit_direction, normalize_attachment
+from .degeneration import (
+    boundary_factor_check,
+    family_biform,
+    family_limit,
+    join_family,
+    limit_direction,
+    normalize_attachment,
+)
 from .oracle import check_curve, incident_oracle
 from .polynomial import format_terms
 
@@ -230,12 +237,18 @@ def cmd_degenerate(args) -> int:
         family = join_family(f, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    fam = family_biform(family)
-    if fam.is_zero:
-        raise DegenerateInput("family biform is identically zero")
     if args.emit_eps_table:
+        # The table lists every eps order, so only this path expands them all.
+        fam = family_biform(family)
+        if fam.is_zero:
+            raise DegenerateInput("family biform is identically zero")
         _write_eps_table(args.emit_eps_table, fam)
-    limit = limit_direction(fam)
+        limit = limit_direction(fam)
+    else:
+        try:
+            limit = family_limit(family)
+        except ValueError:
+            raise DegenerateInput("family biform is identically zero") from None
     ca_f = cayley_biform(f)
     ca_g = cayley_biform(g)
     if ca_f.is_zero or ca_g.is_zero:

@@ -56,6 +56,7 @@ class CurveMap:
         return tuple(c.evaluate(z0, z1) for c in self.components)
 
     def scale(self, factor: ScalarLike) -> "CurveMap":
+        factor = rational(factor)
         return CurveMap(tuple(factor * c for c in self.components))
 
 
@@ -104,7 +105,7 @@ def act_gl2(f: CurveMap, A: Sequence[Sequence[ScalarLike]]) -> CurveMap:
 def act_gln(f: CurveMap, B: Sequence[Sequence[ScalarLike]]) -> CurveMap:
     """Ambient linear action: component i becomes sum_j B[i][j] * f_j."""
     m = len(f.components)
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in B]
+    rows = [[Fraction(rational(x)) for x in row] for row in B]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise ValueError(f"matrix must be {m}x{m}")
     if det_bareiss(rows) == 0:

@@ -10,6 +10,12 @@ in eps; the projective limit of the family as eps -> 0 is the lowest
 nonvanishing eps-order coefficient, and for a valid join that limit factors
 into the two component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
+
+:func:`family_limit` computes that limit modulo eps^K: the determinant
+drops every term of eps-degree >= K as it goes, K starts from the min-plus
+bound on the valuation of the determinant, and only the lowest surviving
+order is substituted into (u, v) and normalized.  Only the eps table
+(:func:`family_biform`, ``--emit-eps-table``) expands every eps order.
 """
 
 from __future__ import annotations
@@ -19,9 +25,19 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .chow import EPS, CayleyBiform, cayley_biform, contraction_resultant, proportional, uv_names
+from .chow import (
+    EPS,
+    CayleyBiform,
+    bezout_pform,
+    cayley_biform,
+    contraction_resultant,
+    proportional,
+    uv_names,
+    wedge_env,
+)
 from .curves import CurveMap, act_gl2
 from .polynomial import BinaryForm, MPoly, ScalarLike, rational
+from .resultant import det_expand
 
 __all__ = [
     "DegenerationFamily",
@@ -29,6 +45,7 @@ __all__ = [
     "normalize_attachment",
     "family_biform",
     "limit_direction",
+    "family_limit",
     "proportional",
     "boundary_factor_check",
 ]
@@ -175,6 +192,10 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
 
     Writes the biform as sum_k eps^k C_k and returns the normalized C_k of
     least k with C_k != 0: the lowest-order direction of the algebraic arc.
+    This reads the fully expanded family biform, which only the eps table
+    (``--emit-eps-table``) needs.  :func:`family_limit` gives the same limit
+    from the family itself, computed modulo eps^K with K starting from the
+    min-plus valuation bound on the lowest order.
     """
     if ca.is_zero:
         raise ValueError("zero family biform has no limit")
@@ -183,6 +204,64 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
     parts = ca.poly.decompose(EPS)
     k0 = min(parts)
     return CayleyBiform(ca.n, ca.d, parts[k0]).normalized()
+
+
+def family_limit(F: DegenerationFamily) -> CayleyBiform:
+    """``limit_direction(family_biform(F))``, term for term, without forming
+    the family biform.
+
+    The determinant D of the Bezout p-form (:func:`~chowforms.chow.bezout_pform`)
+    is expanded modulo eps^K only.  Reduction modulo eps^K is a ring
+    homomorphism, so the orders below K are exact.  K starts one above the
+    min-plus assignment value of the entries' eps-valuations, a lower bound
+    on the order of every Leibniz term.  Orders below K are tried in turn:
+    p_kl -> u_k v_l - u_l v_k is substituted into that one p-coefficient,
+    which survives when the result is nonzero (for n >= 3 a nonzero
+    p-coefficient can vanish on the Grassmannian).  Without a survivor K
+    doubles, up to one past the eps-degree of D (at most 2*d*d2 + 1 for a
+    join, where each Bezout entry has eps-degree at most 2*d2).  The
+    lam^(2d) scale and the sign of :func:`~chowforms.chow.contraction_resultant`
+    are skipped: normalization removes both.  Raises ValueError when the
+    family biform is identically zero.
+    """
+    matrix, _ = bezout_pform(F.components, _EPS_RING)
+    bound = _valuation_bound(matrix)
+    if bound is None:
+        raise ValueError("zero family biform has no limit")
+    names = uv_names(F.n)
+    env = wedge_env(F.n + 1, names)
+    one = MPoly.const(names, 1)
+    # One past the eps-degree of D: each Leibniz term takes one entry per row.
+    top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
+    K = bound + 1
+    while True:
+        parts = det_expand(matrix, reduce=lambda p: p.truncate(EPS, K)).decompose(EPS)
+        for k in sorted(parts):
+            c = parts[k].evaluate(env, one=one)
+            if c:
+                return CayleyBiform(F.n, F.d, c).normalized()
+        if K == top:
+            raise ValueError("zero family biform has no limit")
+        K = min(2 * K, top)
+
+
+def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:
+    """Least sum of eps-valuations over the permutations of a square matrix
+    with eps last in its ring, or None when every permutation meets a zero
+    entry.  Rows are assigned in order; the state is the set of used
+    columns."""
+    best = {0: 0}
+    for row in matrix:
+        vals = [(j, min(e[-1] for e in x.terms)) for j, x in enumerate(row) if x]
+        step: dict[int, int] = {}
+        for used, total in best.items():
+            for j, v in vals:
+                if not used >> j & 1:
+                    key, t = used | 1 << j, total + v
+                    if key not in step or t < step[key]:
+                        step[key] = t
+        best = step
+    return best.get((1 << len(matrix)) - 1)
 
 
 def boundary_factor_check(limit: CayleyBiform, parts: Iterable[CayleyBiform]) -> bool:

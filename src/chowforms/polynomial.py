@@ -413,6 +413,12 @@ class MPoly:
             buckets.setdefault(k, {})[exps[:i] + exps[i + 1 :]] = c
         return {k: MPoly._trusted(rest, t) for k, t in buckets.items()}
 
+    def truncate(self, name: str, k: int) -> "MPoly":
+        """Drop every term of degree >= k in one variable: the image of the
+        polynomial modulo name^k, a ring homomorphism."""
+        i = self.names.index(name)
+        return MPoly._trusted(self.names, {e: c for e, c in self.terms.items() if e[i] < k})
+
 
 def _content(values: Iterable[ScalarLike]) -> Fraction:
     """Positive rational c with every value / c an integer, coprime overall:
@@ -531,6 +537,8 @@ class BinaryForm:
             raise ValueError("a form needs at least one coefficient")
         cs = []
         for c in coeffs:
+            if isinstance(c, bool):
+                raise TypeError("bad coefficient type bool")
             if isinstance(c, int):
                 c = Fraction(c)
             elif not isinstance(c, (Fraction, MPoly)):

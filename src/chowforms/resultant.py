@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .polynomial import BinaryForm, MPoly
 
@@ -175,23 +175,26 @@ def det_bareiss(M) -> Entry:
     return -det if sign < 0 else det
 
 
-def _minors(block: list[list[Entry]], zero: Entry):
+def _minors(block: list[list[Entry]], zero: Entry, reduce: Optional[Callable] = None):
     """Memoized minors of the last rows of a block, keyed by column tuple.
 
     ``minors(cols)`` is the determinant of the last len(cols) rows restricted
     to ``cols``, by expansion along the first of those rows.  Subsets share
     their sub-minors, so all minors of a k-row block cost at most one
     product per (subset, column) pair, and no entry is ever divided.
+    ``reduce``, when given, is applied to every minor as it is memoized.
 
     The recursion goes through the module-level :func:`_minor` rather than
     a closure that calls itself: such a closure is a reference cycle, which
     would keep every memoized minor alive until the cyclic garbage collector
     runs.
     """
-    return partial(_minor, block, zero, {(): Fraction(1)})
+    return partial(_minor, block, zero, reduce, {(): Fraction(1)})
 
 
-def _minor(block: list[list[Entry]], zero: Entry, memo: dict, cols: tuple[int, ...]) -> Entry:
+def _minor(
+    block: list[list[Entry]], zero: Entry, reduce: Optional[Callable], memo: dict, cols: tuple[int, ...]
+) -> Entry:
     val = memo.get(cols)
     if val is not None:
         return val
@@ -201,28 +204,37 @@ def _minor(block: list[list[Entry]], zero: Entry, memo: dict, cols: tuple[int, .
         entry = block[row][c]
         if not entry:
             continue
-        sub = _minor(block, zero, memo, cols[:idx] + cols[idx + 1 :])
+        sub = _minor(block, zero, reduce, memo, cols[:idx] + cols[idx + 1 :])
         if not sub:
             continue
         term = entry * sub
         if idx % 2:
             term = -term
         acc = term if acc is None else acc + term
+    if acc is not None and reduce is not None:
+        acc = reduce(acc)
     val = zero if acc is None else acc
     memo[cols] = val
     return val
 
 
-def det_expand(M) -> Entry:
+def det_expand(M, reduce: Optional[Callable[[Entry], Entry]] = None) -> Entry:
     """Exact, division-free determinant by memoized first-row expansion.
 
     Costs one product per (column subset, column) pair, 2^n subsets in all,
     so it suits small matrices over polynomial rings where Bareiss would
     need exact polynomial division.
+
+    ``reduce``, when given, must be a ring homomorphism, such as dropping
+    every term of degree >= K in one variable (reduction modulo x^K).  It
+    is applied to every entry and to every memoized minor, so the result
+    is exactly ``reduce(det M)`` while no intermediate minor grows past it.
     """
     A = _rows(M)
+    if reduce is not None:
+        A = [[reduce(x) for x in row] for row in A]
     zero = _zero_like([x for row in A for x in row])
-    return _minors(A, zero)(tuple(range(len(A))))
+    return _minors(A, zero, reduce)(tuple(range(len(A))))
 
 
 def det_laplace_split(M) -> Entry:

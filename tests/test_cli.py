@@ -352,3 +352,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "biform n=2 d=1\n+1 * u0^1 v1^1\n-1 * u1^1 v0^1\n"
+
+
+# f = (z0, z0, z0) is constant; f2 has the base point z0 + z1 = 0.  Either
+# way every member of the joined family is base-pointed and the family biform
+# vanishes, with or without the eps table.
+ZERO_FAMILY_F = [
+    {"n": 2, "d": 1, "coeffs": [["1", "0"], ["1", "0"], ["1", "0"]]},
+    {"n": 2, "d": 2, "coeffs": [["1", "1", "0"], ["1", "2", "1"], ["1", "3", "2"]]},
+]
+
+
+@pytest.mark.parametrize("f", ZERO_FAMILY_F)
+@pytest.mark.parametrize("table", [False, True])
+def test_degenerate_zero_family_exits_3(tmp_path, capsys, f, table):
+    pf = write(tmp_path, "f.json", f)
+    pg = write(tmp_path, "g.json", LINE_G)
+    argv = ["degenerate", pf, pg]
+    if table:
+        argv += ["--emit-eps-table", str(tmp_path / "eps.tsv")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.endswith("error: family biform is identically zero\n")

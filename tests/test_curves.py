@@ -48,3 +48,17 @@ def test_act_gln_examples():
         act_gln(f, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         act_gln(f, [[1, 0], [0, 1]])
+
+
+def test_bools_are_not_coefficients():
+    f = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(TypeError):
+        BinaryForm([True, 0, 1])
+    with pytest.raises(TypeError):
+        CurveMap.from_coeffs([[True, 0], [0, 1], [0, 0]])
+    with pytest.raises(TypeError):
+        act_gln(f, [[True, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        f.scale(True)
+    assert BinaryForm([1, 0, 1]).coeffs == (Fraction(1), Fraction(0), Fraction(1))
+    assert all(type(c) is Fraction for c in act_gln(f, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]).components[1].coeffs)

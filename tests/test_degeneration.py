@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -7,17 +8,21 @@ from chowforms import (
     BinaryForm,
     CayleyBiform,
     CurveMap,
+    DegenerationFamily,
     MPoly,
     boundary_factor_check,
     cayley_biform,
     check_curve,
+    det_expand,
     family_biform,
+    family_limit,
     join_family,
     limit_direction,
     normalize_attachment,
     proportional,
     uv_names,
 )
+from chowforms.chow import bezout_pform
 from helpers import plane_through, rand_curve_birational
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
@@ -183,3 +188,92 @@ def test_normalize_attachment_postcondition_is_checked(monkeypatch):
     f = CurveMap.from_coeffs([[2, 1], [1, 3], [1, 1]])
     with pytest.raises(RuntimeError, match="attachment"):
         normalize_attachment(f, z_star=(1, 1), at=(1, 0))
+
+
+@pytest.mark.parametrize(
+    "n, d_f, d_g, trials",
+    [(2, 1, 1, 3), (2, 1, 2, 3), (2, 2, 2, 3), (3, 1, 2, 3), (2, 3, 3, 1)],
+)
+def test_family_limit_equals_full_route(n, d_f, d_g, trials):
+    rng = random.Random(71 + 10 * n + d_f + d_g)
+    for _ in range(trials):
+        f = normalize_attachment(rand_curve_birational(rng, n, d_f), at=(1, 0))
+        g = normalize_attachment(rand_curve_birational(rng, n, d_g), at=(0, 1))
+        fam = join_family(f, g)
+        assert family_limit(fam).poly == limit_direction(family_biform(fam)).poly
+
+
+def test_det_expand_reducer_is_truncation_past_unattained_bound():
+    # Every entry has eps-valuation 0, so the min-plus bound is 0, but det M
+    # = eps^2 p + eps^3 (p + q) + eps^4 after cancellation: truncating
+    # modulo eps^1 and eps^2 leaves nothing, and eps^4 keeps order 2.
+    names = ("p", "q", "eps")
+    p, q, eps = (MPoly.var(names, x) for x in names)
+    M = [
+        [p + eps, p, q],
+        [p, p + eps**2, q],
+        [p, p, q + eps],
+    ]
+    vals = [[min(e[-1] for e in x.terms) for x in row] for row in M]
+    bound = min(sum(vals[i][s[i]] for i in range(3)) for s in permutations(range(3)))
+    full = det_expand(M)
+    assert bound == 0
+    assert full == eps**2 * p + eps**3 * (p + q) + eps**4
+    for K in (1, 2, 4, 8):
+        trunc = lambda x: x.truncate("eps", K)
+        assert det_expand(M, reduce=trunc) == trunc(full)
+        assert det_expand(M, reduce=trunc).is_zero == (K <= 2)
+
+
+def test_family_limit_rejects_zero_family():
+    # f has the base point z0 + z1 = 0, so every member of the family does
+    # and the family biform vanishes; the entries are not all zero, so the
+    # truncation order doubles up to its cap before giving up.
+    f = CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]])
+    fam = join_family(f, LINE_G)
+    assert family_biform(fam).is_zero
+    with pytest.raises(ValueError, match="zero family biform"):
+        family_limit(fam)
+
+
+def _base_pointed_at_zero():
+    """A family of conics in P^3 whose member at eps = 0, (z0 + z1) * l_i,
+    has a base point, so its lowest eps-order is 1 although every Bezout
+    entry has eps-valuation 0."""
+    eps = MPoly.var(("eps",), "eps")
+    lines = ([1, 0], [0, 1], [1, 2], [2, -1])
+    quads = ([0, 1, 3], [1, 0, -1], [2, 1, 0], [0, 0, 1])
+    comps = tuple(
+        BinaryForm([1, 1]) * BinaryForm(l) + BinaryForm(q) * eps for l, q in zip(lines, quads)
+    )
+    line = CurveMap.from_coeffs([[1, 0], [0, 1], [1, 1], [1, -1]])
+    return DegenerationFamily(line, line, comps)
+
+
+def test_family_limit_doubles_past_an_unattained_bound():
+    fam = _base_pointed_at_zero()
+    matrix, _ = bezout_pform(fam.components, ("eps",))
+    vals = [[min(e[-1] for e in x.terms) for x in row] for row in matrix]
+    assert min(vals[0][0] + vals[1][1], vals[0][1] + vals[1][0]) == 0
+    full = family_biform(fam)
+    assert min(full.poly.decompose("eps")) == 1
+    assert family_limit(fam).poly == limit_direction(full).poly
+
+
+def test_family_limit_tests_survival_after_substitution(monkeypatch):
+    # Add the Plucker relation p01 p23 - p02 p13 + p03 p12 to the order-0
+    # coefficient of the p-form determinant: it is nonzero in the p-ring but
+    # vanishes on the Grassmannian, so the limit must not change.
+    import chowforms.degeneration as degeneration
+
+    fam = _base_pointed_at_zero()
+    expected = limit_direction(family_biform(fam)).poly
+
+    def det_plus_relation(M, reduce):
+        names = M[0][0].names  # pair variables in combinations order, then eps
+        p = [MPoly.var(names, x) for x in names[:6]]
+        relation = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
+        return det_expand(M, reduce=reduce) + reduce(relation)
+
+    monkeypatch.setattr(degeneration, "det_expand", det_plus_relation)
+    assert family_limit(fam).poly == expected
