@@ -537,12 +537,12 @@ class BinaryForm:
             raise ValueError("a form needs at least one coefficient")
         cs = []
         for c in coeffs:
-            if isinstance(c, bool):
-                raise TypeError("bad coefficient type bool")
-            if isinstance(c, int):
-                c = Fraction(c)
-            elif not isinstance(c, (Fraction, MPoly)):
-                raise TypeError(f"bad coefficient type {type(c).__name__}")
+            if type(c) is not Fraction:
+                # bool is an int subclass, and is not a rational here
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction, MPoly)):
+                    raise TypeError(f"bad coefficient type {type(c).__name__}")
+                if isinstance(c, int):
+                    c = Fraction(c)
             cs.append(c)
         object.__setattr__(self, "coeffs", tuple(cs))
 
