@@ -202,7 +202,7 @@ def bezout_pform(
     if lam != 1:
         forms = [h * lam for h in forms]
     pairs = _pair_vars(len(forms))
-    ring = tuple(p for _, p in pairs) + tuple(coeff_vars)
+    ring = tuple(p for _, p in pairs) + coeff_vars
     weighted = [[MPoly.zero(ring)] * d for _ in range(d)]
     for (k, l), p in pairs:
         w = MPoly.var(ring, p)

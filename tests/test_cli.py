@@ -354,9 +354,10 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "biform n=2 d=1\n+1 * u0^1 v1^1\n-1 * u1^1 v0^1\n"
 
 
-# f = (z0, z0, z0) is constant; f2 has the base point z0 + z1 = 0.  Either
-# way every member of the joined family is base-pointed and the family biform
-# vanishes, with or without the eps table.
+# The first f = (z0, z0, z0) is constant, and every Leibniz term of the
+# family determinant meets a zero entry.  The second f has the base point
+# z0 + z1 = 0, and the truncated route doubles its order up to the cap.
+# Either way the family biform vanishes, with or without the eps table.
 ZERO_FAMILY_F = [
     {"n": 2, "d": 1, "coeffs": [["1", "0"], ["1", "0"], ["1", "0"]]},
     {"n": 2, "d": 2, "coeffs": [["1", "1", "0"], ["1", "2", "1"], ["1", "3", "2"]]},
