@@ -18,6 +18,7 @@ sampling seed is printed whenever sampling is used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -308,7 +309,10 @@ def cmd_plucker(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``chow`` argument parser, built once per process: parsing leaves
+    no state in it, since every call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="chow",
         description="Exact Chow forms of rational curves: compute, test incidence, "

@@ -9,7 +9,6 @@ subspace.  Reparametrization and ambient linear actions live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .polynomial import BinaryForm, ScalarLike, contract, rational
@@ -49,11 +48,13 @@ class CurveMap:
     def from_coeffs(cls, rows: Sequence[Sequence[ScalarLike]]) -> "CurveMap":
         return cls(tuple(BinaryForm(row) for row in rows))
 
-    def point(self, z: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
-        """Image of the parameter z = (z0, z1).  Its entries must be exact
-        rationals (int or Fraction); anything else raises TypeError."""
+    def point(self, z: Sequence[ScalarLike]) -> tuple[ScalarLike, ...]:
+        """Image of the parameter z = (z0, z1), in coefficient normal form
+        (see :func:`~chowforms.polynomial.rational`): integer parameters on
+        an integer curve give ``int`` coordinates.  The entries of z must be
+        exact rationals (int or Fraction); anything else raises TypeError."""
         z0, z1 = (rational(v) for v in z)
-        return tuple(c.evaluate(z0, z1) for c in self.components)
+        return tuple(rational(c.evaluate(z0, z1)) for c in self.components)
 
     def scale(self, factor: ScalarLike) -> "CurveMap":
         factor = rational(factor)
@@ -90,9 +91,9 @@ class Plane:
         return len(self.u) - 1
 
 
-def _det2(A) -> Fraction:
+def _det2(A) -> ScalarLike:
     (a, b), (c, d) = A
-    return Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
+    return a * d - b * c
 
 
 def act_gl2(f: CurveMap, A: Sequence[Sequence[ScalarLike]]) -> CurveMap:
@@ -105,7 +106,7 @@ def act_gl2(f: CurveMap, A: Sequence[Sequence[ScalarLike]]) -> CurveMap:
 def act_gln(f: CurveMap, B: Sequence[Sequence[ScalarLike]]) -> CurveMap:
     """Ambient linear action: component i becomes sum_j B[i][j] * f_j."""
     m = len(f.components)
-    rows = [[Fraction(rational(x)) for x in row] for row in B]
+    rows = [[rational(x) for x in row] for row in B]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise ValueError(f"matrix must be {m}x{m}")
     if det_bareiss(rows) == 0:

@@ -148,30 +148,29 @@ def normalize_attachment(
         bad = [i for i, v in enumerate(values) if v == 0]
         raise ValueError(f"chosen point has zero coordinates {bad}")
     if at == (1, 0):
-        A = ((s, Fraction(0)), (t, Fraction(1))) if s else ((s, Fraction(1)), (t, Fraction(0)))
+        A = ((s, 0), (t, 1)) if s else ((s, 1), (t, 0))
     elif at == (0, 1):
-        A = ((Fraction(1), s), (Fraction(0), t)) if t else ((Fraction(0), s), (Fraction(1), t))
+        A = ((1, s), (0, t)) if t else ((0, s), (1, t))
     else:
         raise ValueError("attachment parameter must be (1, 0) or (0, 1)")
     moved = act_gl2(f, A)
     rescaled = CurveMap(
-        tuple((1 / w) * c for w, c in zip(values, moved.components))
+        tuple(Fraction(1, w) * c for w, c in zip(values, moved.components))
     )
-    if rescaled.point(at) != (Fraction(1),) * (f.n + 1):
+    if rescaled.point(at) != (1,) * (f.n + 1):
         raise RuntimeError("attachment normalization missed (1, ..., 1)")
     return rescaled
 
 
-def _find_nonvanishing_parameter(f: CurveMap) -> tuple[Fraction, Fraction]:
+def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
     bound = 1
     while True:
         for p in range(-bound, bound + 1):
             for q in range(0, bound + 1):
                 if (p, q) == (0, 0) or max(abs(p), q) != bound:
                     continue
-                values = f.point((Fraction(p), Fraction(q)))
-                if all(values):
-                    return (Fraction(p), Fraction(q))
+                if all(f.point((p, q))):
+                    return (p, q)
         bound += 1
         if bound > (f.n + 1) * f.d + 2:
             raise RuntimeError("no parameter avoids all coordinate zeros")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .curves import CurveMap, Plane
@@ -35,14 +34,19 @@ def incident_oracle(f: CurveMap, plane: Plane) -> bool:
     identically zero means the curve lies inside the corresponding
     hyperplane, and any nonconstant form has a root, so those cases are
     incident outright.
+
+    A parametrization with a base point raises ValueError on every plane.
+    The base locus is tested only when the answer would be True: a base
+    point is a common root of h1 and h2, so a base-pointed curve never
+    reaches the False answer.
     """
-    if not base_locus_free(f):
-        raise ValueError("parametrization has base locus")
     h1 = contract(f.components, plane.u)
     h2 = contract(f.components, plane.v)
-    if h1.is_zero or h2.is_zero:
-        return True
-    return form_gcd(h1, h2).degree >= 1
+    if not (h1.is_zero or h2.is_zero) and form_gcd(h1, h2).degree == 0:
+        return False
+    if not base_locus_free(f):
+        raise ValueError("parametrization has base locus")
+    return True
 
 
 def map_degree(f: CurveMap, rng: Optional[random.Random] = None, trials: int = 3) -> int:
@@ -68,7 +72,7 @@ def _sample_map_degree(f: CurveMap, rng: random.Random, trials: int = 3) -> int:
         attempts += 1
         if attempts > 100 * trials:
             raise RuntimeError("could not find enough unramified sample points")
-        z = (Fraction(rng.randint(-20, 20)), Fraction(rng.randint(1, 20)))
+        z = (rng.randint(-20, 20), rng.randint(1, 20))
         P = f.point(z)
         minors = []
         for i in range(f.n + 1):

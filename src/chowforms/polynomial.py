@@ -20,9 +20,12 @@ most significant.
 
 A :class:`BinaryForm` is a homogeneous form of declared degree ``d`` in the
 two parameters ``(z0, z1)``, stored densely: ``coeffs[j]`` multiplies
-``z0**(d-j) * z1**j``.  Coefficients are either plain ``Fraction`` values
-(numeric forms) or :class:`MPoly` values (forms whose coefficients carry
-covector variables); one code path serves both.
+``z0**(d-j) * z1**j``.  Coefficients are either numbers in the same normal
+form as :class:`MPoly` coefficients, an ``int`` when integral and a
+``Fraction`` otherwise (numeric forms), or :class:`MPoly` values (forms
+whose coefficients carry covector variables); one code path serves both.
+Numeric forms over Z, the gcd oracle's and the map-degree sampler's, thus
+run in integer arithmetic.
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -420,15 +423,24 @@ class MPoly:
         return MPoly._trusted(self.names, {e: c for e, c in self.terms.items() if e[i] < k})
 
 
-def _content(values: Iterable[ScalarLike]) -> Fraction:
-    """Positive rational c with every value / c an integer, coprime overall:
-    the gcd of the numerators over the lcm of the denominators."""
-    num_gcd = 0
-    den_lcm = 1
+def _primitive_part(values: Sequence[ScalarLike], negate: bool) -> tuple[int, int, list[int]]:
+    """Content num/den of exact rationals, not all zero, and the values divided
+    by it.
+
+    num/den is the gcd of the numerators over the lcm of the denominators,
+    negated when ``negate``; the quotients are coprime integers, each formed
+    by one exact integer division, so no ``Fraction`` is built.
+    """
+    num, den = 0, 1
     for c in values:
-        num_gcd = math.gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm)
+        num = math.gcd(num, c.numerator)
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    if negate:
+        num = -num
+    if den == 1:
+        return num, den, [c // num for c in values]
+    return num, den, [c.numerator * (den // c.denominator) // num for c in values]
 
 
 def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
@@ -439,12 +451,9 @@ def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     """
     if p.is_zero:
         raise ValueError("content of zero polynomial")
-    c = _content(p.terms.values())
-    if p.leading_coeff() < 0:
-        c = -c
-    # k / c = k * den / num is an exact integer division for every k.
-    num, den = c.numerator, c.denominator
-    return c, MPoly._trusted(p.names, {e: k * den // num for e, k in p.terms.items()})
+    lead = p.terms[max(p.terms, key=_grlex_key)]
+    num, den, prim = _primitive_part(list(p.terms.values()), lead < 0)
+    return Fraction(num, den), MPoly._trusted(p.names, dict(zip(p.terms, prim)))
 
 
 def poly_divides(a: MPoly, b: MPoly) -> Optional[MPoly]:
@@ -526,6 +535,11 @@ def parse_terms(text: str, names: Iterable[str]) -> MPoly:
 class BinaryForm:
     """Homogeneous form of declared degree d in (z0, z1).
 
+    Each coefficient is an :class:`MPoly` or an exact rational in the normal
+    form of :func:`rational`: an ``int`` when integral, a ``Fraction``
+    otherwise.  The constructor normalizes numeric input and rejects
+    anything else (bools, floats, strings) with TypeError.
+
     The zero form of any degree is representable (all coefficients zero)
     and reports ``is_zero``.
     """
@@ -535,23 +549,21 @@ class BinaryForm:
     def __init__(self, coeffs: Sequence):
         if len(coeffs) < 1:
             raise ValueError("a form needs at least one coefficient")
-        cs = []
-        for c in coeffs:
-            if type(c) is not Fraction:
-                # bool is an int subclass, and is not a rational here
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction, MPoly)):
-                    raise TypeError(f"bad coefficient type {type(c).__name__}")
-                if isinstance(c, int):
-                    c = Fraction(c)
-            cs.append(c)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(
+            self,
+            "coeffs",
+            tuple(
+                c if type(c) is int or isinstance(c, MPoly) else rational(c)
+                for c in coeffs
+            ),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
 
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
-        return cls([Fraction(0)] * (degree + 1))
+        return cls([0] * (degree + 1))
 
     @property
     def degree(self) -> int:
@@ -563,7 +575,8 @@ class BinaryForm:
 
     @property
     def is_numeric(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
+        """True when no coefficient is an :class:`MPoly`."""
+        return not any(isinstance(c, MPoly) for c in self.coeffs)
 
     def evaluate(self, z0, z1):
         d = self.degree
@@ -592,7 +605,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
+            out = [0] * (self.degree + other.degree + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
@@ -611,7 +624,7 @@ class BinaryForm:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = BinaryForm([Fraction(1)])
+        result = BinaryForm([1])
         for _ in range(k):
             result = result * self
         return result
@@ -635,7 +648,7 @@ class BinaryForm:
                 for v, e in (("z0", d - j), ("z1", j))
                 if e
             )
-            cs = str(c) if isinstance(c, Fraction) else f"({c!r})"
+            cs = f"({c!r})" if isinstance(c, MPoly) else str(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return f"BinaryForm({' + '.join(parts) or '0'}, degree={d})"
 
@@ -666,11 +679,8 @@ class BinaryForm:
             raise ValueError("normalization needs numeric coefficients")
         if self.is_zero:
             raise ValueError("cannot normalize the zero form")
-        scale = 1 / _content(self.coeffs)
         lead = next(c for c in self.coeffs if c)
-        if lead < 0:
-            scale = -scale
-        return BinaryForm([c * scale for c in self.coeffs])
+        return BinaryForm(_primitive_part(self.coeffs, lead < 0)[2])
 
 
 def contract(forms: Sequence[BinaryForm], covector: Sequence) -> BinaryForm:
@@ -702,8 +712,7 @@ def _split_monomial(h: BinaryForm) -> tuple[int, int, BinaryForm]:
 
 def _int_list(core: BinaryForm) -> list[int]:
     """Dehomogenize at z1 = 1 as an integer list, low power first."""
-    q = _content(core.coeffs)
-    return [int(c / q) for c in reversed(core.coeffs)]
+    return _primitive_part(core.coeffs, False)[2][::-1]
 
 
 def _deg(p: list[int]) -> int:
@@ -737,13 +746,8 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _primitive(p: list[int]) -> list[int]:
-    g = 0
-    for v in p:
-        g = math.gcd(g, abs(v))
-    p = [v // g for v in p]
-    if p[-1] < 0:
-        p = [-v for v in p]
-    return p
+    """Primitive part of a nonzero integer list, positive last entry."""
+    return _primitive_part(p, p[-1] < 0)[2]
 
 
 def _int_poly_gcd(u: list[int], v: list[int]) -> list[int]:
@@ -794,9 +798,9 @@ def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
     p0, p1 = min(p0a, p0b), min(p1a, p1b)
     g = _int_poly_gcd(_int_list(core_a), _int_list(core_b))
     e = _deg(g)
-    out = [Fraction(0)] * (e + p0 + p1 + 1)
+    out = [0] * (e + p0 + p1 + 1)
     for j in range(e + 1):
-        out[p1 + j] = Fraction(g[e - j])
+        out[p1 + j] = g[e - j]
     return BinaryForm(out)
 
 

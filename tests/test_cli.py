@@ -164,6 +164,19 @@ def test_check_reports(tmp_path, capsys):
     }
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    import chowforms.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    path = write(tmp_path, "conic.json", CONIC)
+    _, out, _ = run(capsys, ["check", path, "--seed", "7"])
+    assert json.loads(out)["seed"] == 7
+    _, out, _ = run(capsys, ["compute", path, "--json"])
+    assert json.loads(out)["d"] == 2
+    _, out, _ = run(capsys, ["check", path])
+    assert json.loads(out)["seed"] == 0
+
+
 def test_degenerate_two_lines(tmp_path, capsys):
     pf = write(tmp_path, "f.json", LINE_F)
     pg = write(tmp_path, "g.json", LINE_G)

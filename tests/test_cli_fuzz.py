@@ -1,6 +1,7 @@
-"""Bounded fuzz test of ``chow degenerate``: every generated input ends in a
-documented exit code (0/2/3/4), never in an uncaught exception, and the
-truncated eps-limit prints what the fully expanded eps table route prints."""
+"""Bounded fuzz tests of the CLI: every generated input to every subcommand
+ends in a documented exit code (0/2/3/4), never in an uncaught exception or
+a traceback, and for ``chow degenerate`` the truncated eps-limit prints what
+the fully expanded eps table route prints."""
 
 import contextlib
 import io
@@ -38,7 +39,10 @@ def degenerate_case(draw):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -65,3 +69,39 @@ def test_degenerate_is_total(case):
     assert plain[0] in (0, 2, 3, 4)
     assert "Traceback" not in plain[2]
     assert with_table == plain
+
+
+@st.composite
+def command_case(draw):
+    command = draw(st.sampled_from(["compute", "check", "incident", "plucker", "implicitize"]))
+    n = draw(st.integers(1, 3))
+    extra = []
+    if command == "incident":
+        m = draw(st.sampled_from([n, n, n + 1]))
+        covector = st.lists(ENTRY, min_size=m + 1, max_size=m + 1).map(",".join)
+        method = draw(st.sampled_from(["chow", "oracle", "both"]))
+        extra = ["--plane", f"{draw(covector)};{draw(covector)}", "--method", method]
+    else:
+        if command == "compute":
+            extra = draw(st.sampled_from([[], ["--json"], ["--plucker"], ["--json", "--plucker"]]))
+        extra += ["--seed", str(draw(st.integers(0, 3)))]
+    return command, draw(curve_doc(n)), extra
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(command_case())
+def test_every_subcommand_is_total(case):
+    command, doc, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, _, err = _run([command, path] + extra)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

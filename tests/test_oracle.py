@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from chowforms import (
 )
 from helpers import (
     compose_curve,
+    plane_through,
     rand_base_free_pair,
     rand_curve,
     rand_curve_birational,
@@ -142,3 +144,69 @@ def test_oracle_agrees_with_chow_form():
         for _ in range(10):
             plane = rand_plane(rng, f.n)
             assert incident(ca, plane) == incident_oracle(f, plane)
+
+
+def _counting_base_locus_free(monkeypatch):
+    import chowforms.oracle as oracle
+
+    calls = []
+    original = oracle.base_locus_free
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(oracle, "base_locus_free", counting)
+    return calls
+
+
+def test_incident_oracle_tests_the_base_locus_only_when_incident(monkeypatch):
+    calls = _counting_base_locus_free(monkeypatch)
+    disjoint = Plane((0, 1, 0), (1, 0, -1))  # x1 = 0 and x0 = x2 miss the conic
+    assert not incident_oracle(CONIC, disjoint)
+    assert calls == []
+    assert incident_oracle(CONIC, Plane((0, 1, 0), (0, 0, 1)))
+    assert len(calls) == 1
+
+
+def test_incident_oracle_raises_on_base_points_for_every_plane():
+    # f = l * g with a base point at the root of l, in P^3 with x3 = 0 on f
+    rng = random.Random(13)
+    for _ in range(5):
+        g = rand_curve_birational(rng, 2, rng.randint(1, 2))
+        l = BinaryForm([rng.randint(1, 4), rng.randint(-4, 4)])
+        f = CurveMap(tuple(l * c for c in g.components) + (BinaryForm.zero(g.d + 1),))
+        point = g.point((rng.randint(-3, 3), rng.randint(1, 3))) + (0,)
+        planes = [plane_through(rng, point) for _ in range(5)]
+        planes += [rand_plane(rng, 3) for _ in range(5)]
+        # <f, u> is identically zero for u = e3
+        planes += [Plane((0, 0, 0, 1), (1, rng.randint(-3, 3), rng.randint(-3, 3), 0))]
+        for plane in planes:
+            with pytest.raises(ValueError, match="base locus"):
+                incident_oracle(f, plane)
+
+
+# check_curve reports on seeded curves and their degree-2 covers, with the
+# next draw of the shared generator: a printed seed reproduces every sample.
+CHECK_PINS = {
+    0: ((True, 1, 1, True), (True, 2, 1, False), 279701488),
+    1: ((True, 1, 2, True), (True, 2, 2, False), 593628450),
+    2: ((True, 1, 3, True), (True, 2, 3, False), 189751635),
+    3: ((True, 1, 1, True), (True, 2, 1, False), 45944372),
+    4: ((True, 1, 2, True), (True, 2, 2, False), 508511121),
+    5: ((True, 1, 3, True), (True, 2, 3, False), 310639063),
+    6: ((True, 1, 1, True), (True, 2, 1, False), 864127571),
+    7: ((True, 1, 2, True), (True, 2, 2, False), 450047120),
+    8: ((True, 1, 3, True), (True, 2, 3, False), 115673040),
+    9: ((True, 1, 1, True), (True, 2, 1, False), 220074250),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_PINS))
+def test_check_curve_reports_are_pinned(seed):
+    rng = random.Random(seed)
+    f = rand_curve_birational(rng, 2 + seed % 2, 1 + seed % 3)
+    phi0, phi1 = rand_base_free_pair(rng, 2)
+    cover = compose_curve(f, phi0, phi1)
+    reports = (astuple(check_curve(f, rng=rng)), astuple(check_curve(cover, rng=rng)))
+    assert reports + (rng.randint(0, 10**9),) == CHECK_PINS[seed]
