@@ -16,20 +16,21 @@ v-variables is never formed.  The Sylvester backends in
 :mod:`chowforms.resultant` remain as cross-checks.
 
 Biform coefficient tables are a faithful, canonical encoding: two curves
-have the same image exactly when their normalized biforms agree, which is
-why all projective comparisons happen on biforms rather than on Plucker
-representatives (those are unique only modulo Plucker relations once
-n >= 3 and d >= 2).
+have the same image exactly when their normalized biforms agree.  The
+Plucker representative is unique too, for every (n, d): the standard-monomial
+normal form.  Both directions between p and (u, v) work on monomials packed
+into one int each (:func:`wedge_expand`, :func:`plucker_rewrite`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
@@ -43,7 +44,7 @@ __all__ = [
     "cayley_biform",
     "contraction_resultant",
     "bezout_pform",
-    "wedge_env",
+    "wedge_expand",
     "incident",
     "plucker_rewrite",
     "implicitize_plane_curve",
@@ -165,9 +166,7 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     coeff_vars = names[2 * m :]
     weighted, lam = bezout_pform(forms, coeff_vars)
     d = len(weighted)
-    env = wedge_env(m, names)
-    env.update((x, MPoly.var(names, x)) for x in coeff_vars)
-    out = det_expand(weighted).evaluate(env, one=MPoly.const(names, 1))
+    out = wedge_expand(det_expand(weighted), m, names)
     if lam != 1:
         out = out * Fraction(1, lam ** (2 * d))
     # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
@@ -189,7 +188,7 @@ def bezout_pform(
     integer coefficients.  They live in the ring of the pair variables p_kl
     followed by ``coeff_vars``; MPoly coefficients of the forms may involve
     only ``coeff_vars``.  The determinant, with p_kl -> u_k v_l - u_l v_k
-    substituted by :func:`wedge_env`, is
+    substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
     Raises ValueError unless the forms share one degree d >= 1.
     """
@@ -215,10 +214,76 @@ def bezout_pform(
     return weighted, lam
 
 
-def wedge_env(m: int, names: tuple[str, ...]) -> dict[str, MPoly]:
-    """Substitution p_kl -> u_k v_l - u_l v_k, into the ring ``names``, for
-    the pair variables of :func:`bezout_pform` on m forms."""
-    return {p: _wedge_coord(names, k, l) for (k, l), p in _pair_vars(m)}
+# -- packed exponents ----------------------------------------------------------
+# A monomial in nv variables is one int whose w-byte fields hold the exponents,
+# the first variable most significant.  Monomials multiply by adding ints; no
+# field carries while every exponent is below 256**w.  Among terms of one
+# bidegree in (u, v), integer order is graded-lex order.
+
+
+def _field_bytes(top: int) -> int:
+    """Bytes per exponent field that hold every exponent up to ``top``."""
+    return max(1, (top.bit_length() + 7) // 8)
+
+
+def _pack(exps: Sequence[int], w: int) -> int:
+    raw = bytes(exps) if w == 1 else b"".join(e.to_bytes(w, "big") for e in exps)
+    return int.from_bytes(raw, "big")
+
+
+def _unpack(key: int, nv: int, w: int) -> tuple[int, ...]:
+    raw = key.to_bytes(nv * w, "big")
+    if w == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, nv * w, w))
+
+
+def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[list]]:
+    """``table[t][e]`` lists (u_k v_l - u_l v_k)^e, for the t-th pair k < l
+    of :func:`_pair_vars` and e <= tops[t], as (packed monomial, int) pairs,
+    leading term first; u is variables 0..m-1 and v is m..2m-1 of nv."""
+    table = []
+    for ((k, l), _), top in zip(_pair_vars(m), tops):
+        a = _pack([i in (k, m + l) for i in range(nv)], w)  # u_k v_l
+        b = _pack([i in (l, m + k) for i in range(nv)], w)  # u_l v_k
+        table.append([
+            [(i * a + (e - i) * b, (-1) ** (e - i) * math.comb(e, i)) for i in range(e, -1, -1)]
+            for e in range(top + 1)
+        ])
+    return table
+
+
+def _expand_monomial(pexps, table, base: int, c) -> list:
+    """c * base * prod_t table[t][pexps[t]], packed; a monomial may repeat."""
+    acc = [(base, c)]
+    for t, e in enumerate(pexps):
+        if e:
+            acc = [(k1 + k2, c1 * c2) for k1, c1 in acc for k2, c2 in table[t][e]]
+    return acc
+
+
+def wedge_expand(pform: MPoly, m: int, names: tuple[str, ...]) -> MPoly:
+    """Substitute p_kl -> u_k v_l - u_l v_k into ``pform``, whose ring is
+    the pair variables of m forms in :func:`bezout_pform` order (names
+    aside), then coefficient variables such as eps.  ``names`` is the
+    target ring: m u-variables, m v-variables, the same coefficient
+    variables.  Terms are expanded and summed packed, and unpacked once."""
+    npairs, nv = m * (m - 1) // 2, len(names)
+    if len(pform.names) != npairs + nv - 2 * m:
+        raise ValueError("p-form ring does not match the target ring")
+    cols = list(zip(*pform.terms))  # empty for the zero p-form
+    # A u- or v-exponent is at most the p-degree of its term.
+    top = max([0, *map(sum, zip(*cols[:npairs])), *map(max, cols[npairs:])])
+    w = _field_bytes(top)
+    table = _wedge_powers(m, nv, w, [max(col) for col in cols[:npairs]])
+    out: dict[int, ScalarLike] = {}
+    get = out.get
+    for exps, c in pform.terms.items():
+        base = _pack(exps[npairs:], w)  # the coefficient variables come last
+        for key, x in _expand_monomial(exps[:npairs], table, base, c):
+            out[key] = get(key, 0) + x
+    terms = {_unpack(k, nv, w): c if type(c) is int else rational(c) for k, c in out.items() if c}
+    return MPoly._trusted(names, terms)
 
 
 def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:
@@ -271,9 +336,10 @@ class PluckerRep:
     """Degree-d polynomial in p_ij with p_ij -> u_i v_j - u_j v_i expanding
     back to the source biform exactly.
 
-    The representative is canonical only when no Plucker relations exist
-    (n = 2, or d = 1); otherwise it is the deterministic reduced-echelon
-    solution with free coordinates set to zero.
+    :func:`plucker_rewrite` returns the standard-monomial normal form, the
+    unique representative without a nested pair p_ad p_bc (a < b < c < d),
+    for every (n, d).  ``canonical`` keeps its meaning: True when no Plucker
+    relations exist (n = 2, or d = 1), so no other representative exists.
     """
 
     n: int
@@ -282,34 +348,13 @@ class PluckerRep:
     canonical: bool
 
     def expand(self) -> CayleyBiform:
-        names = uv_names(self.n)
-        env = {
-            f"p{i}{j}": _wedge_coord(names, i, j)
-            for i in range(self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        }
-        return CayleyBiform(self.n, self.d, self.poly.evaluate(env, one=MPoly.const(names, 1)))
-
-
-def _wedge_coord(names: tuple[str, ...], i: int, j: int) -> MPoly:
-    ui, vj = MPoly.var(names, f"u{i}"), MPoly.var(names, f"v{j}")
-    uj, vi = MPoly.var(names, f"u{j}"), MPoly.var(names, f"v{i}")
-    return ui * vj - uj * vi
+        return CayleyBiform(self.n, self.d, wedge_expand(self.poly, self.n + 1, uv_names(self.n)))
 
 
 def plucker_names(n: int) -> tuple[str, ...]:
     if n > 9:
         raise ValueError("p_ij naming supports n <= 9")
     return tuple(f"p{i}{j}" for i in range(n + 1) for j in range(i + 1, n + 1))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def depends_only_on_wedge(ca: CayleyBiform) -> bool:
@@ -337,99 +382,53 @@ def depends_only_on_wedge(ca: CayleyBiform) -> bool:
 
 
 def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
-    """Rewrite a biform as a polynomial in the coordinates p_ij.
+    """Rewrite a biform as its standard-monomial normal form in the p_ij
+    (Sturmfels, Algorithms in Invariant Theory, 1993, section 3.1).
 
-    Builds the exact linear system sending degree-d monomials in the p_ij
-    to (u, v)-monomials and extracts the reduced-echelon solution, pivoting
-    on p-monomials in descending graded-lex order with free monomials set
-    to zero.  A biform that is not a function of the wedge makes the system
-    inconsistent and raises ValueError; the exact round-trip through
+    A triangular peel: the graded-lex leading term of p_ij (i < j) is
+    u_i v_j, so the standard monomial prod_s p_{i_s j_s} (i and j sorted)
+    has leading term u_I v_J.  Take the leading term c u_I v_J of what
+    remains, pair sorted I with sorted J, subtract c times that monomial's
+    expansion, and repeat.  A pairing with some i_s >= j_s leads no
+    standard monomial: the biform is not a function of the wedge, and
+    ValueError is raised.  The exact round-trip through
     :meth:`PluckerRep.expand` proves every accepted answer.
     """
     if ca.has_eps:
         raise ValueError("plucker rewrite needs an eps-free biform")
     pnames = plucker_names(ca.n)
-    uv = uv_names(ca.n)
-    if ca.is_zero:
-        return PluckerRep(ca.n, ca.d, MPoly.zero(pnames), ca.n == 2 or ca.d == 1)
-    base = [
-        _wedge_coord(uv, i, j)
-        for i in range(ca.n + 1)
-        for j in range(i + 1, ca.n + 1)
-    ]
-    pow_cache = []
-    for poly in base:
-        table = [MPoly.const(uv, 1)]
-        for _ in range(ca.d):
-            table.append(table[-1] * poly)
-        pow_cache.append(table)
-    monos = list(_compositions(ca.d, len(pnames)))
-    cols = []
-    for exps in monos:
-        poly = MPoly.const(uv, 1)
-        for k, e in enumerate(exps):
-            if e:
-                poly = poly * pow_cache[k][e]
-        cols.append(poly)
-    row_keys = set(ca.poly.terms)
-    for c in cols:
-        row_keys.update(c.terms)
-    row_keys = sorted(row_keys)
-    # The columns are integral; clearing the biform's denominators into the
-    # right-hand side keeps the whole system over Z.
-    mu = math.lcm(*(c.denominator for c in ca.poly.terms.values()))
-    A = [
-        [c.terms.get(rk, 0) for c in cols] + [int(ca.poly.terms.get(rk, 0) * mu)]
-        for rk in row_keys
-    ]
-    x = _rref_solve(A, len(cols))
-    if x is None:
-        raise ValueError("not a function of u wedge v")
-    rep = MPoly(pnames, {m: c / mu for m, c in zip(monos, x) if c})
-    out = PluckerRep(ca.n, ca.d, rep, ca.n == 2 or ca.d == 1)
+    m, nv, w = ca.n + 1, 2 * ca.n + 2, _field_bytes(ca.d)
+    table = _wedge_powers(m, nv, w, [ca.d] * len(pnames))
+    pair_index = {kl: t for t, (kl, _) in enumerate(_pair_vars(m))}
+    rest = {_pack(exps, w): c for exps, c in ca.poly.terms.items()}
+    heap = [-key for key in rest]
+    heapq.heapify(heap)
+    rep: dict[tuple[int, ...], ScalarLike] = {}
+    while heap:
+        lead = -heapq.heappop(heap)
+        c = rest.pop(lead)
+        if not c:
+            continue
+        exps = _unpack(lead, nv, w)
+        I = [i for i in range(m) for _ in range(exps[i])]
+        J = [j for j in range(m) for _ in range(exps[m + j])]
+        pexps = [0] * len(pnames)
+        for i, j in zip(I, J):
+            if i >= j:
+                raise ValueError("not a function of u wedge v")
+            pexps[pair_index[i, j]] += 1
+        rep[tuple(pexps)] = c
+        # The expansion's leading term is lead, with coefficient 1; every
+        # other term is below it, so only terms still to be peeled change.
+        for key, x in _expand_monomial(pexps, table, 0, c):
+            if key != lead:
+                if key not in rest:
+                    heapq.heappush(heap, -key)
+                rest[key] = rest.get(key, 0) - x
+    out = PluckerRep(ca.n, ca.d, MPoly(pnames, rep), ca.n == 2 or ca.d == 1)
     if out.expand().poly != ca.poly:
         raise RuntimeError("plucker rewrite failed to round-trip")
     return out
-
-
-def _rref_solve(A: list[list[int]], ncols: int) -> Optional[list[Fraction]]:
-    """Reduced echelon solve of the integer system [A | b]; free variables
-    pinned to zero.
-
-    Fraction-free Gauss-Jordan: columns in order, the first row with a
-    nonzero entry pivots, and every other row r becomes
-    pv * r - r[c] * pivot_row divided by its content.  Each row stays a
-    nonzero multiple of the row rational elimination would hold, so the
-    pivots and the solution are the same; the only divisions come when the
-    solution is read off.
-    """
-    nrows = len(A)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        prow = A[r]
-        pv = prow[c]
-        for i in range(nrows):
-            factor = A[i][c]
-            if i != r and factor:
-                row = [pv * x - factor * y for x, y in zip(A[i], prow)]
-                g = math.gcd(*row)
-                A[i] = [x // g for x in row] if g > 1 else row
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if A[i][ncols] and not any(A[i][c] for c in range(ncols)):
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = Fraction(A[row][ncols], A[row][col])
-    return x
 
 
 # -- plane-curve implicitization ---------------------------------------------

@@ -10,9 +10,13 @@ lists component f_i's coefficients of z0^(d-j) z1^j for j = 0..d.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy (zero
 biform, parametrization not birational), 4 internal cross-check failure
-(including a failed internal postcondition, raised as RuntimeError).
-Output is deterministic: fixed term order, fixed normalization, and the
-sampling seed is printed whenever sampling is used.
+(including a failed internal postcondition, raised as RuntimeError).  A
+map-degree sampling failure (no unramified sample points, or a sampled
+degree that does not divide d) is a RuntimeError too, and exits 4.
+
+``--plane X`` is read as ``--plane=X``, so a plane whose first entry is
+negative needs no ``=``.  Output is deterministic: fixed term order, fixed
+normalization, and the sampling seed is printed whenever sampling is used.
 """
 
 from __future__ import annotations
@@ -120,11 +124,40 @@ def _biform_lines(ca: CayleyBiform, label: str = "biform") -> str:
     return f"{label} n={ca.n} d={ca.d}\n" + format_terms(ca.poly)
 
 
-def _terms_json(poly) -> list[dict]:
-    return [
-        {"coeff": str(c), "exps": list(exps)}
+def _terms_json(poly, pad: str) -> str:
+    """``json.dumps(..., indent=2)`` text of the list of
+    ``{"coeff": str(c), "exps": [...]}`` objects of a polynomial's terms,
+    placed at indentation ``pad``.  Written out directly: with an indent,
+    ``json.dumps`` runs the pure-Python encoder, and a coefficient string
+    (digits, "-" and "/") and the exponents need no escaping."""
+    if not poly.terms:
+        return "[]"
+    inner = pad + "  "
+    field = inner + "  "
+    sep = ",\n" + field + "  "
+    items = ",\n".join(
+        f'{inner}{{\n{field}"coeff": "{c}",\n{field}"exps": [\n{field}  '
+        f"{sep.join(map(str, exps))}\n{field}]\n{inner}}}"
         for exps, c in poly.sorted_terms()
-    ]
+    )
+    return f"[\n{items}\n{pad}]"
+
+
+def _compute_json(ca: CayleyBiform, rep) -> str:
+    """The ``compute --json`` document, byte for byte
+    ``json.dumps(doc, indent=2)``: the small header goes through ``json``,
+    and the term lists are spliced in where their markers stand."""
+    doc = {"n": ca.n, "d": ca.d, "variables": list(ca.poly.names), "terms": "@biform"}
+    if rep is not None:
+        doc["plucker"] = {
+            "variables": list(rep.poly.names),
+            "canonical": rep.canonical,
+            "terms": "@plucker",
+        }
+    text = json.dumps(doc, indent=2).replace('"@biform"', _terms_json(ca.poly, "  "))
+    if rep is not None:
+        text = text.replace('"@plucker"', _terms_json(rep.poly, "    "))
+    return text
 
 
 def _warn_if_degenerate(f: CurveMap, seed: int) -> None:
@@ -148,19 +181,7 @@ def cmd_compute(args) -> int:
     ca = ca.normalized()
     rep = _plucker(ca) if args.plucker else None
     if args.json:
-        doc = {
-            "n": ca.n,
-            "d": ca.d,
-            "variables": list(ca.poly.names),
-            "terms": _terms_json(ca.poly),
-        }
-        if rep is not None:
-            doc["plucker"] = {
-                "variables": list(rep.poly.names),
-                "canonical": rep.canonical,
-                "terms": _terms_json(rep.poly),
-            }
-        print(json.dumps(doc, indent=2))
+        print(_compute_json(ca, rep))
     else:
         print(_biform_lines(ca))
         if rep is not None:
@@ -359,9 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_plane_value(argv: list[str]) -> list[str]:
+    """Each ``--plane X`` as ``--plane=X``.  argparse takes a token that
+    starts with "-" for an option, so it would report the value of
+    ``--plane -1,0,0;0,1,0`` as missing.  A trailing ``--plane`` is kept,
+    and argparse rejects it."""
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1:
+        if out[i] == "--plane":
+            out[i : i + 2] = ["--plane=" + out[i + 1]]
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_plane_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -33,7 +33,7 @@ from .chow import (
     contraction_resultant,
     proportional,
     uv_names,
-    wedge_env,
+    wedge_expand,
 )
 from .curves import CurveMap, act_gl2
 from .polynomial import BinaryForm, MPoly, ScalarLike, rational
@@ -228,15 +228,13 @@ def family_limit(F: DegenerationFamily) -> CayleyBiform:
     if bound is None:
         raise ValueError("zero family biform has no limit")
     names = uv_names(F.n)
-    env = wedge_env(F.n + 1, names)
-    one = MPoly.const(names, 1)
     # One past the eps-degree of D: each Leibniz term takes one entry per row.
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
         parts = det_expand(matrix, reduce=lambda p: p.truncate(EPS, K)).decompose(EPS)
         for k in sorted(parts):
-            c = parts[k].evaluate(env, one=one)
+            c = wedge_expand(parts[k], F.n + 1, names)
             if c:
                 return CayleyBiform(F.n, F.d, c).normalized()
         if K == top:

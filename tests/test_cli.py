@@ -388,3 +388,107 @@ def test_degenerate_zero_family_exits_3(tmp_path, capsys, f, table):
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err.endswith("error: family biform is identically zero\n")
+
+
+# -- compute --json without the indenting encoder -------------------------------
+
+
+def _terms_doc(poly):
+    return [{"coeff": str(c), "exps": list(exps)} for exps, c in poly.sorted_terms()]
+
+
+def reference_compute_json(ca, rep):
+    """The ``compute --json`` document as ``json.dumps(doc, indent=2)``."""
+    doc = {"n": ca.n, "d": ca.d, "variables": list(ca.poly.names), "terms": _terms_doc(ca.poly)}
+    if rep is not None:
+        doc["plucker"] = {
+            "variables": list(rep.poly.names),
+            "canonical": rep.canonical,
+            "terms": _terms_doc(rep.poly),
+        }
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (3, 3), (4, 3)])
+@pytest.mark.parametrize("plucker", [False, True])
+def test_compute_json_bytes_equal_json_dumps(tmp_path, capsys, n, d, plucker):
+    import random
+
+    from chowforms import cayley_biform, plucker_rewrite
+    from helpers import rand_curve_birational
+
+    f = rand_curve_birational(random.Random(900 + 10 * n + d), n, d)
+    rows = [[str(c) for c in comp.coeffs] for comp in f.components]
+    path = write(tmp_path, "grid.json", {"n": n, "d": d, "coeffs": rows})
+    code, out, _ = run(capsys, ["compute", path, "--json"] + (["--plucker"] if plucker else []))
+    ca = cayley_biform(f).normalized()
+    rep = plucker_rewrite(ca) if plucker else None
+    assert code == 0
+    assert out == reference_compute_json(ca, rep) + "\n"
+
+
+def test_compute_json_bytes_for_fraction_coefficients():
+    from fractions import Fraction
+
+    from chowforms import CayleyBiform, CurveMap, cayley_biform, plucker_rewrite
+    from chowforms.cli import _compute_json
+
+    f = CurveMap.from_coeffs(
+        [[Fraction(1, 2), 0, 3], [0, Fraction(-2, 3), 1], [1, 1, Fraction(5, 7)], [2, 0, 1]]
+    )
+    ca = cayley_biform(f)
+    ca = CayleyBiform(ca.n, ca.d, ca.poly * Fraction(1, 11))
+    assert any(isinstance(c, Fraction) for c in ca.poly.terms.values())
+    rep = plucker_rewrite(ca)
+    assert any(isinstance(c, Fraction) for c in rep.poly.terms.values())
+    assert _compute_json(ca, rep) == reference_compute_json(ca, rep)
+    assert _compute_json(ca, None) == reference_compute_json(ca, None)
+
+
+# -- plane values with a leading minus ---------------------------------------------
+
+
+@pytest.mark.parametrize("form", ["split", "equals"])
+def test_plane_value_may_start_with_minus(tmp_path, capsys, form):
+    # (-1, 0, 0; 0, 1, 0) cuts out x0 = x1 = 0, the point f(0, 1) of the conic.
+    path = write(tmp_path, "conic.json", CONIC)
+    spec = "-1,0,0;0,1,0"
+    plane = ["--plane", spec] if form == "split" else [f"--plane={spec}"]
+    code, out, err = run(capsys, ["incident", path] + plane)
+    assert (code, err) == (0, "")
+    assert out == "chow: INCIDENT\noracle: INCIDENT\nAGREE\n"
+    code, out, _ = run(capsys, ["incident", path, "--method", "chow"] + plane)
+    assert (code, out) == (0, "INCIDENT\n")
+
+
+def test_plane_value_before_the_curve_and_a_missing_value(tmp_path, capsys):
+    path = write(tmp_path, "conic.json", CONIC)
+    code, out, _ = run(capsys, ["incident", "--plane", "-1,0,1;0,1,0", path, "--method", "oracle"])
+    assert (code, out) == (0, "DISJOINT\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["incident", path, "--plane"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+# -- map-degree sampling failures -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        # Never squarefree: no sample point is accepted.
+        ((1, False), "could not find enough unramified sample points"),
+        # Three points per fiber of a conic: 3 does not divide d = 2.
+        ((3, True), "map degree sampling failed to divide the curve degree"),
+    ],
+)
+def test_map_degree_sampling_failures_exit_4(tmp_path, capsys, monkeypatch, roots, message):
+    import chowforms.oracle as oracle
+
+    monkeypatch.setattr(oracle, "distinct_root_count", lambda G: roots)
+    path = write(tmp_path, "conic.json", CONIC)
+    code, out, err = run(capsys, ["check", path, "--seed", "5"])
+    assert (code, out) == (4, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err

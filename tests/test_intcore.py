@@ -1,6 +1,6 @@
 """The integer-coefficient core: MPoly's coefficient normal form, the common
-denominator cleared by contraction_resultant and plucker_rewrite, and the
-rejection of inexact scalars."""
+denominator cleared by contraction_resultant, plucker_rewrite over Q, and
+the rejection of inexact scalars."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,6 @@ from chowforms import (
     rational,
     uv_names,
 )
-from chowforms.chow import _rref_solve
 from test_bezout import eps_forms, sylvester_route
 
 XY = ("x", "y")
@@ -170,51 +169,7 @@ def test_normalized_biform_has_int_coefficients():
     assert norm.poly.terms and all(type(c) is int for c in norm.poly.terms.values())
 
 
-# -- fraction-free Plucker solve ----------------------------------------------
-
-
-def rational_rref_solve(A, ncols):
-    """Gauss-Jordan over Q, the reference the integer solve must reproduce."""
-    A = [[Fraction(x) for x in row] for row in A]
-    nrows = len(A)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        A[r] = [x / A[r][c] for x in A[r]]
-        for i in range(nrows):
-            if i != r and A[i][c]:
-                factor = A[i][c]
-                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if A[i][ncols] and not any(A[i][c] for c in range(ncols)):
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = A[row][ncols]
-    return x
-
-
-def test_integer_rref_matches_rational_elimination():
-    rng = random.Random(712)
-    for trial in range(200):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        A = [[rng.choice((0, 0, 1, -2, 3, 7)) for _ in range(ncols)] for _ in range(nrows)]
-        if trial % 2:  # consistent by construction, often rank-deficient
-            x = [rng.randint(-3, 3) for _ in range(ncols)]
-            b = [sum(a * v for a, v in zip(row, x)) for row in A]
-        else:
-            b = [rng.randint(-4, 4) for _ in range(nrows)]
-        system = [row + [bi] for row, bi in zip(A, b)]
-        expected = rational_rref_solve(system, ncols)
-        assert _rref_solve([list(r) for r in system], ncols) == expected
+# -- Plucker rewrite over Q ---------------------------------------------------
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 2)])
