@@ -10,10 +10,13 @@ also admits a rewrite into Plucker coordinates p_ij = u_i v_j - u_j v_i.
 The production route uses that dependence directly.  The Bezout matrix is
 bilinear and alternating, so Bez(h1, h2) = sum_{k<l} p_kl Bez(f_k, f_l), a
 d x d matrix whose entries are linear in the p_kl with numeric (or Q[eps])
-coefficients.  Its determinant, expanded back into (u, v), is the resultant
-up to a sign fixed by d; the 2d x 2d Sylvester determinant over the u- and
-v-variables is never formed.  The Sylvester backends in
-:mod:`chowforms.resultant` remain as cross-checks.
+coefficients.  MPoly coefficients of the forms live in the coefficient ring
+(such as Q[eps]) and are only embedded into the p-ring.  The determinant,
+expanded back into (u, v), is the resultant up to a sign fixed by d; the
+2d x 2d Sylvester determinant over the u- and v-variables is never formed.
+The Sylvester backends in :mod:`chowforms.resultant` remain as cross-checks.
+On P^2 the determinant itself is the Chow form in Plucker coordinates, and
+:func:`implicitize_plane_curve` reads the implicit equation off it.
 
 Biform coefficient tables are a faithful, canonical encoding: two curves
 have the same image exactly when their normalized biforms agree.  The
@@ -150,13 +153,13 @@ def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -
     """Resultant of sum_i u_i f_i against sum_i v_i f_i over the given ring.
 
     The ring ``names`` is the u-block and the v-block, one variable per
-    form each, then any coefficient variables (such as eps); MPoly
-    coefficients of the forms live in it and involve only the coefficient
-    variables.  The result equals the Sylvester resultant exactly, sign
-    included.  It is computed as the determinant of :func:`bezout_pform`
-    over the ring of the p_kl and the coefficient variables, with
-    p_kl -> u_k v_l - u_l v_k substituted at the end.  Raises ValueError
-    unless the forms share one degree d >= 1.
+    form each, then the coefficient variables (such as eps).  MPoly
+    coefficients of the forms live in the ring of the coefficient variables
+    alone; :func:`bezout_pform` rejects any other.  The result equals the
+    Sylvester resultant exactly, sign included.  It is computed as the
+    determinant of :func:`bezout_pform` over the ring of the p_kl and the
+    coefficient variables, with p_kl -> u_k v_l - u_l v_k substituted at
+    the end.  Raises ValueError unless the forms share one degree d >= 1.
 
     The determinant runs over Z: :func:`bezout_pform` scales every form by
     the lcm lam of all coefficient denominators, which multiplies the
@@ -186,17 +189,21 @@ def bezout_pform(
 
     lam is the lcm of every coefficient denominator, so the entries have
     integer coefficients.  They live in the ring of the pair variables p_kl
-    followed by ``coeff_vars``; MPoly coefficients of the forms may involve
-    only ``coeff_vars``.  The determinant, with p_kl -> u_k v_l - u_l v_k
-    substituted by :func:`wedge_expand`, is
+    followed by ``coeff_vars``, into which MPoly coefficients of the forms
+    are embedded; those coefficients must live in the ring ``coeff_vars``
+    itself.  The determinant, with p_kl -> u_k v_l - u_l v_k substituted by
+    :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
-    Raises ValueError unless the forms share one degree d >= 1.
+    Raises ValueError unless the forms share one degree d >= 1, or when an
+    MPoly coefficient lives in another ring.
     """
     d = forms[0].degree
     if any(h.degree != d for h in forms):
         raise ValueError("forms must have equal degrees")
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if any(isinstance(c, MPoly) and c.names != coeff_vars for h in forms for c in h.coeffs):
+        raise ValueError(f"MPoly coefficients must lie in the coefficient ring {coeff_vars}")
     lam = _denominator_lcm(forms)
     if lam != 1:
         forms = [h * lam for h in forms]
@@ -209,7 +216,7 @@ def bezout_pform(
             for j, c in enumerate(row):
                 if c:
                     if isinstance(c, MPoly):
-                        c = c.restrict(coeff_vars).embed(ring)
+                        c = c.embed(ring)
                     weighted[i][j] = weighted[i][j] + w * c
     return weighted, lam
 
@@ -449,23 +456,24 @@ class NotBirational(ValueError):
 def implicitize_plane_curve(f: CurveMap, rng=None) -> MPoly:
     """Implicit equation of a birationally parametrized plane curve.
 
-    Rewrites the Chow form in p_ij and applies the P^2 duality
-    x0 = p12, x1 = -p02, x2 = p01; the normalized result is the degree-d
-    equation of the image.  Raises :class:`NotBirational` when
-    :func:`~chowforms.oracle.check_curve` rejects the parametrization.
+    Takes the determinant of the Bezout p-form (:func:`bezout_pform`), the
+    Chow form written in p01, p02, p12, and applies the P^2 duality
+    x0 = p12, x1 = -p02, x2 = p01 term by term; the normalized result is
+    the degree-d equation of the image.  On P^2 the p_ij satisfy no Plucker
+    relation, so this p-form is the unique one; it differs from the Chow
+    form's only by the lam^(2d) scale and sign of
+    :func:`contraction_resultant`, which normalization removes.  Raises
+    :class:`NotBirational` when :func:`~chowforms.oracle.check_curve`
+    rejects the parametrization.
     """
     if f.n != 2:
         raise ValueError("implicitization needs a plane curve (n = 2)")
     report = check_curve(f, rng=rng)
     if not report.birational:
         raise NotBirational(report)
-    rep = plucker_rewrite(cayley_biform(f))
-    xnames = ("x0", "x1", "x2")
-    env = {
-        "p12": MPoly.var(xnames, "x0"),
-        "p02": -MPoly.var(xnames, "x1"),
-        "p01": MPoly.var(xnames, "x2"),
-    }
-    image = rep.poly.evaluate(env, one=MPoly.const(xnames, 1))
-    _, q = content_primitive(image)
+    pform = det_expand(bezout_pform(f.components, ())[0])
+    # Exponents of p01, p02, p12 (the _pair_vars(3) order) become those of
+    # x2, x1, x0; x1 = -p02 contributes the sign.
+    image = {(c, b, a): -x if b % 2 else x for (a, b, c), x in pform.terms.items()}
+    _, q = content_primitive(MPoly(("x0", "x1", "x2"), image))
     return q

@@ -29,6 +29,7 @@ import sys
 from fractions import Fraction
 
 from .chow import (
+    EPS,
     CayleyBiform,
     NotBirational,
     cayley_biform,
@@ -289,7 +290,7 @@ def cmd_degenerate(args) -> int:
 
 
 def _write_eps_table(path: str, fam: CayleyBiform) -> None:
-    parts = fam.poly.decompose("eps")
+    parts = fam.poly.decompose(EPS)
     lines = ["# eps_order\tmonomial\tcoeff"]
     for k in sorted(parts):
         for exps, c in parts[k].sorted_terms():

@@ -46,7 +46,6 @@ __all__ = [
     "family_biform",
     "limit_direction",
     "family_limit",
-    "proportional",
     "boundary_factor_check",
 ]
 
@@ -178,12 +177,7 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
 
 def family_biform(F: DegenerationFamily) -> CayleyBiform:
     """Chow biform of the family with eps carried as a ring variable."""
-    names = uv_names(F.n, eps=True)
-    forms = [
-        BinaryForm([c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs])
-        for comp in F.components
-    ]
-    return CayleyBiform(F.n, F.d, contraction_resultant(forms, names))
+    return CayleyBiform(F.n, F.d, contraction_resultant(F.components, uv_names(F.n, eps=True)))
 
 
 def limit_direction(ca: CayleyBiform) -> CayleyBiform:

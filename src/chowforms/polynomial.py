@@ -391,18 +391,6 @@ class MPoly:
             out[tuple(new)] = c
         return MPoly._trusted(names, out)
 
-    def restrict(self, names: Iterable[str]) -> "MPoly":
-        """Drop unused variables; errors if a dropped variable occurs."""
-        names = tuple(names)
-        keep = [self.names.index(n) for n in names]
-        dropped = set(range(len(self.names))) - set(keep)
-        out = {}
-        for exps, c in self.terms.items():
-            if any(exps[i] for i in dropped):
-                raise ValueError("polynomial uses a dropped variable")
-            out[tuple(exps[i] for i in keep)] = c
-        return MPoly._trusted(names, out)
-
     def decompose(self, name: str) -> dict[int, "MPoly"]:
         """Coefficient polynomials by power of one variable.
 

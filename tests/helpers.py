@@ -38,6 +38,18 @@ def naive_det(M):
     return acc
 
 
+def is_normal(x) -> bool:
+    """Coefficient normal form: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def wedge(names, i, j):
+    """The wedge coordinate u_i v_j - u_j v_i in the ring ``names``."""
+    ui, vj = MPoly.var(names, f"u{i}"), MPoly.var(names, f"v{j}")
+    uj, vi = MPoly.var(names, f"u{j}"), MPoly.var(names, f"v{i}")
+    return ui * vj - uj * vi
+
+
 def matmul(A, B):
     size = len(A)
     return [

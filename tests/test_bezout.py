@@ -24,6 +24,7 @@ from chowforms import (
     resultant,
     uv_names,
 )
+from chowforms.chow import EPS, bezout_pform
 from helpers import naive_det, rand_curve, rand_form
 
 
@@ -125,6 +126,15 @@ def test_contraction_resultant_rejects_bad_degrees():
         contraction_resultant([BinaryForm([1]), BinaryForm([2])], names)
     with pytest.raises(ValueError):
         contraction_resultant([BinaryForm([1, 0]), BinaryForm([0, 1, 1])], names)
+
+
+def test_bezout_pform_rejects_coefficients_outside_the_coefficient_ring():
+    fam = join_family(CONIC_F, CONIC_G)
+    forms, names = eps_forms(fam)  # eps coefficients embedded into Q[u, v, eps]
+    with pytest.raises(ValueError, match="coefficient ring"):
+        bezout_pform(forms, (EPS,))
+    with pytest.raises(ValueError, match="coefficient ring"):
+        contraction_resultant(forms, names)
 
 
 # -- independent oracle: sympy ---------------------------------------------------------

@@ -11,15 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowforms import BinaryForm, CurveMap, act_gln, contract, form_gcd
+from helpers import is_normal
 
 SCALAR = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
 )
-
-
-def is_normal(x) -> bool:
-    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def assert_form(h: BinaryForm, ref: list) -> None:

@@ -12,6 +12,9 @@ from chowforms import (
     act_gl2,
     act_gln,
     cayley_biform,
+    check_curve,
+    content_primitive,
+    format_terms,
     implicitize_plane_curve,
     incident,
     incident_oracle,
@@ -27,17 +30,13 @@ from helpers import (
     rand_curve_birational,
     rand_invertible,
     rand_plane,
+    wedge,
 )
 
 LINE = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])  # (z0, z1, 0)
 CONIC = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # (z0^2, z0 z1, z1^2)
 
-
-def wedge(n, i, j):
-    names = uv_names(n)
-    return MPoly.var(names, f"u{i}") * MPoly.var(names, f"v{j}") - MPoly.var(
-        names, f"u{j}"
-    ) * MPoly.var(names, f"v{i}")
+UV2 = uv_names(2)
 
 
 # -- construction ----------------------------------------------------------------
@@ -45,12 +44,12 @@ def wedge(n, i, j):
 
 def test_line_biform_is_p01():
     ca = cayley_biform(LINE)
-    assert ca.poly == wedge(2, 0, 1)
+    assert ca.poly == wedge(UV2, 0, 1)
 
 
 def test_conic_biform_formula():
     ca = cayley_biform(CONIC)
-    assert ca.poly == wedge(2, 0, 2) ** 2 - wedge(2, 0, 1) * wedge(2, 1, 2)
+    assert ca.poly == wedge(UV2, 0, 2) ** 2 - wedge(UV2, 0, 1) * wedge(UV2, 1, 2)
 
 
 def test_base_point_gives_zero_biform():
@@ -68,7 +67,7 @@ def test_biform_bidegree_validated():
 
 
 def test_eval_examples():
-    p01 = CayleyBiform(2, 1, wedge(2, 0, 1))
+    p01 = CayleyBiform(2, 1, wedge(UV2, 0, 1))
     assert p01.eval((1, 0, 0), (0, 1, 0)) == 1
     assert p01.eval((1, 2, 3), (1, 2, 3)) == 0
     conic = cayley_biform(CONIC)
@@ -112,11 +111,11 @@ def test_incident_rejects_zero_biform():
 
 
 def test_normalized_examples():
-    p01 = wedge(2, 0, 1)
+    p01 = wedge(UV2, 0, 1)
     assert CayleyBiform(2, 1, 6 * p01).normalized().poly == p01
     assert CayleyBiform(2, 1, -p01).normalized().poly == p01  # sign flips: leading term u0 v1 positive
     assert CayleyBiform(2, 1, -p01).normalized() == CayleyBiform(2, 1, p01).normalized()
-    messy = Fraction(2, 3) * (wedge(2, 0, 2) ** 2 - wedge(2, 0, 1) * wedge(2, 1, 2))
+    messy = Fraction(2, 3) * (wedge(UV2, 0, 2) ** 2 - wedge(UV2, 0, 1) * wedge(UV2, 1, 2))
     norm = CayleyBiform(2, 2, messy).normalized()
     assert norm.poly == cayley_biform(CONIC).poly
     assert norm.normalized() == norm
@@ -127,9 +126,9 @@ def test_normalized_examples():
 
 
 def test_proportional_examples():
-    p01 = CayleyBiform(2, 1, wedge(2, 0, 1))
-    assert proportional(CayleyBiform(2, 1, 2 * wedge(2, 0, 1)), p01)
-    assert not proportional(CayleyBiform(2, 1, wedge(2, 0, 2)), p01)
+    p01 = CayleyBiform(2, 1, wedge(UV2, 0, 1))
+    assert proportional(CayleyBiform(2, 1, 2 * wedge(UV2, 0, 1)), p01)
+    assert not proportional(CayleyBiform(2, 1, wedge(UV2, 0, 2)), p01)
     conic = cayley_biform(CONIC)
     assert proportional(CayleyBiform(2, 2, -3 * conic.poly), conic)
     with pytest.raises(ValueError):
@@ -356,6 +355,61 @@ def test_implicitize_errors():
     double = CurveMap.from_coeffs([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(ValueError, match="birational"):
         implicitize_plane_curve(double)
+
+
+def reference_implicitize(f):
+    """The route implicitize_plane_curve replaced: the (u, v) biform rewritten
+    in p_ij, the duality applied by MPoly.evaluate, then normalized."""
+    rep = plucker_rewrite(cayley_biform(f))
+    names = x_ring()
+    env = {
+        "p12": MPoly.var(names, "x0"),
+        "p02": -MPoly.var(names, "x1"),
+        "p01": MPoly.var(names, "x2"),
+    }
+    _, q = content_primitive(rep.poly.evaluate(env, one=MPoly.const(names, 1)))
+    return q
+
+
+def rand_rational_plane_curve(rng, d):
+    while True:
+        rows = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)]
+            for _ in range(3)
+        ]
+        if any(any(r) for r in rows):
+            f = CurveMap.from_coeffs(rows)
+            if check_curve(f, rng=rng).birational:
+                return f
+
+
+def test_implicitize_matches_plucker_rewrite_route():
+    rng = random.Random(449)
+    for d in range(1, 7):
+        for f in (
+            rand_curve_birational(rng, 2, d),
+            rand_curve_birational(rng, 2, d),
+            rand_rational_plane_curve(rng, d),
+            rand_rational_plane_curve(rng, d),
+        ):
+            assert format_terms(implicitize_plane_curve(f)) == format_terms(
+                reference_implicitize(f)
+            ), f
+
+
+def test_implicitize_skips_the_uv_round_trip(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("implicitization left the p-form route")
+
+    monkeypatch.setattr("chowforms.chow.plucker_rewrite", forbidden)
+    monkeypatch.setattr("chowforms.chow.cayley_biform", forbidden)
+    monkeypatch.setattr(MPoly, "evaluate", forbidden)
+    names = x_ring()
+    x0, x1, x2 = (MPoly.var(names, k) for k in names)
+    assert implicitize_plane_curve(CONIC) == x0 * x2 - x1**2
+    rng = random.Random(450)
+    for d in (3, 4):
+        assert implicitize_plane_curve(rand_curve_birational(rng, 2, d)).total_degree() == d
 
 
 def test_plucker_rejects_non_wedge_biform_in_p2():

@@ -28,16 +28,12 @@ from chowforms import (
     normalize_attachment,
     uv_names,
 )
-from helpers import plane_through, rand_curve_birational
+from helpers import is_normal, plane_through, rand_curve_birational
 
 # two lines in P^2 through (1, 1, 1), joined at parameters (1, 0) and (0, 1)
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
 LINE_G = CurveMap.from_coeffs([[0, 1], [1, 1], [0, 1]])
 CONIC = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def is_normal(x) -> bool:
-    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def denominators_cleared(w):

@@ -88,7 +88,6 @@ def test_embed_restrict_decompose():
     p = V("u0") * V("v1")
     big = p.embed(UV + ("eps",))
     assert big.names[-1] == "eps"
-    assert big.restrict(UV) == p
     q = big + MPoly.var(UV + ("eps",), "eps") ** 2
     parts = q.decompose("eps")
     assert set(parts) == {0, 2}

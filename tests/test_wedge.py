@@ -24,20 +24,14 @@ from chowforms import (
 )
 from chowforms.chow import EPS, bezout_pform, plucker_names, wedge_expand
 from chowforms.resultant import det_expand
-from helpers import rand_curve, rand_curve_birational
-
-
-def wedge_coord(names, i, j):
-    ui, vj = MPoly.var(names, f"u{i}"), MPoly.var(names, f"v{j}")
-    uj, vi = MPoly.var(names, f"u{j}"), MPoly.var(names, f"v{i}")
-    return ui * vj - uj * vi
+from helpers import rand_curve, rand_curve_birational, wedge
 
 
 def evaluate_route(pform, m, names):
     """The substitution wedge_expand replaced: MPoly.evaluate of the p-form
     at the wedge coordinates, coefficient variables mapped to themselves."""
     env = {
-        p: wedge_coord(names, k, l)
+        p: wedge(names, k, l)
         for (k, l), p in zip(combinations(range(m), 2), pform.names)
     }
     env.update((x, MPoly.var(names, x)) for x in names[2 * m :])
@@ -181,7 +175,7 @@ def dense_plucker_solve(ca):
     system is inconsistent."""
     pnames = plucker_names(ca.n)
     uv = uv_names(ca.n)
-    base = [wedge_coord(uv, i, j) for i, j in combinations(range(ca.n + 1), 2)]
+    base = [wedge(uv, i, j) for i, j in combinations(range(ca.n + 1), 2)]
     monos = list(compositions(ca.d, len(pnames)))
     cols = []
     for exps in monos:
