@@ -345,14 +345,17 @@ class PluckerRep:
 
     :func:`plucker_rewrite` returns the standard-monomial normal form, the
     unique representative without a nested pair p_ad p_bc (a < b < c < d),
-    for every (n, d).  ``canonical`` keeps its meaning: True when no Plucker
-    relations exist (n = 2, or d = 1), so no other representative exists.
+    for every (n, d).  ``canonical`` is True when n <= 2 or d = 1: then no
+    Plucker relation of degree d exists, so no other representative does.
     """
 
     n: int
     d: int
     poly: MPoly
-    canonical: bool
+
+    @property
+    def canonical(self) -> bool:
+        return self.n <= 2 or self.d == 1
 
     def expand(self) -> CayleyBiform:
         return CayleyBiform(self.n, self.d, wedge_expand(self.poly, self.n + 1, uv_names(self.n)))
@@ -361,7 +364,7 @@ class PluckerRep:
 def plucker_names(n: int) -> tuple[str, ...]:
     if n > 9:
         raise ValueError("p_ij naming supports n <= 9")
-    return tuple(f"p{i}{j}" for i in range(n + 1) for j in range(i + 1, n + 1))
+    return tuple(f"p{k}{l}" for (k, l), _ in _pair_vars(n + 1))
 
 
 def depends_only_on_wedge(ca: CayleyBiform) -> bool:
@@ -432,7 +435,7 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
                 if key not in rest:
                     heapq.heappush(heap, -key)
                 rest[key] = rest.get(key, 0) - x
-    out = PluckerRep(ca.n, ca.d, MPoly(pnames, rep), ca.n == 2 or ca.d == 1)
+    out = PluckerRep(ca.n, ca.d, MPoly(pnames, rep))
     if out.expand().poly != ca.poly:
         raise RuntimeError("plucker rewrite failed to round-trip")
     return out

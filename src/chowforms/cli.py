@@ -12,7 +12,10 @@ Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy (zero
 biform, parametrization not birational), 4 internal cross-check failure
 (including a failed internal postcondition, raised as RuntimeError).  A
 map-degree sampling failure (no unramified sample points, or a sampled
-degree that does not divide d) is a RuntimeError too, and exits 4.
+degree that does not divide d) is a RuntimeError too, and exits 4.  Every
+failure raised inside a command prints one ``error:`` line to stderr; only
+``incident`` (DISAGREE), ``degenerate`` (FACTORS:no) and ``implicitize``
+(not birational) report theirs on stdout instead.
 
 ``--plane X`` is read as ``--plane=X``, so a plane whose first entry is
 negative needs no ``=``.  Output is deterministic: fixed term order, fixed
@@ -53,11 +56,15 @@ __all__ = ["main", "entry"]
 
 
 class InputError(Exception):
-    """Invalid file, flag, or argument; maps to exit code 2."""
+    """Invalid file, flag, or argument."""
+
+    exit_code = 2
 
 
 class DegenerateInput(Exception):
-    """Mathematically degenerate input; maps to exit code 3."""
+    """Mathematically degenerate input."""
+
+    exit_code = 3
 
 
 def _parse_rational(text, row: int, col: int) -> Fraction:
@@ -172,22 +179,25 @@ def _warn_if_degenerate(f: CurveMap, seed: int) -> None:
         )
 
 
+def _chow_form(f: CurveMap) -> CayleyBiform:
+    """The normalized Chow biform of f; a base point makes it zero (exit 3)."""
+    ca = cayley_biform(f)
+    if ca.is_zero:
+        raise DegenerateInput("zero Cayley biform (base locus)")
+    return ca.normalized()
+
+
 def cmd_compute(args) -> int:
     f = load_curve(args.curve)
     _warn_if_degenerate(f, args.seed)
-    ca = cayley_biform(f)
-    if ca.is_zero:
-        print("zero Cayley biform (base locus)", file=sys.stderr)
-        return 3
-    ca = ca.normalized()
+    ca = _chow_form(f)
     rep = _plucker(ca) if args.plucker else None
     if args.json:
         print(_compute_json(ca, rep))
     else:
         print(_biform_lines(ca))
         if rep is not None:
-            print(f"plucker canonical={'true' if rep.canonical else 'false'}")
-            print(format_terms(rep.poly))
+            _print_plucker(rep)
     return 0
 
 
@@ -198,15 +208,17 @@ def _plucker(ca: CayleyBiform):
         raise InputError(str(exc)) from None
 
 
+def _print_plucker(rep) -> None:
+    print(f"plucker canonical={'true' if rep.canonical else 'false'}")
+    print(format_terms(rep.poly))
+
+
 def cmd_incident(args) -> int:
     f = load_curve(args.curve)
     plane = parse_plane(args.plane, f.n)
     verdicts = {}
     if args.method in ("chow", "both"):
-        ca = cayley_biform(f)
-        if ca.is_zero:
-            raise DegenerateInput("zero Cayley biform (base locus)")
-        verdicts["chow"] = incident(ca, plane)
+        verdicts["chow"] = incident(_chow_form(f), plane)
     if args.method in ("oracle", "both"):
         try:
             verdicts["oracle"] = incident_oracle(f, plane)
@@ -260,25 +272,18 @@ def cmd_degenerate(args) -> int:
         family = join_family(f, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if args.emit_eps_table:
-        # The table lists every eps order, so only this path expands them all.
-        fam = family_biform(family)
-        if fam.is_zero:
-            raise DegenerateInput("family biform is identically zero")
+    # The table lists every eps order, so only that path expands them all.
+    fam = family_biform(family) if args.emit_eps_table else None
+    try:
+        limit = family_limit(family) if fam is None else limit_direction(fam)
+    except ValueError:
+        raise DegenerateInput("family biform is identically zero") from None
+    if fam is not None:
         _write_eps_table(args.emit_eps_table, fam)
-        limit = limit_direction(fam)
-    else:
-        try:
-            limit = family_limit(family)
-        except ValueError:
-            raise DegenerateInput("family biform is identically zero") from None
-    ca_f = cayley_biform(f)
-    ca_g = cayley_biform(g)
-    if ca_f.is_zero or ca_g.is_zero:
-        raise DegenerateInput("component Cayley biform is zero (base locus)")
-    # Primitive integer components keep the product over Z; it is formed
-    # once and serves both the factor check and the printed line.
-    product = ca_f.normalized() * ca_g.normalized()
+    # A base point in f or g already makes the family zero.  Primitive
+    # integer components keep the product over Z; it is formed once and
+    # serves both the factor check and the printed line.
+    product = _chow_form(f) * _chow_form(g)
     factors = boundary_factor_check(limit, [product])
     print(_biform_lines(limit, label="limit"))
     # By Gauss's lemma the product of primitive biforms is primitive, and its
@@ -321,13 +326,7 @@ def cmd_implicitize(args) -> int:
 def cmd_plucker(args) -> int:
     f = load_curve(args.curve)
     _warn_if_degenerate(f, args.seed)
-    ca = cayley_biform(f)
-    if ca.is_zero:
-        print("zero Cayley biform (base locus)", file=sys.stderr)
-        return 3
-    rep = _plucker(ca.normalized())
-    print(f"plucker canonical={'true' if rep.canonical else 'false'}")
-    print(format_terms(rep.poly))
+    _print_plucker(_plucker(_chow_form(f)))
     return 0
 
 
@@ -400,15 +399,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_plane_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DegenerateInput, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 4)
 
 
 def entry() -> None:

@@ -91,14 +91,9 @@ class Plane:
         return len(self.u) - 1
 
 
-def _det2(A) -> ScalarLike:
-    (a, b), (c, d) = A
-    return a * d - b * c
-
-
 def act_gl2(f: CurveMap, A: Sequence[Sequence[ScalarLike]]) -> CurveMap:
     """Reparametrize: substitute each component by the linear change A."""
-    if _det2(A) == 0:
+    if det_bareiss(A) == 0:
         raise ValueError("singular matrix")
     return CurveMap(tuple(c.substitute_gl2(A) for c in f.components))
 

@@ -38,15 +38,10 @@ __all__ = [
 
 
 def _exact_div(num: Entry, den: Entry) -> Entry:
-    if isinstance(den, MPoly):
-        if den.is_constant:
-            den = den.constant_value()
-        else:
-            if isinstance(num, Fraction):
-                if not num:
-                    return MPoly.zero(den.names)
-                raise ValueError("inexact scalar/polynomial division")
-            return num / den
+    # A nonconstant MPoly pivot multiplies every later entry, so a numeric
+    # numerator only meets a numeric or constant divisor.
+    if isinstance(den, MPoly) and den.is_constant:
+        den = den.constant_value()
     return num / den
 
 
@@ -171,7 +166,7 @@ def det_bareiss(M) -> Entry:
                 A[i][j] = _exact_div(A[i][j] * A[k][k] - A[i][k] * A[k][j], prev)
             A[i][k] = zero
         prev = A[k][k]
-    det = A[n - 1][n - 1]
+    det = A[n - 1][n - 1] if n else prev
     return -det if sign < 0 else det
 
 

@@ -297,7 +297,7 @@ def test_plucker_round_trip_exact():
             continue
         rep = plucker_rewrite(ca)
         assert rep.expand().poly == ca.poly
-        assert rep.canonical == (n == 2 or d == 1)
+        assert rep.canonical == (n <= 2 or d == 1)
 
 
 def test_plucker_rejects_non_wedge_biform():

@@ -75,11 +75,18 @@ def test_compute_json(tmp_path, capsys):
     assert doc["plucker"]["canonical"] is True
 
 
-def test_compute_zero_biform_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["compute"], ["plucker"], ["incident", "--method", "chow", "--plane", "1,0,0;0,1,0"]],
+    ids=["compute", "plucker", "incident"],
+)
+def test_compute_zero_biform_exits_3(tmp_path, capsys, argv):
+    # Every command that builds the Chow form of a base-pointed curve exits
+    # 3 with the same error line.
     path = write(tmp_path, "based.json", BASED)
-    code, _, err = run(capsys, ["compute", path])
-    assert code == 3
-    assert "zero" in err
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == "error: zero Cayley biform (base locus)"
 
 
 def test_compute_warns_on_cover(tmp_path, capsys):
@@ -273,6 +280,13 @@ def test_plucker_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, ["plucker", path])
     assert code == 0
     assert out == "plucker canonical=true\n-1 * p01^1 p12^1\n+1 * p02^2\n"
+
+
+def test_plucker_on_a_line_target_is_canonical(tmp_path, capsys):
+    # n = 1 has the single coordinate p01 and no Plucker relation.
+    path = write(tmp_path, "cover.json", {"n": 1, "d": 2, "coeffs": [["1", "0", "0"], ["0", "0", "1"]]})
+    code, out, _ = run(capsys, ["plucker", path])
+    assert (code, out) == (0, "plucker canonical=true\n+1 * p01^2\n")
 
 
 def test_degenerate_line_conic_in_p3(tmp_path, capsys):

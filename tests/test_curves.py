@@ -34,8 +34,12 @@ def test_act_gl2_examples():
     swapped = act_gl2(f, [[0, 1], [1, 0]])
     assert swapped.components[0] == BinaryForm([0, 1])
     assert swapped.components[1] == BinaryForm([1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^singular matrix$"):
         act_gl2(f, [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        act_gl2(f, [[0, Fraction(1, 2)], [0, 3]])
+    with pytest.raises(ValueError):
+        act_gl2(f, [])
 
 
 def test_act_gln_examples():
@@ -44,8 +48,10 @@ def test_act_gln_examples():
     g = act_gln(f, B)
     assert g.components[0] == BinaryForm([0, 1])
     assert g.components[1] == BinaryForm([1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^singular matrix$"):
         act_gln(f, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        act_gln(f, [[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 1, 1]])
     with pytest.raises(ValueError):
         act_gln(f, [[1, 0], [0, 1]])
 

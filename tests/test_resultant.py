@@ -73,6 +73,7 @@ def test_sylvester_errors():
 def test_det_identity():
     I3 = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert det_bareiss(I3) == 1
+    assert det_bareiss([]) == 1
 
 
 def test_det_2x2_symbolic():
@@ -94,6 +95,10 @@ def test_det_needs_pivoting():
         [Fraction(2), Fraction(1), Fraction(0)],
     ]
     assert det_bareiss(M) == naive_det(M)
+    # An int first pivot, then nonconstant MPoly pivots x and xy - 1.
+    x, y = MPoly.var(("x", "y"), "x"), MPoly.var(("x", "y"), "y")
+    M = [[1, 0, 0, 0], [0, x, 1, 0], [0, 1, y, 0], [0, 0, 0, 1]]
+    assert det_bareiss(M) == naive_det(M) == x * y - 1
 
 
 def test_det_conic_sylvester_against_naive_and_formula():
