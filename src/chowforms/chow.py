@@ -37,7 +37,16 @@ from typing import Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
-from .polynomial import BinaryForm, MPoly, ScalarLike, content_primitive, rational
+from .polynomial import (
+    BinaryForm,
+    MPoly,
+    ScalarLike,
+    content_primitive,
+    field_bytes,
+    pack,
+    rational,
+    unpack,
+)
 from .resultant import bezout, det_expand
 
 __all__ = [
@@ -88,6 +97,17 @@ class CayleyBiform:
             if sum(exps[:m]) != self.d or sum(exps[m : 2 * m]) != self.d:
                 raise ValueError("term violates the (d, d) bidegree")
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, poly: MPoly) -> "CayleyBiform":
+        """Wrap ``poly`` without the checks of ``__post_init__``.  For biforms
+        built from valid ones only: the caller guarantees the ring and the
+        (d, d) bidegree of every term."""
+        ca = object.__new__(cls)
+        object.__setattr__(ca, "n", n)
+        object.__setattr__(ca, "d", d)
+        object.__setattr__(ca, "poly", poly)
+        return ca
+
     @property
     def has_eps(self) -> bool:
         return self.poly.names[-1] == EPS
@@ -121,7 +141,7 @@ class CayleyBiform:
         if self.is_zero:
             raise ValueError("cannot normalize the zero biform")
         _, q = content_primitive(self.poly)
-        return CayleyBiform(self.n, self.d, q)
+        return CayleyBiform._trusted(self.n, self.d, q)
 
     def specialize_eps(self, value: ScalarLike) -> "CayleyBiform":
         if not self.has_eps:
@@ -131,14 +151,14 @@ class CayleyBiform:
         acc = MPoly.zero(uv_names(self.n))
         for k, c in parts.items():
             acc = acc + c * val**k
-        return CayleyBiform(self.n, self.d, acc)
+        return CayleyBiform._trusted(self.n, self.d, acc)
 
     def __mul__(self, other):
         if not isinstance(other, CayleyBiform):
             return NotImplemented
         if other.n != self.n or self.has_eps or other.has_eps:
             raise ValueError("can only multiply eps-free biforms on one P^n")
-        return CayleyBiform(self.n, self.d + other.d, self.poly * other.poly)
+        return CayleyBiform._trusted(self.n, self.d + other.d, self.poly * other.poly)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 1:
@@ -221,38 +241,14 @@ def bezout_pform(
     return weighted, lam
 
 
-# -- packed exponents ----------------------------------------------------------
-# A monomial in nv variables is one int whose w-byte fields hold the exponents,
-# the first variable most significant.  Monomials multiply by adding ints; no
-# field carries while every exponent is below 256**w.  Among terms of one
-# bidegree in (u, v), integer order is graded-lex order.
-
-
-def _field_bytes(top: int) -> int:
-    """Bytes per exponent field that hold every exponent up to ``top``."""
-    return max(1, (top.bit_length() + 7) // 8)
-
-
-def _pack(exps: Sequence[int], w: int) -> int:
-    raw = bytes(exps) if w == 1 else b"".join(e.to_bytes(w, "big") for e in exps)
-    return int.from_bytes(raw, "big")
-
-
-def _unpack(key: int, nv: int, w: int) -> tuple[int, ...]:
-    raw = key.to_bytes(nv * w, "big")
-    if w == 1:
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, nv * w, w))
-
-
 def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[list]]:
     """``table[t][e]`` lists (u_k v_l - u_l v_k)^e, for the t-th pair k < l
     of :func:`_pair_vars` and e <= tops[t], as (packed monomial, int) pairs,
     leading term first; u is variables 0..m-1 and v is m..2m-1 of nv."""
     table = []
     for ((k, l), _), top in zip(_pair_vars(m), tops):
-        a = _pack([i in (k, m + l) for i in range(nv)], w)  # u_k v_l
-        b = _pack([i in (l, m + k) for i in range(nv)], w)  # u_l v_k
+        a = pack([i in (k, m + l) for i in range(nv)], w)  # u_k v_l
+        b = pack([i in (l, m + k) for i in range(nv)], w)  # u_l v_k
         table.append([
             [(i * a + (e - i) * b, (-1) ** (e - i) * math.comb(e, i)) for i in range(e, -1, -1)]
             for e in range(top + 1)
@@ -281,15 +277,15 @@ def wedge_expand(pform: MPoly, m: int, names: tuple[str, ...]) -> MPoly:
     cols = list(zip(*pform.terms))  # empty for the zero p-form
     # A u- or v-exponent is at most the p-degree of its term.
     top = max([0, *map(sum, zip(*cols[:npairs])), *map(max, cols[npairs:])])
-    w = _field_bytes(top)
+    w = field_bytes(top)
     table = _wedge_powers(m, nv, w, [max(col) for col in cols[:npairs]])
     out: dict[int, ScalarLike] = {}
     get = out.get
     for exps, c in pform.terms.items():
-        base = _pack(exps[npairs:], w)  # the coefficient variables come last
+        base = pack(exps[npairs:], w)  # the coefficient variables come last
         for key, x in _expand_monomial(exps[:npairs], table, base, c):
             out[key] = get(key, 0) + x
-    terms = {_unpack(k, nv, w): c if type(c) is int else rational(c) for k, c in out.items() if c}
+    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k, c in out.items() if c}
     return MPoly._trusted(names, terms)
 
 
@@ -358,7 +354,13 @@ class PluckerRep:
         return self.n <= 2 or self.d == 1
 
     def expand(self) -> CayleyBiform:
-        return CayleyBiform(self.n, self.d, wedge_expand(self.poly, self.n + 1, uv_names(self.n)))
+        """The biform p_ij -> u_i v_j - u_j v_i.  A p-monomial of degree d
+        expands to terms of bidegree (d, d) only, so checking the p-degrees
+        checks every term of the result."""
+        if any(sum(exps) != self.d for exps in self.poly.terms):
+            raise ValueError("Plucker polynomial is not homogeneous of degree d")
+        poly = wedge_expand(self.poly, self.n + 1, uv_names(self.n))
+        return CayleyBiform._trusted(self.n, self.d, poly)
 
 
 def plucker_names(n: int) -> tuple[str, ...]:
@@ -407,10 +409,10 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
     if ca.has_eps:
         raise ValueError("plucker rewrite needs an eps-free biform")
     pnames = plucker_names(ca.n)
-    m, nv, w = ca.n + 1, 2 * ca.n + 2, _field_bytes(ca.d)
+    m, nv, w = ca.n + 1, 2 * ca.n + 2, field_bytes(ca.d)
     table = _wedge_powers(m, nv, w, [ca.d] * len(pnames))
     pair_index = {kl: t for t, (kl, _) in enumerate(_pair_vars(m))}
-    rest = {_pack(exps, w): c for exps, c in ca.poly.terms.items()}
+    rest = {pack(exps, w): c for exps, c in ca.poly.terms.items()}
     heap = [-key for key in rest]
     heapq.heapify(heap)
     rep: dict[tuple[int, ...], ScalarLike] = {}
@@ -419,7 +421,7 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
         c = rest.pop(lead)
         if not c:
             continue
-        exps = _unpack(lead, nv, w)
+        exps = unpack(lead, nv, w)
         I = [i for i in range(m) for _ in range(exps[i])]
         J = [j for j in range(m) for _ in range(exps[m + j])]
         pexps = [0] * len(pnames)

@@ -93,6 +93,8 @@ class Plane:
 
 def act_gl2(f: CurveMap, A: Sequence[Sequence[ScalarLike]]) -> CurveMap:
     """Reparametrize: substitute each component by the linear change A."""
+    if len(A) != 2 or any(len(row) != 2 for row in A):
+        raise ValueError("matrix must be 2x2")
     if det_bareiss(A) == 0:
         raise ValueError("singular matrix")
     return CurveMap(tuple(c.substitute_gl2(A) for c in f.components))

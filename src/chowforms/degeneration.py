@@ -11,10 +11,12 @@ nonvanishing eps-order coefficient, and for a valid join that limit factors
 into the two component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
 
-:func:`family_limit` computes that limit modulo eps^K: the determinant
-drops every term of eps-degree >= K as it goes, K starts from the min-plus
-bound on the valuation of the determinant, and only the lowest surviving
-order is substituted into (u, v) and normalized.  Only the eps table
+:func:`family_limit` computes that limit modulo eps^K with
+``det_expand(M, trunc=(EPS, K))``: the packed minor kernel skips every
+product of eps-blocks whose orders sum to K or more, so no term of
+eps-degree >= K is ever formed.  K starts from the min-plus bound on the
+valuation of the determinant, and only the lowest surviving order is
+substituted into (u, v) and normalized.  Only the eps table
 (:func:`family_biform`, ``--emit-eps-table``) expands every eps order.
 """
 
@@ -226,7 +228,7 @@ def family_limit(F: DegenerationFamily) -> CayleyBiform:
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
-        parts = det_expand(matrix, reduce=lambda p: p.truncate(EPS, K)).decompose(EPS)
+        parts = det_expand(matrix, trunc=(EPS, K)).decompose(EPS)
         for k in sorted(parts):
             c = wedge_expand(parts[k], F.n + 1, names)
             if c:

@@ -52,6 +52,9 @@ __all__ = [
     "format_terms",
     "parse_terms",
     "rational",
+    "field_bytes",
+    "pack",
+    "unpack",
 ]
 
 
@@ -404,11 +407,31 @@ class MPoly:
             buckets.setdefault(k, {})[exps[:i] + exps[i + 1 :]] = c
         return {k: MPoly._trusted(rest, t) for k, t in buckets.items()}
 
-    def truncate(self, name: str, k: int) -> "MPoly":
-        """Drop every term of degree >= k in one variable: the image of the
-        polynomial modulo name^k, a ring homomorphism."""
-        i = self.names.index(name)
-        return MPoly._trusted(self.names, {e: c for e, c in self.terms.items() if e[i] < k})
+
+# -- packed monomials ----------------------------------------------------------
+# A monomial in nv variables is one int whose w-byte fields hold the exponents,
+# the first variable most significant.  Monomials multiply by adding ints; no
+# field carries while every exponent is below 256**w.  Among monomials of one
+# total degree, integer order is graded-lex order.
+
+
+def field_bytes(top: int) -> int:
+    """Bytes per exponent field that hold every exponent up to ``top``."""
+    return max(1, (top.bit_length() + 7) // 8)
+
+
+def pack(exps: Sequence[int], w: int) -> int:
+    """The exponent vector ``exps`` as one int of w-byte fields."""
+    raw = bytes(exps) if w == 1 else b"".join(e.to_bytes(w, "big") for e in exps)
+    return int.from_bytes(raw, "big")
+
+
+def unpack(key: int, nv: int, w: int) -> tuple[int, ...]:
+    """Inverse of :func:`pack` for an exponent vector of length nv."""
+    raw = key.to_bytes(nv * w, "big")
+    if w == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, nv * w, w))
 
 
 def _primitive_part(values: Sequence[ScalarLike], negate: bool) -> tuple[int, int, list[int]]:

@@ -5,24 +5,32 @@ The production route to a Chow form (:func:`chowforms.chow.contraction_resultant
 takes the determinant of a weighted sum of the d x d Bezout matrices from
 :func:`bezout`, by :func:`det_expand`: first-row expansion with memoized
 minors, division-free, so it needs only ring operations on the entries.
+The minors run on packed monomials: each entry becomes, once, a map from
+the degree of the ring's last variable (eps in the family rings) to a map
+from packed exponents of the other variables (:func:`~chowforms.polynomial.pack`)
+to coefficients, and the result is unpacked once.  A determinant taken
+modulo eps^K (``det_expand(M, trunc=(EPS, K))``) skips every product of
+blocks whose eps-orders sum to K or more, so truncated terms are never
+formed.
 
 The Sylvester route is kept as the independent cross-check.  It has two
 determinant backends.  :func:`resultant` uses the Laplace split along the
 top block of the Sylvester matrix: a signed sum over column subsets of
-products of two d x d minors, built from the same memoized minors.
+products of two d x d minors, taken from the same packed minor kernel.
 Fraction-free Bareiss elimination handles any square matrix with exact
 entries and is the second, independent backend.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .polynomial import BinaryForm, MPoly
+from .polynomial import BinaryForm, MPoly, ScalarLike, field_bytes, pack, rational, unpack
 
 Entry = Union[Fraction, MPoly]
 
@@ -170,66 +178,146 @@ def det_bareiss(M) -> Entry:
     return -det if sign < 0 else det
 
 
-def _minors(block: list[list[Entry]], zero: Entry, reduce: Optional[Callable] = None):
-    """Memoized minors of the last rows of a block, keyed by column tuple.
+# -- packed minor kernel ---------------------------------------------------------
+# Every determinant below runs on entries packed once into a map {k: {key: c}}:
+# k is the degree of the ring's last variable (eps in the family rings), key
+# packs the exponents of the other variables (polynomial.pack) and c is a
+# nonzero rational.  A number is the constant monomial {0: {0: c}}.  Products
+# keep only the block pairs whose orders sum below the truncation order K.
 
-    ``minors(cols)`` is the determinant of the last len(cols) rows restricted
-    to ``cols``, by expansion along the first of those rows.  Subsets share
-    their sub-minors, so all minors of a k-row block cost at most one
-    product per (subset, column) pair, and no entry is ever divided.
-    ``reduce``, when given, is applied to every minor as it is memoized.
+
+def _pack_matrix(A: list[list[Entry]], trunc: Optional[tuple[str, int]]):
+    """Packed rows of a square matrix, with what :func:`_unpacked` needs.
+
+    Returns (rows, names, w, K): names is the ring of the MPoly entries, or
+    None when every entry is a number; w is the field width, from the
+    matrix order times the largest exponent so that no minor's field
+    carries; K is the truncation order, infinite when ``trunc`` is None.
+    """
+    polys = [x for row in A for x in row if isinstance(x, MPoly)]
+    names = polys[0].names if polys else None
+    if any(x.names != names for x in polys):
+        raise ValueError("matrix entries come from different rings")
+    K = math.inf
+    if trunc is not None:
+        var, K = trunc
+        if names is None or names[-1] != var:
+            raise ValueError(f"truncation variable {var!r} is not the last variable of the ring")
+    top = max((e for x in polys for exps in x.terms for e in exps[:-1]), default=0)
+    w = field_bytes(len(A) * top)
+
+    def packed(x: Entry) -> dict:
+        if not isinstance(x, MPoly):
+            return {0: {0: x}} if x and K > 0 else {}
+        blocks: dict[int, dict[int, ScalarLike]] = {}
+        for exps, c in x.terms.items():
+            if exps[-1] < K:
+                blocks.setdefault(exps[-1], {})[pack(exps[:-1], w)] = c
+        return blocks
+
+    return [[packed(x) for x in row] for row in A], names, w, K
+
+
+def _unpacked(p: dict, names: Optional[tuple[str, ...]], w: int) -> Entry:
+    """A packed polynomial as an MPoly of ``names``, or as a number in the
+    normal form of :func:`~chowforms.polynomial.rational` when names is None."""
+    if names is None:
+        return rational(p[0][0]) if p else 0
+    nv = len(names) - 1
+    terms = {
+        unpack(key, nv, w) + (k,): c if type(c) is int else rational(c)
+        for k, block in p.items()
+        for key, c in block.items()
+    }
+    return MPoly._trusted(names, terms)
+
+
+def _addmul(acc: dict, a: dict, b: dict, negate: bool, K) -> None:
+    """acc += (-1)^negate * a * b, skipping every block pair whose orders sum
+    to K or more, so the terms they would give are never formed."""
+    for ka, block_a in a.items():
+        for kb, block_b in b.items():
+            k = ka + kb
+            if k >= K:
+                continue
+            out = acc.get(k)
+            if out is None:
+                out = acc[k] = {}
+            get = out.get
+            for ma, ca in block_a.items():
+                if negate:
+                    ca = -ca
+                for mb, cb in block_b.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+
+
+def _cleaned(acc: dict) -> dict:
+    """A packed sum without its zero coefficients and empty blocks."""
+    out = {}
+    for k, block in acc.items():
+        block = {m: c for m, c in block.items() if c}
+        if block:
+            out[k] = block
+    return out
+
+
+def _minors(block: list[list[dict]], K):
+    """Memoized minors of the last rows of a packed block, keyed by column
+    bitmask.
+
+    ``minors(cols)`` is the determinant of the last popcount(cols) rows
+    restricted to the columns in ``cols``, by expansion along the first of
+    those rows, truncated at order K.  Subsets share their sub-minors, so
+    all minors of a k-row block cost at most one product per (subset,
+    column) pair, and no entry is ever divided.
 
     The recursion goes through the module-level :func:`_minor` rather than
     a closure that calls itself: such a closure is a reference cycle, which
     would keep every memoized minor alive until the cyclic garbage collector
     runs.
     """
-    return partial(_minor, block, zero, reduce, {(): Fraction(1)})
+    return partial(_minor, block, K, {0: {0: {0: 1}}})
 
 
-def _minor(
-    block: list[list[Entry]], zero: Entry, reduce: Optional[Callable], memo: dict, cols: tuple[int, ...]
-) -> Entry:
+def _minor(block: list[list[dict]], K, memo: dict, cols: int) -> dict:
     val = memo.get(cols)
     if val is not None:
         return val
-    row = len(block) - len(cols)
-    acc = None
-    for idx, c in enumerate(cols):
-        entry = block[row][c]
-        if not entry:
-            continue
-        sub = _minor(block, zero, reduce, memo, cols[:idx] + cols[idx + 1 :])
-        if not sub:
-            continue
-        term = entry * sub
-        if idx % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is not None and reduce is not None:
-        acc = reduce(acc)
-    val = zero if acc is None else acc
-    memo[cols] = val
+    row = block[len(block) - cols.bit_count()]
+    acc: dict = {}
+    rest, idx = cols, 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        entry = row[low.bit_length() - 1]
+        if entry:
+            sub = _minor(block, K, memo, cols ^ low)
+            if sub:
+                _addmul(acc, entry, sub, idx % 2, K)
+        idx += 1
+    val = memo[cols] = _cleaned(acc)
     return val
 
 
-def det_expand(M, reduce: Optional[Callable[[Entry], Entry]] = None) -> Entry:
+def det_expand(M, trunc: Optional[tuple[str, int]] = None) -> Entry:
     """Exact, division-free determinant by memoized first-row expansion.
 
     Costs one product per (column subset, column) pair, 2^n subsets in all,
     so it suits small matrices over polynomial rings where Bareiss would
-    need exact polynomial division.
+    need exact polynomial division.  Every entry is packed once (see
+    :func:`_pack_matrix`) and the result is unpacked once; a matrix of
+    numbers gives a number.
 
-    ``reduce``, when given, must be a ring homomorphism, such as dropping
-    every term of degree >= K in one variable (reduction modulo x^K).  It
-    is applied to every entry and to every memoized minor, so the result
-    is exactly ``reduce(det M)`` while no intermediate minor grows past it.
+    ``trunc=(var, K)`` gives det M modulo var^K, where var must be the last
+    variable of the ring (ValueError otherwise).  Reduction modulo var^K is
+    a ring homomorphism, so the orders below K are exact; products skip
+    every block pair whose var-orders sum to K or more, so no minor holds a
+    term of order K or more at any point.
     """
     A = _rows(M)
-    if reduce is not None:
-        A = [[reduce(x) for x in row] for row in A]
-    zero = _zero_like([x for row in A for x in row])
-    return _minors(A, zero, reduce)(tuple(range(len(A))))
+    rows, names, w, K = _pack_matrix(A, trunc)
+    return _unpacked(_minors(rows, K)((1 << len(A)) - 1), names, w)
 
 
 def det_laplace_split(M) -> Entry:
@@ -238,8 +326,8 @@ def det_laplace_split(M) -> Entry:
     det = sum over d-column subsets S of
           (-1)^(sum(S) + d(d-1)/2) * minor(top, S) * minor(bottom, S^c).
 
-    Minors are computed by first-row expansion with shared memoization
-    across subsets, so the whole sum costs far less than C(2d, d)
+    Minors come from the packed kernel of :func:`det_expand`, memoized and
+    shared across subsets, so the whole sum costs far less than C(2d, d)
     independent determinants.
     """
     A = _rows(M)
@@ -247,25 +335,21 @@ def det_laplace_split(M) -> Entry:
     if n % 2:
         raise ValueError("split expansion needs an even-sized matrix")
     d = n // 2
-    zero = _zero_like([x for row in A for x in row])
-    minor_top = _minors(A[:d], zero)
-    minor_bottom = _minors(A[d:], zero)
-    base_sign = (d * (d - 1) // 2) % 2
-    acc = None
-    cols = range(n)
-    for S in combinations(cols, d):
-        t = minor_top(S)
+    rows, names, w, K = _pack_matrix(A, None)
+    minor_top = _minors(rows[:d], K)
+    minor_bottom = _minors(rows[d:], K)
+    base_sign = d * (d - 1) // 2
+    full = (1 << n) - 1
+    acc: dict = {}
+    for S in combinations(range(n), d):
+        cols = sum(1 << c for c in S)
+        t = minor_top(cols)
         if not t:
             continue
-        comp = tuple(c for c in cols if c not in set(S))
-        b = minor_bottom(comp)
-        if not b:
-            continue
-        term = t * b
-        if (sum(S) + base_sign) % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return zero if acc is None else acc
+        b = minor_bottom(full ^ cols)
+        if b:
+            _addmul(acc, t, b, (sum(S) + base_sign) % 2, K)
+    return _unpacked(_cleaned(acc), names, w)
 
 
 def resultant(h1: BinaryForm, h2: BinaryForm) -> Entry:

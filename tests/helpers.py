@@ -38,6 +38,12 @@ def naive_det(M):
     return acc
 
 
+def truncated(p, K):
+    """p modulo x^K, x the last variable of its ring: every term of
+    x-degree K or more dropped."""
+    return MPoly(p.names, {e: c for e, c in p.terms.items() if e[-1] < K})
+
+
 def is_normal(x) -> bool:
     """Coefficient normal form: an int, or a Fraction that is not integral."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)

@@ -22,7 +22,7 @@ from chowforms import (
     proportional,
     uv_names,
 )
-from chowforms.chow import depends_only_on_wedge
+from chowforms.chow import PluckerRep, depends_only_on_wedge, plucker_names
 from helpers import (
     compose_curve,
     rand_base_free_pair,
@@ -61,6 +61,28 @@ def test_biform_bidegree_validated():
     names = uv_names(1)
     with pytest.raises(ValueError):
         CayleyBiform(1, 1, MPoly.var(names, "u0"))
+    with pytest.raises(ValueError, match="bidegree"):
+        CayleyBiform(1, 1, wedge(names, 0, 1) + MPoly.var(names, "u0") * MPoly.var(names, "u1"))
+
+
+def test_internal_biform_constructions_pass_the_public_checks():
+    # normalized, products, eps specialization and Plucker expansion build
+    # their biforms unchecked; the public constructor accepts each of them.
+    f = CurveMap.from_coeffs([[1, 0, 2], [0, 1, -1], [3, 1, 0]])
+    ca = cayley_biform(f)
+    eps = MPoly.var(uv_names(2, eps=True), "eps")
+    lifted = CayleyBiform(2, 2, ca.poly.embed(uv_names(2, eps=True)) * (eps + 1))
+    for x in (ca.normalized(), ca * ca, lifted.specialize_eps(3), plucker_rewrite(ca).expand()):
+        assert CayleyBiform(x.n, x.d, x.poly) == x
+    assert lifted.specialize_eps(3).poly == 4 * ca.poly
+    assert plucker_rewrite(ca).expand() == ca
+
+
+def test_plucker_expand_checks_the_p_degree():
+    names = plucker_names(2)
+    bad = PluckerRep(2, 2, MPoly.var(names, "p01"))
+    with pytest.raises(ValueError, match="degree"):
+        bad.expand()
 
 
 # -- evaluation and incidence ------------------------------------------------------

@@ -42,6 +42,15 @@ def test_act_gl2_examples():
         act_gl2(f, [])
 
 
+@pytest.mark.parametrize(
+    "A", [[[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0]], [[1, 0], [0, 1, 0]]]
+)
+def test_act_gl2_rejects_non_2x2_matrices(A):
+    f = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="^matrix must be 2x2$"):
+        act_gl2(f, A)
+
+
 def test_act_gln_examples():
     f = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])
     B = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]

@@ -23,7 +23,7 @@ from chowforms import (
     uv_names,
 )
 from chowforms.chow import bezout_pform
-from helpers import plane_through, rand_curve_birational
+from helpers import plane_through, rand_curve_birational, truncated
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
@@ -220,9 +220,8 @@ def test_det_expand_reducer_is_truncation_past_unattained_bound():
     assert bound == 0
     assert full == eps**2 * p + eps**3 * (p + q) + eps**4
     for K in (1, 2, 4, 8):
-        trunc = lambda x: x.truncate("eps", K)
-        assert det_expand(M, reduce=trunc) == trunc(full)
-        assert det_expand(M, reduce=trunc).is_zero == (K <= 2)
+        assert det_expand(M, trunc=("eps", K)) == truncated(full, K)
+        assert det_expand(M, trunc=("eps", K)).is_zero == (K <= 2)
 
 
 def test_family_limit_rejects_zero_family():
@@ -269,11 +268,11 @@ def test_family_limit_tests_survival_after_substitution(monkeypatch):
     fam = _base_pointed_at_zero()
     expected = limit_direction(family_biform(fam)).poly
 
-    def det_plus_relation(M, reduce):
+    def det_plus_relation(M, trunc):
         names = M[0][0].names  # pair variables in combinations order, then eps
         p = [MPoly.var(names, x) for x in names[:6]]
         relation = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
-        return det_expand(M, reduce=reduce) + reduce(relation)
+        return det_expand(M, trunc=trunc) + truncated(relation, trunc[1])
 
     monkeypatch.setattr(degeneration, "det_expand", det_plus_relation)
     assert family_limit(fam).poly == expected

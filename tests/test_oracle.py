@@ -210,3 +210,17 @@ def test_check_curve_reports_are_pinned(seed):
     cover = compose_curve(f, phi0, phi1)
     reports = (astuple(check_curve(f, rng=rng)), astuple(check_curve(cover, rng=rng)))
     assert reports + (rng.randint(0, 10**9),) == CHECK_PINS[seed]
+
+
+def test_check_curve_report_ignores_component_scales():
+    # check_curve samples on the primitive integer components; rescaling
+    # each component by a nonzero rational changes neither the report nor
+    # the draws it takes from the generator.
+    rng = random.Random(107)
+    for seed in range(6):
+        f = rand_curve(rng, 2 + seed % 2, 1 + seed % 3)
+        scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in f.components]
+        g = CurveMap(tuple(c * h for c, h in zip(scales, f.components)))
+        r1, r2 = random.Random(seed), random.Random(seed)
+        assert check_curve(f, rng=r1) == check_curve(g, rng=r2)
+        assert r1.random() == r2.random()

@@ -7,13 +7,14 @@ from chowforms import (
     BinaryForm,
     MPoly,
     det_bareiss,
+    det_expand,
     det_laplace_split,
     form_gcd,
     resultant,
     sylvester,
     uv_names,
 )
-from helpers import naive_det, rand_form
+from helpers import naive_det, rand_form, truncated
 
 UV1 = uv_names(1)  # u0 u1 v0 v1
 UV2 = uv_names(2)
@@ -272,3 +273,77 @@ def test_minor_expansion_leaves_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- packed minor kernel -----------------------------------------------------------
+
+
+def _sparse_poly(rng, names, top, terms):
+    return MPoly(
+        names,
+        {tuple(rng.randint(0, top) for _ in names): rng.randint(-4, 4) for _ in range(terms)},
+    )
+
+
+def test_det_expand_matches_bareiss_and_naive_with_two_byte_fields():
+    # a^100 b^100 on the diagonal of a 3 x 3 matrix: the determinant holds
+    # exponents of 300, past one byte, so the packed fields are two bytes wide.
+    rng = random.Random(83)
+    names = ("a", "b", "eps")
+    big = MPoly.monomial(names, (100, 100, 0))
+    for _ in range(8):
+        M = [
+            [_sparse_poly(rng, names, 100, rng.randint(0, 2)) + (big if i == j else 0) for j in range(3)]
+            for i in range(3)
+        ]
+        expected = naive_det(M)
+        assert max(e for exps in expected.terms for e in exps) > 255
+        assert det_expand(M) == det_bareiss(M) == expected
+
+
+def test_det_expand_numeric_matrices_give_numbers():
+    assert det_expand([]) == 1 and type(det_expand([])) is int
+    assert det_expand([[1, 2], [3, 4]]) == -2
+    half = Fraction(1, 2)
+    value = det_expand([[half, 1], [3, half]])
+    assert value == Fraction(-11, 4) and not isinstance(value, MPoly)
+    assert type(det_expand([[half, 1], [2, 6]])) is int  # 3 - 2, normal form
+    rng = random.Random(89)
+    for _ in range(10):
+        M = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+        assert det_expand(M) == det_bareiss(M) == naive_det(M)
+
+
+def test_det_expand_truncated_equals_full_then_truncated():
+    rng = random.Random(97)
+    names = ("p", "q", "eps")
+    for _ in range(5):
+        M = [[_sparse_poly(rng, names, 2, rng.randint(1, 3)) for _ in range(4)] for _ in range(4)]
+        full = det_expand(M)
+        top = full.degree_in("eps")
+        for K in range(top + 3):
+            assert det_expand(M, trunc=("eps", K)) == truncated(full, K)
+        assert det_expand(M, trunc=("eps", 0)) == MPoly.zero(names)
+
+
+def test_det_expand_truncation_variable_must_be_last():
+    names = ("p", "eps")
+    M = [[MPoly.var(names, "p"), MPoly.var(names, "eps")], [1, 0]]
+    with pytest.raises(ValueError, match="last variable"):
+        det_expand(M, trunc=("p", 1))
+    with pytest.raises(ValueError, match="last variable"):
+        det_expand([[1, 2], [3, 4]], trunc=("eps", 1))
+    with pytest.raises(ValueError, match="different rings"):
+        det_expand([[MPoly.var(("x",), "x"), 0], [0, MPoly.var(("y",), "y")]])
+
+
+def test_laplace_split_on_fraction_sylvester_matrices():
+    rng = random.Random(101)
+    for _ in range(15):
+        d = rng.randint(1, 4)
+        h1, h2 = (
+            BinaryForm([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(d + 1)])
+            for _ in range(2)
+        )
+        M = sylvester(h1, h2)
+        assert det_laplace_split(M) == det_bareiss(M)
