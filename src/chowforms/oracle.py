@@ -109,13 +109,14 @@ class CurveCheck:
 def check_curve(f: CurveMap, rng: Optional[random.Random] = None) -> CurveCheck:
     """Base-point, map-degree, and image-degree report for a curve map.
 
-    Samples on the curve with each nonzero component replaced by its
-    primitive integer normal form, so the arithmetic runs over Z.  Scaling
-    f_i by a nonzero c_i scales the image coordinate P_i and every minor
-    f_i P_j - f_j P_i by units, so the draws, gcds, root counts and the
-    report are those of f itself.
+    A curve with a non-integer coefficient is sampled with each nonzero
+    component replaced by its primitive integer normal form, so the
+    arithmetic runs over Z.  Scaling f_i by a nonzero c_i scales the image
+    coordinate P_i and every minor f_i P_j - f_j P_i by units, so the
+    draws, gcds, root counts and the report are those of f itself.
     """
-    f = CurveMap(tuple(c if c.is_zero else c.normalized() for c in f.components))
+    if any(type(x) is not int for c in f.components for x in c.coeffs):
+        f = CurveMap(tuple(c if c.is_zero else c.normalized() for c in f.components))
     if not base_locus_free(f):
         return CurveCheck(False, None, None, False)
     rng = rng or random.Random(0)

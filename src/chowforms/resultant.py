@@ -179,20 +179,19 @@ def det_bareiss(M) -> Entry:
 
 
 # -- packed minor kernel ---------------------------------------------------------
-# Every determinant below runs on entries packed once into a map {k: {key: c}}:
-# k is the degree of the ring's last variable (eps in the family rings), key
-# packs the exponents of the other variables (polynomial.pack) and c is a
-# nonzero rational.  A number is the constant monomial {0: {0: c}}.  Products
-# keep only the block pairs whose orders sum below the truncation order K.
 
 
 def _pack_matrix(A: list[list[Entry]], trunc: Optional[tuple[str, int]]):
     """Packed rows of a square matrix, with what :func:`_unpacked` needs.
 
-    Returns (rows, names, w, K): names is the ring of the MPoly entries, or
-    None when every entry is a number; w is the field width, from the
-    matrix order times the largest exponent so that no minor's field
-    carries; K is the truncation order, infinite when ``trunc`` is None.
+    An entry is packed into a map {k: {key: c}}: k is its degree in the
+    ring's last variable, key packs the exponents of the other variables
+    and c is a nonzero rational; a number is the constant monomial
+    {0: {0: c}}.  Returns (rows, names, w, K): names is the ring of the
+    MPoly entries, or None when every entry is a number; w is the field
+    width, from the matrix order times the largest exponent so that no
+    minor's field carries; K is the truncation order, infinite when
+    ``trunc`` is None.
     """
     polys = [x for row in A for x in row if isinstance(x, MPoly)]
     names = polys[0].names if polys else None
