@@ -326,7 +326,7 @@ def test_det_expand_truncated_equals_full_then_truncated():
         assert det_expand(M, trunc=("eps", 0)) == MPoly.zero(names)
 
 
-def test_det_expand_truncation_variable_must_be_last():
+def test_det_expand_rejects_a_bad_truncation_variable_and_mixed_rings():
     names = ("p", "eps")
     M = [[MPoly.var(names, "p"), MPoly.var(names, "eps")], [1, 0]]
     with pytest.raises(ValueError, match="last variable"):
