@@ -10,8 +10,8 @@ also admits a rewrite into Plucker coordinates p_ij = u_i v_j - u_j v_i.
 The production route uses that dependence directly.  The Bezout matrix is
 bilinear and alternating, so Bez(h1, h2) = sum_{k<l} p_kl Bez(f_k, f_l), a
 d x d matrix whose entries are linear in the p_kl with numeric (or Q[eps])
-coefficients.  MPoly coefficients of the forms live in the coefficient ring
-(such as Q[eps]) and are only embedded into the p-ring.  The determinant,
+coefficients.  The forms' MPoly coefficients fix that coefficient ring
+(such as Q[eps]); each stage reads its ring off its input.  The determinant,
 expanded back into (u, v), is the resultant up to a sign fixed by d; the
 2d x 2d Sylvester determinant over the u- and v-variables is never formed.
 The Sylvester backends in :mod:`chowforms.resultant` remain as cross-checks.
@@ -127,10 +127,8 @@ class CayleyBiform:
         """
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError(f"covectors must have length {self.n + 1}")
-        env: dict[str, object] = {}
-        for i in range(self.n + 1):
-            env[f"u{i}"] = rational(u[i])
-            env[f"v{i}"] = rational(v[i])
+        # The ring starts with u0..un, v0..vn; zip stops before eps.
+        env: dict[str, object] = dict(zip(self.poly.names, map(rational, [*u, *v])))
         if self.has_eps:
             env[EPS] = MPoly.var((EPS,), EPS)
             return self.poly.evaluate(env, one=MPoly.const((EPS,), 1))
@@ -169,27 +167,22 @@ class CayleyBiform:
         return out
 
 
-def contraction_resultant(forms: Sequence[BinaryForm], names: tuple[str, ...]) -> MPoly:
-    """Resultant of sum_i u_i f_i against sum_i v_i f_i over the given ring.
-
-    The ring ``names`` is the u-block and the v-block, one variable per
-    form each, then the coefficient variables (such as eps).  MPoly
-    coefficients of the forms live in the ring of the coefficient variables
-    alone; :func:`bezout_pform` rejects any other.  The result equals the
-    Sylvester resultant exactly, sign included.  It is computed as the
-    determinant of :func:`bezout_pform` over the ring of the p_kl and the
-    coefficient variables, with p_kl -> u_k v_l - u_l v_k substituted at
-    the end.  Raises ValueError unless the forms share one degree d >= 1.
+def contraction_resultant(forms: Sequence[BinaryForm]) -> MPoly:
+    """Resultant of sum_i u_i f_i against sum_i v_i f_i, in the ring of
+    :func:`wedge_expand`: the u-block, the v-block, then the variables of
+    the forms' MPoly coefficients (such as eps).  It equals the Sylvester
+    resultant exactly, sign included: the determinant of
+    :func:`bezout_pform`, with p_kl -> u_k v_l - u_l v_k substituted at the
+    end.  Raises ValueError where those two functions do.
 
     The determinant runs over Z: :func:`bezout_pform` scales every form by
     the lcm lam of all coefficient denominators, which multiplies the
     resultant by lam^(2d), and the result is divided by lam^(2d) at the end.
     """
-    m = len(forms)
-    coeff_vars = names[2 * m :]
-    weighted, lam = bezout_pform(forms, coeff_vars)
+    weighted = bezout_pform(forms)
     d = len(weighted)
-    out = wedge_expand(det_expand(weighted), m, names)
+    out = wedge_expand(det_expand(weighted), len(forms))
+    lam = _denominator_lcm(forms)
     if lam != 1:
         out = out * Fraction(1, lam ** (2 * d))
     # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
@@ -202,43 +195,41 @@ def _pair_vars(m: int) -> tuple[tuple[tuple[int, int], str], ...]:
     return tuple(((k, l), f"p{k},{l}") for k, l in combinations(range(m), 2))
 
 
-def bezout_pform(
-    forms: Sequence[BinaryForm], coeff_vars: tuple[str, ...]
-) -> tuple[list[list[MPoly]], int]:
-    """The d x d matrix sum_{k<l} p_kl Bez(lam f_k, lam f_l), and lam.
+def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
+    """The d x d matrix sum_{k<l} p_kl Bez(lam f_k, lam f_l).
 
     lam is the lcm of every coefficient denominator, so the entries have
-    integer coefficients.  They live in the ring of the pair variables p_kl
-    followed by ``coeff_vars``, into which MPoly coefficients of the forms
-    are embedded; those coefficients must live in the ring ``coeff_vars``
-    itself.  The determinant, with p_kl -> u_k v_l - u_l v_k substituted by
-    :func:`wedge_expand`, is
+    integer coefficients.  Their ring is the pair variables p_kl, then the
+    variables of the forms' MPoly coefficients (none for numeric forms).
+    Terms of different pairs never meet, so each entry's term dict is
+    filled directly.  The determinant, with p_kl -> u_k v_l - u_l v_k
+    substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
-    Raises ValueError unless the forms share one degree d >= 1, or when an
-    MPoly coefficient lives in another ring.
+    Raises ValueError unless the forms share one degree d >= 1 and one
+    coefficient ring.
     """
     d = forms[0].degree
     if any(h.degree != d for h in forms):
         raise ValueError("forms must have equal degrees")
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if any(isinstance(c, MPoly) and c.names != coeff_vars for h in forms for c in h.coeffs):
-        raise ValueError(f"MPoly coefficients must lie in the coefficient ring {coeff_vars}")
     lam = _denominator_lcm(forms)
     if lam != 1:
         forms = [h * lam for h in forms]
+    coeff_vars = next((c.names for h in forms for c in h.coeffs if isinstance(c, MPoly)), ())
     pairs = _pair_vars(len(forms))
+    npairs, const = len(pairs), (0,) * len(coeff_vars)
+    terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
+    for t, ((k, l), _) in enumerate(pairs):
+        unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
+        for row, bez_row in zip(terms, bezout(forms[k], forms[l])):
+            for entry, c in zip(row, bez_row):
+                if isinstance(c, MPoly):
+                    entry.update((unit + e, x) for e, x in c.terms.items())
+                elif c:
+                    entry[unit + const] = c
     ring = tuple(p for _, p in pairs) + coeff_vars
-    weighted = [[MPoly.zero(ring)] * d for _ in range(d)]
-    for (k, l), p in pairs:
-        w = MPoly.var(ring, p)
-        for i, row in enumerate(bezout(forms[k], forms[l])):
-            for j, c in enumerate(row):
-                if c:
-                    if isinstance(c, MPoly):
-                        c = c.embed(ring)
-                    weighted[i][j] = weighted[i][j] + w * c
-    return weighted, lam
+    return [[MPoly._trusted(ring, entry) for entry in row] for row in terms]
 
 
 def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[list]]:
@@ -265,15 +256,21 @@ def _expand_monomial(pexps, table, base: int, c) -> list:
     return acc
 
 
-def wedge_expand(pform: MPoly, m: int, names: tuple[str, ...]) -> MPoly:
+def wedge_expand(pform: MPoly, m: int) -> MPoly:
     """Substitute p_kl -> u_k v_l - u_l v_k into ``pform``, whose ring is
     the pair variables of m forms in :func:`bezout_pform` order (names
-    aside), then coefficient variables such as eps.  ``names`` is the
-    target ring: m u-variables, m v-variables, the same coefficient
-    variables.  Terms are expanded and summed packed, and unpacked once."""
-    npairs, nv = m * (m - 1) // 2, len(names)
-    if len(pform.names) != npairs + nv - 2 * m:
-        raise ValueError("p-form ring does not match the target ring")
+    aside), then coefficient variables such as eps.  The result's ring is
+    ``uv_names(m - 1)`` and then those coefficient variables.  Terms are
+    expanded and summed packed, and unpacked once.  Raises ValueError when
+    the ring has fewer variables than pairs, or a coefficient variable has
+    a u- or v-name."""
+    npairs = m * (m - 1) // 2
+    if len(pform.names) < npairs:
+        raise ValueError(f"p-form ring has fewer variables than the {npairs} pairs of {m} forms")
+    names = uv_names(m - 1) + pform.names[npairs:]
+    nv = len(names)
+    if len(set(names)) < nv:
+        raise ValueError("coefficient variables reuse a u- or v-name")
     cols = list(zip(*pform.terms))  # empty for the zero p-form
     # A u- or v-exponent is at most the p-degree of its term.
     top = max([0, *map(sum, zip(*cols[:npairs])), *map(max, cols[npairs:])])
@@ -308,7 +305,7 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
     Total on all curve maps: a parametrization with a base point yields the
     identically zero biform instead of an error.
     """
-    return CayleyBiform(f.n, f.d, contraction_resultant(f.components, uv_names(f.n)))
+    return CayleyBiform(f.n, f.d, contraction_resultant(f.components))
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:
@@ -359,7 +356,7 @@ class PluckerRep:
         checks every term of the result."""
         if any(sum(exps) != self.d for exps in self.poly.terms):
             raise ValueError("Plucker polynomial is not homogeneous of degree d")
-        poly = wedge_expand(self.poly, self.n + 1, uv_names(self.n))
+        poly = wedge_expand(self.poly, self.n + 1)
         return CayleyBiform._trusted(self.n, self.d, poly)
 
 
@@ -476,7 +473,7 @@ def implicitize_plane_curve(f: CurveMap, rng=None) -> MPoly:
     report = check_curve(f, rng=rng)
     if not report.birational:
         raise NotBirational(report)
-    pform = det_expand(bezout_pform(f.components, ())[0])
+    pform = det_expand(bezout_pform(f.components))
     # Exponents of p01, p02, p12 (the _pair_vars(3) order) become those of
     # x2, x1, x0; x1 = -p02 contributes the sign.
     image = {(c, b, a): -x if b % 2 else x for (a, b, c), x in pform.terms.items()}

@@ -6,7 +6,9 @@ Curve files are JSON documents
     {"n": 2, "d": 2, "coeffs": [["1","0","0"], ["0","1","0"], ["0","0","1"]]}
 
 with n+1 rows of d+1 exact rationals ("p", "p/q", or plain integers); row i
-lists component f_i's coefficients of z0^(d-j) z1^j for j = 0..d.
+lists component f_i's coefficients of z0^(d-j) z1^j for j = 0..d.  Here
+and in ``--plane`` a rational string is ASCII ``[+-]?[0-9]+(/[0-9]+)?``,
+surrounding whitespace aside.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy (zero
 biform, parametrization not birational), 4 internal cross-check failure
@@ -28,6 +30,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -67,16 +70,20 @@ class DegenerateInput(Exception):
     exit_code = 3
 
 
-def _parse_rational(text, row: int, col: int) -> Fraction:
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text, where: str) -> Fraction:
+    """A JSON int, or a string in the grammar above; ``Fraction(text)`` also
+    takes "1.5", "1_0" and "1e10000000", the last in exponential time."""
     # ``type(x) is int``, not isinstance: JSON true/false load as bool, an int subclass
     if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str):
-        raise InputError(f"invalid rational at row {row} col {col}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"invalid rational at row {row} col {col}") from None
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    den = int(match[2] or 1) if match else 0
+    if not den:
+        raise InputError(f"invalid rational {where}")
+    return Fraction(int(match[1]), den)
 
 
 def load_curve(path: str) -> CurveMap:
@@ -102,7 +109,7 @@ def load_curve(path: str) -> CurveMap:
     for i, row in enumerate(coeffs):
         if not isinstance(row, list) or len(row) != d + 1:
             raise InputError(f"{path}: row {i} must have {d + 1} entries")
-        rows.append([_parse_rational(x, i, j) for j, x in enumerate(row)])
+        rows.append([_parse_rational(x, f"at row {i} col {j}") for j, x in enumerate(row)])
     try:
         return CurveMap.from_coeffs(rows)
     except ValueError as exc:
@@ -115,13 +122,10 @@ def parse_plane(spec: str, n: int) -> Plane:
         raise InputError("plane must be 'u0,...,un;v0,...,vn'")
     covs = []
     for half in halves:
-        parts = [p.strip() for p in half.split(",")]
+        parts = half.split(",")
         if len(parts) != n + 1:
             raise InputError(f"plane covectors must have {n + 1} entries")
-        try:
-            covs.append(tuple(Fraction(p) for p in parts))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"invalid rational in plane spec {half!r}") from None
+        covs.append(tuple(_parse_rational(p, f"in plane spec {half!r}") for p in parts))
     try:
         return Plane(covs[0], covs[1])
     except ValueError as exc:
@@ -397,11 +401,17 @@ def _attach_plane_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_plane_value(sys.argv[1:] if argv is None else argv))
+    # Values of any size are read and printed: lift Python's 4300-digit cap
+    # on int <-> str conversion while the command runs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InputError, DegenerateInput, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

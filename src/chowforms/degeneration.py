@@ -12,12 +12,13 @@ into the two component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
 
 :func:`family_limit` computes that limit modulo eps^K with
-``det_expand(M, trunc=(EPS, K))``: the packed minor kernel skips every
-product of eps-blocks whose orders sum to K or more, so no term of
-eps-degree >= K is ever formed.  K starts from the min-plus bound on the
-valuation of the determinant, and only the lowest surviving order is
-substituted into (u, v) and normalized.  Only the eps table
-(:func:`family_biform`, ``--emit-eps-table``) expands every eps order.
+``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
+the Bezout p-form's ring: the packed minor kernel skips every product of
+eps-blocks whose orders sum to K or more, so no term of eps-degree >= K is
+ever formed.  K starts from the min-plus bound on the valuation of the
+determinant, and only the lowest surviving order is substituted into
+(u, v) and normalized.  Only the eps table (:func:`family_biform`,
+``--emit-eps-table``) expands every eps order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .chow import (
     cayley_biform,
     contraction_resultant,
     proportional,
-    uv_names,
     wedge_expand,
 )
 from .curves import CurveMap, act_gl2
@@ -50,9 +50,6 @@ __all__ = [
     "family_limit",
     "boundary_factor_check",
 ]
-
-_EPS_RING = (EPS,)
-
 
 @dataclass(frozen=True)
 class DegenerationFamily:
@@ -77,14 +74,10 @@ class DegenerationFamily:
         raises TypeError.
         """
         val = rational(value)
-        rows = []
-        for comp in self.components:
-            row = [
-                c.evaluate({EPS: val}) if isinstance(c, MPoly) else c
-                for c in comp.coeffs
-            ]
-            rows.append(row)
-        return CurveMap.from_coeffs(rows)
+        return CurveMap.from_coeffs([
+            [c.evaluate({EPS: val}) if isinstance(c, MPoly) else c for c in comp.coeffs]
+            for comp in self.components
+        ])
 
 
 def _attachment_errors(f: CurveMap, param: tuple[int, int]) -> list[str]:
@@ -113,7 +106,7 @@ def join_family(f: CurveMap, g: CurveMap) -> DegenerationFamily:
     errs += [f"g: {e}" for e in _attachment_errors(g, (0, 1))]
     if errs:
         raise ValueError("; ".join(errs))
-    eps = MPoly.var(_EPS_RING, EPS)
+    eps = MPoly.var((EPS,), EPS)
     components = []
     for fi, gi in zip(f.components, g.components):
         d2 = gi.degree
@@ -179,7 +172,7 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
 
 def family_biform(F: DegenerationFamily) -> CayleyBiform:
     """Chow biform of the family with eps carried as a ring variable."""
-    return CayleyBiform(F.n, F.d, contraction_resultant(F.components, uv_names(F.n, eps=True)))
+    return CayleyBiform(F.n, F.d, contraction_resultant(F.components))
 
 
 def limit_direction(ca: CayleyBiform) -> CayleyBiform:
@@ -219,18 +212,19 @@ def family_limit(F: DegenerationFamily) -> CayleyBiform:
     are skipped: normalization removes both.  Raises ValueError when the
     family biform is identically zero.
     """
-    matrix, _ = bezout_pform(F.components, _EPS_RING)
+    matrix = bezout_pform(F.components)
+    if matrix[0][0].names[-1] != EPS:  # eps-free components: a constant family
+        return limit_direction(family_biform(F))
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
-    names = uv_names(F.n)
     # One past the eps-degree of D: each Leibniz term takes one entry per row.
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
-        parts = det_expand(matrix, trunc=(EPS, K)).decompose(EPS)
+        parts = det_expand(matrix, trunc=K).decompose(EPS)
         for k in sorted(parts):
-            c = wedge_expand(parts[k], F.n + 1, names)
+            c = wedge_expand(parts[k], F.n + 1)
             if c:
                 return CayleyBiform(F.n, F.d, c).normalized()
         if K == top:

@@ -9,9 +9,9 @@ The minors run on packed monomials: each entry becomes, once, a map from
 the degree of the ring's last variable (eps in the family rings) to a map
 from packed exponents of the other variables (:func:`~chowforms.polynomial.pack`)
 to coefficients, and the result is unpacked once.  A determinant taken
-modulo eps^K (``det_expand(M, trunc=(EPS, K))``) skips every product of
-blocks whose eps-orders sum to K or more, so truncated terms are never
-formed.
+modulo eps^K, the ring's last variable (``det_expand(M, trunc=K)``),
+skips every product of blocks whose eps-orders sum to K or more, so
+truncated terms are never formed.
 
 The Sylvester route is kept as the independent cross-check.  It has two
 determinant backends.  :func:`resultant` uses the Laplace split along the
@@ -181,7 +181,7 @@ def det_bareiss(M) -> Entry:
 # -- packed minor kernel ---------------------------------------------------------
 
 
-def _pack_matrix(A: list[list[Entry]], trunc: Optional[tuple[str, int]]):
+def _pack_matrix(A: list[list[Entry]], trunc: Optional[int]):
     """Packed rows of a square matrix, with what :func:`_unpacked` needs.
 
     An entry is packed into a map {k: {key: c}}: k is its degree in the
@@ -190,18 +190,16 @@ def _pack_matrix(A: list[list[Entry]], trunc: Optional[tuple[str, int]]):
     {0: {0: c}}.  Returns (rows, names, w, K): names is the ring of the
     MPoly entries, or None when every entry is a number; w is the field
     width, from the matrix order times the largest exponent so that no
-    minor's field carries; K is the truncation order, infinite when
-    ``trunc`` is None.
+    minor's field carries; K is the truncation order in the ring's last
+    variable, infinite when ``trunc`` is None.
     """
     polys = [x for row in A for x in row if isinstance(x, MPoly)]
     names = polys[0].names if polys else None
     if any(x.names != names for x in polys):
         raise ValueError("matrix entries come from different rings")
-    K = math.inf
-    if trunc is not None:
-        var, K = trunc
-        if names is None or names[-1] != var:
-            raise ValueError(f"truncation variable {var!r} is not the last variable of the ring")
+    if trunc is not None and names is None:
+        raise ValueError("truncation needs a matrix over a polynomial ring")
+    K = math.inf if trunc is None else trunc
     top = max((e for x in polys for exps in x.terms for e in exps[:-1]), default=0)
     w = field_bytes(len(A) * top)
 
@@ -299,7 +297,7 @@ def _minor(block: list[list[dict]], K, memo: dict, cols: int) -> dict:
     return val
 
 
-def det_expand(M, trunc: Optional[tuple[str, int]] = None) -> Entry:
+def det_expand(M, trunc: Optional[int] = None) -> Entry:
     """Exact, division-free determinant by memoized first-row expansion.
 
     Costs one product per (column subset, column) pair, 2^n subsets in all,
@@ -308,11 +306,11 @@ def det_expand(M, trunc: Optional[tuple[str, int]] = None) -> Entry:
     :func:`_pack_matrix`) and the result is unpacked once; a matrix of
     numbers gives a number.
 
-    ``trunc=(var, K)`` gives det M modulo var^K, where var must be the last
-    variable of the ring (ValueError otherwise).  Reduction modulo var^K is
-    a ring homomorphism, so the orders below K are exact; products skip
-    every block pair whose var-orders sum to K or more, so no minor holds a
-    term of order K or more at any point.
+    ``trunc=K`` gives det M modulo x^K, x the last variable of the ring;
+    a matrix of numbers raises ValueError.  Reduction modulo x^K is a ring
+    homomorphism, so the orders below K are exact; products skip every
+    block pair whose x-orders sum to K or more, so no minor holds a term of
+    order K or more at any point.
     """
     A = _rows(M)
     rows, names, w, K = _pack_matrix(A, trunc)

@@ -121,20 +121,34 @@ def test_det_expand_matches_naive_on_symbolic_matrix():
 
 
 def test_contraction_resultant_rejects_bad_degrees():
-    names = uv_names(1)
     with pytest.raises(ValueError):
-        contraction_resultant([BinaryForm([1]), BinaryForm([2])], names)
+        contraction_resultant([BinaryForm([1]), BinaryForm([2])])
     with pytest.raises(ValueError):
-        contraction_resultant([BinaryForm([1, 0]), BinaryForm([0, 1, 1])], names)
+        contraction_resultant([BinaryForm([1, 0]), BinaryForm([0, 1, 1])])
 
 
-def test_bezout_pform_rejects_coefficients_outside_the_coefficient_ring():
+def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
     fam = join_family(CONIC_F, CONIC_G)
-    forms, names = eps_forms(fam)  # eps coefficients embedded into Q[u, v, eps]
-    with pytest.raises(ValueError, match="coefficient ring"):
-        bezout_pform(forms, (EPS,))
-    with pytest.raises(ValueError, match="coefficient ring"):
-        contraction_resultant(forms, names)
+    forms, _ = eps_forms(fam)  # eps coefficients embedded into Q[u, v, eps]
+    with pytest.raises(ValueError, match="u- or v-name"):
+        contraction_resultant(forms)
+    x = MPoly.var(("x",), "x")
+    mixed = [fam.components[0], BinaryForm([x, 0, 0, 0, 0]), *fam.components[2:]]
+    with pytest.raises(ValueError, match="different coefficient rings"):
+        bezout_pform(mixed)
+    with pytest.raises(ValueError, match="different coefficient rings"):
+        contraction_resultant(mixed)
+
+
+def test_bezout_pform_reads_the_eps_ring_off_a_join():
+    fam = join_family(CONIC_F, CONIC_G)
+    matrix = bezout_pform(fam.components)
+    assert len(matrix) == fam.d
+    pairs = ("p0,1", "p0,2", "p1,2")
+    assert all(x.names == pairs + (EPS,) for row in matrix for x in row)
+    assert any(x.degree_in(EPS) > 0 for row in matrix for x in row)
+    numeric = bezout_pform(CONIC_F.components)
+    assert all(x.names == pairs for row in numeric for x in row)
 
 
 # -- independent oracle: sympy ---------------------------------------------------------

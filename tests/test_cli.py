@@ -1,12 +1,17 @@
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chowforms.cli import main
+from chowforms import CurveMap, cayley_biform, implicitize_plane_curve, plucker_rewrite
+from chowforms.cli import load_curve, main, parse_plane
+from chowforms.polynomial import format_terms
 
 CONIC = {"n": 2, "d": 2, "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 LINE = {"n": 2, "d": 1, "coeffs": [["1", "0"], ["0", "1"], ["0", "0"]]}
@@ -506,3 +511,110 @@ def test_map_degree_sampling_failures_exit_4(tmp_path, capsys, monkeypatch, root
     assert (code, out) == (4, "")
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+# -- values past Python's int <-> str digit limit --------------------------------------
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# 1500-digit diagonal entries: the biform's coefficients run past 4300 digits.
+HUGE_DIAGONAL = ["1" + "7" * 1499, "2" + "3" * 1499, "9" * 1500]
+HUGE_CONIC = {
+    "n": 2,
+    "d": 2,
+    "coeffs": [
+        [HUGE_DIAGONAL[0], "0", "1"],
+        ["0", HUGE_DIAGONAL[1], "3"],
+        ["1", "2", HUGE_DIAGONAL[2]],
+    ],
+}
+
+
+def test_coefficients_past_the_digit_limit_print_exactly(tmp_path, capsys):
+    path = write(tmp_path, "huge.json", HUGE_CONIC)
+    with int_digit_limit(0):
+        f = CurveMap.from_coeffs([[Fraction(x) for x in row] for row in HUGE_CONIC["coeffs"]])
+        ca = cayley_biform(f).normalized()
+        biform = f"biform n=2 d=2\n{format_terms(ca.poly)}\n"
+        plucker = format_terms(plucker_rewrite(ca).poly)
+        implicit = format_terms(implicitize_plane_curve(f, rng=random.Random(0)))
+    assert max(abs(c) for c in ca.poly.terms.values()) > 10**4300
+    assert run(capsys, ["compute", path]) == (0, biform, "")
+    code, out, err = run(capsys, ["compute", path, "--json"])
+    assert (code, err) == (0, "")
+    with int_digit_limit(0):
+        doc = json.loads(out)
+        assert [t["coeff"] for t in doc["terms"]] == [str(c) for _, c in ca.poly.sorted_terms()]
+    assert run(capsys, ["plucker", path]) == (0, f"plucker canonical=true\n{plucker}\n", "")
+    assert run(capsys, ["implicitize", path]) == (0, implicit + "\n", "")
+
+
+def test_a_json_integer_past_the_digit_limit_is_read(tmp_path, capsys):
+    huge = "5" * 5000
+    text = '{"n": 2, "d": 2, "coeffs": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % huge
+    path = write(tmp_path, "huge.json", text)
+    plane = ["--plane", "0,1,0;0,0,1"]  # x1 = x2 = 0 holds at f(1, 0)
+    for argv in (
+        ["compute", path, "--json"],
+        ["check", path],
+        ["incident", path] + plane,
+        ["plucker", path],
+        ["implicitize", path],
+        ["degenerate", path, path, "--normalize-attachment"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+    code, out, _ = run(capsys, ["compute", path])
+    assert code == 0 and huge in out
+
+
+def test_the_digit_limit_is_restored_after_every_exit(tmp_path, capsys):
+    good = write(tmp_path, "conic.json", CONIC)
+    bad = write(tmp_path, "bad.json", dict(CONIC, coeffs=[["x"] * 3] * 3))
+    with int_digit_limit(5000):
+        assert run(capsys, ["compute", good])[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, ["compute", bad])[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["compute"])
+        assert sys.get_int_max_str_digits() == 5000
+
+
+# -- one strict rational grammar ---------------------------------------------------------
+
+REJECTED_RATIONALS = ["1e3", "1.5", "1_0", "1_000", "١٢", "1e10000000", "0x10", "1/2/3", "", "+", "1/-2", "1 2"]
+
+
+@pytest.mark.parametrize("text", REJECTED_RATIONALS)
+def test_curve_entries_outside_the_grammar_exit_2(tmp_path, capsys, text):
+    doc = dict(CONIC, coeffs=[["1", text, "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, ["compute", path])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid rational at row 0 col 1\n"
+
+
+@pytest.mark.parametrize("text", REJECTED_RATIONALS)
+def test_plane_entries_outside_the_grammar_exit_2(tmp_path, capsys, text):
+    path = write(tmp_path, "conic.json", CONIC)
+    code, out, err = run(capsys, ["incident", path, "--plane", f"0,{text},0;0,0,1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid rational in plane spec '0,{text},0'\n"
+
+
+def test_rationals_in_the_grammar_parse_in_both_places(tmp_path, capsys):
+    doc = dict(CONIC, coeffs=[["-3/4", " 2 ", "7"], ["0", "1", "0"], ["0", "0", "1"]])
+    curve = load_curve(write(tmp_path, "ok.json", doc))
+    assert curve.components[0].coeffs == (Fraction(-3, 4), 2, 7)
+    plane = parse_plane("-3/4, 2 ,7;0,1,0", 2)
+    assert plane.u == (Fraction(-3, 4), 2, 7)

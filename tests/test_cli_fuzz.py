@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 
 from chowforms.cli import main
 
+# "1e3", "1.5" and "1_0" lie outside the rational grammar and must exit 2;
+# the 2000-digit entry gives biform coefficients past Python's 4300-digit
+# int <-> str limit, which must still print.
+HUGE_ENTRY = "3" + "1" * 1999
+
 ENTRY = st.one_of(
     st.just("0"),
     st.integers(-2, 2).map(str),
-    st.sampled_from(["1/2", "-3/2", "2/3"]),
+    st.sampled_from(["1/2", "-3/2", "2/3", "1e3", "1.5", "1_0", HUGE_ENTRY]),
 )
 
 

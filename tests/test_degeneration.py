@@ -220,8 +220,18 @@ def test_det_expand_reducer_is_truncation_past_unattained_bound():
     assert bound == 0
     assert full == eps**2 * p + eps**3 * (p + q) + eps**4
     for K in (1, 2, 4, 8):
-        assert det_expand(M, trunc=("eps", K)) == truncated(full, K)
-        assert det_expand(M, trunc=("eps", K)).is_zero == (K <= 2)
+        assert det_expand(M, trunc=K) == truncated(full, K)
+        assert det_expand(M, trunc=K).is_zero == (K <= 2)
+
+
+def test_family_limit_of_an_eps_free_family_is_its_chow_form():
+    # Components without eps give a constant family: the p-form ring has no
+    # eps, and the limit is the normalized Chow form of the components.
+    line = CurveMap.from_coeffs([[1, 0], [0, 1], [1, 1]])
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    fam = DegenerationFamily(line, line, conic.components)
+    expected = cayley_biform(conic).normalized().poly
+    assert family_limit(fam).poly == limit_direction(family_biform(fam)).poly == expected
 
 
 def test_family_limit_rejects_zero_family():
@@ -251,7 +261,7 @@ def _base_pointed_at_zero():
 
 def test_family_limit_doubles_past_an_unattained_bound():
     fam = _base_pointed_at_zero()
-    matrix, _ = bezout_pform(fam.components, ("eps",))
+    matrix = bezout_pform(fam.components)
     vals = [[min(e[-1] for e in x.terms) for x in row] for row in matrix]
     assert min(vals[0][0] + vals[1][1], vals[0][1] + vals[1][0]) == 0
     full = family_biform(fam)
@@ -272,7 +282,7 @@ def test_family_limit_tests_survival_after_substitution(monkeypatch):
         names = M[0][0].names  # pair variables in combinations order, then eps
         p = [MPoly.var(names, x) for x in names[:6]]
         relation = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
-        return det_expand(M, trunc=trunc) + truncated(relation, trunc[1])
+        return det_expand(M, trunc=trunc) + truncated(relation, trunc)
 
     monkeypatch.setattr(degeneration, "det_expand", det_plus_relation)
     assert family_limit(fam).poly == expected
