@@ -10,8 +10,9 @@ lists component f_i's coefficients of z0^(d-j) z1^j for j = 0..d.  Here
 and in ``--plane`` a rational string is ASCII ``[+-]?[0-9]+(/[0-9]+)?``,
 surrounding whitespace aside.
 
-Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy (zero
-biform, parametrization not birational), 4 internal cross-check failure
+Exit codes: 0 success, 2 invalid input (a curve file that is not UTF-8 or
+nests JSON too deeply included), 3 mathematical degeneracy (zero biform,
+parametrization not birational), 4 internal cross-check failure
 (including a failed internal postcondition, raised as RuntimeError).  A
 map-degree sampling failure (no unramified sample points, or a sampled
 degree that does not divide d) is a RuntimeError too, and exits 4.  Every
@@ -92,12 +93,16 @@ def load_curve(path: str) -> CurveMap:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     n, d, coeffs = doc.get("n"), doc.get("d"), doc.get("coeffs")

@@ -53,11 +53,17 @@ def map_degree(f: CurveMap, rng: Optional[random.Random] = None, trials: int = 3
     """Generic fiber cardinality of the map onto its image.
 
     Samples a rational parameter z*, forms the fiber polynomial over the
-    image point f(z*) as the gcd of the 2x2 minors f_i(z) P_j - f_j(z) P_i,
-    and counts its distinct roots.  Samples whose fiber polynomial is not
-    squarefree sit over ramification or singular image points and are
-    rejected; among accepted samples singular image points can only
-    overcount, so the minimum over ``trials`` draws is reported.
+    image point P = f(z*) as the gcd of the 2x2 minors
+    M_ij = P_j f_i(z) - P_i f_j(z), and counts its distinct roots.  Samples
+    whose fiber polynomial is not squarefree sit over ramification or
+    singular image points and are rejected; among accepted samples singular
+    image points can only overcount, so the minimum over ``trials`` draws is
+    reported.
+
+    Only the n minors N_i = P_k f_i - P_i f_k against the first coordinate k
+    with P_k != 0 are formed.  Each N_i is M_ik up to sign, and the identity
+    P_k M_ij = P_j N_i - P_i N_j puts every M_ij in their span, so both sets
+    have the same gcd.
     """
     if not base_locus_free(f):
         raise ValueError("parametrization has base locus")
@@ -74,13 +80,11 @@ def _sample_map_degree(f: CurveMap, rng: random.Random, trials: int = 3) -> int:
             raise RuntimeError("could not find enough unramified sample points")
         z = (rng.randint(-20, 20), rng.randint(1, 20))
         P = f.point(z)
-        minors = []
-        for i in range(f.n + 1):
-            for j in range(i + 1, f.n + 1):
-                m = P[j] * f.components[i] - P[i] * f.components[j]
-                if not m.is_zero:
-                    minors.append(m)
-        if not minors:
+        # f is base-point-free, so some coordinate of P is nonzero.
+        k = next(i for i, x in enumerate(P) if x)
+        fk = f.components[k]
+        minors = [P[k] * h - P[i] * fk for i, h in enumerate(f.components) if i != k]
+        if all(m.is_zero for m in minors):
             continue
         G = form_gcd_all(minors)
         if G.degree == 0:

@@ -699,13 +699,14 @@ def contract(forms: Sequence[BinaryForm], covector: Sequence) -> BinaryForm:
 
     Covector entries may be numbers or MPolys, so one routine contracts a
     curve against a numeric plane covector, a row of a linear action, or a
-    block of covector variables.
+    block of covector variables.  Each coefficient is one sum over the
+    covector; a form whose entry is nonzero must share the first form's
+    degree.
     """
-    acc = BinaryForm.zero(forms[0].degree)
-    for c, h in zip(covector, forms, strict=True):
-        if c:
-            acc = acc + c * h
-    return acc
+    terms = [(c, h.coeffs) for c, h in zip(covector, forms, strict=True) if c]
+    if any(len(h) != len(forms[0].coeffs) for _, h in terms):
+        raise ValueError("cannot contract forms of different degrees")
+    return BinaryForm([sum(c * h[j] for c, h in terms) for j in range(len(forms[0].coeffs))])
 
 
 # -- gcd of numeric binary forms --------------------------------------------

@@ -91,21 +91,22 @@ def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
     (h1(s) h2(t) - h1(t) h2(s)) / (s - t).  The matrix is bilinear and
     alternating in (h1, h2), and its determinant is
     (-1)^(d(d+1)/2) * resultant(h1, h2).
+
+    With a, b the coefficients of h1, h2 (a[p] at t^p) and the minor
+    c(p, q) = a[p] b[q] - a[q] b[p], the entries follow the Bezoutian
+    recurrence B[i][j] = c(i+1, j) + B[i+1][j-1], with B[d][.] = B[.][-1] = 0.
+    The rows are filled from the bottom, so each entry costs one minor and
+    at most one addition: d^2 minors and (d-1)^2 additions in all.
     """
     d = _common_degree(h1, h2)
     a, b = _join_coeffs(h1, h2)
-    # c[p][q]: coefficient of s^p t^q in h1(s) h2(t) - h1(t) h2(s).
-    c = [[a[p] * b[q] - a[q] * b[p] for q in range(d + 1)] for p in range(d + 1)]
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = c[i + 1][j]
-            for k in range(1, min(j, d - 1 - i) + 1):
-                acc = acc + c[i + 1 + k][j - k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    B: list[tuple[Entry, ...]] = [()] * d
+    for i in range(d - 1, -1, -1):
+        row = [a[i + 1] * b[j] - a[j] * b[i + 1] for j in range(d)]
+        if i < d - 1:
+            row[1:] = [c + x for c, x in zip(row[1:], B[i + 1])]
+        B[i] = tuple(row)
+    return tuple(B)
 
 
 def _common_degree(h1: BinaryForm, h2: BinaryForm) -> int:

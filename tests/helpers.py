@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from chowforms import BinaryForm, CurveMap, MPoly, Plane, check_curve
+from chowforms.polynomial import distinct_root_count, form_gcd_all
 
 
 def naive_det(M):
@@ -144,3 +145,38 @@ def rand_base_free_pair(rng, e, lo=-4, hi=4):
         q = rand_form(rng, e, lo, hi)
         if form_gcd(p, q).degree == 0:
             return p, q
+
+
+def all_minors(f, P):
+    """Every nonzero 2x2 minor P_j f_i - P_i f_j, i < j, at the image point P."""
+    minors = []
+    for i in range(f.n + 1):
+        for j in range(i + 1, f.n + 1):
+            m = P[j] * f.components[i] - P[i] * f.components[j]
+            if not m.is_zero:
+                minors.append(m)
+    return minors
+
+
+def allpairs_sample_map_degree(f, rng, trials=3):
+    """Reference for ``oracle._sample_map_degree``: the fiber polynomial of
+    each sample is the gcd of all C(n+1, 2) minors.  Same draws, same
+    rejections, same attempt limit."""
+    counts = []
+    attempts = 0
+    while len(counts) < trials:
+        attempts += 1
+        if attempts > 100 * trials:
+            raise RuntimeError("could not find enough unramified sample points")
+        z = (rng.randint(-20, 20), rng.randint(1, 20))
+        minors = all_minors(f, f.point(z))
+        if not minors:
+            continue
+        G = form_gcd_all(minors)
+        if G.degree == 0:
+            continue
+        count, squarefree = distinct_root_count(G)
+        if not squarefree:
+            continue
+        counts.append(count)
+    return min(counts)

@@ -25,6 +25,7 @@ from chowforms import (
     uv_names,
 )
 from chowforms.chow import EPS, bezout_pform
+from chowforms.polynomial import poly_divides
 from helpers import naive_det, rand_curve, rand_form
 
 
@@ -111,6 +112,61 @@ def test_bezout_is_alternating_and_bilinear():
         tuple(a + lam * b for a, b in zip(r1, r2)) for r1, r2 in zip(bezout(f, g), bezout(h, g))
     )
     assert lhs == rhs
+
+
+def bezoutian_reference(h1, h2):
+    """Bez(h1, h2) from its definition: the coefficient of s^i t^j in
+    (h1(s) h2(t) - h1(t) h2(s)) / (s - t), divided exactly in Q[s, t], or
+    in Q[s, t, eps] for forms with Q[eps] coefficients."""
+    coeff_names = next((c.names for c in h1.coeffs + h2.coeffs if isinstance(c, MPoly)), ())
+    names = ("s", "t") + coeff_names
+    s, t = MPoly.var(names, "s"), MPoly.var(names, "t")
+
+    def at(h, x):
+        lift = lambda c: c.embed(names) if isinstance(c, MPoly) else MPoly.const(names, c)
+        return sum((lift(c) * x**p for p, c in enumerate(h.coeffs)), MPoly.zero(names))
+
+    q = poly_divides(s - t, at(h1, s) * at(h2, t) - at(h1, t) * at(h2, s))
+    assert q is not None
+    d = h1.degree
+    entries = [[{} for _ in range(d)] for _ in range(d)]
+    for (i, j, *rest), c in q.terms.items():
+        entries[i][j][tuple(rest)] = c
+    if not coeff_names:
+        return [[e.get((), 0) for e in row] for row in entries]
+    return [[MPoly(coeff_names, e) for e in row] for row in entries]
+
+
+def rand_eps_form(rng, d):
+    """A degree-d form with random coefficients in Q[eps] of eps-degree <= 2."""
+    return BinaryForm(
+        [
+            MPoly((EPS,), {(k,): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in range(3)})
+            for _ in range(d + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "eps"])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_bezout_matches_the_bezoutian_definition(d, kind):
+    rng = random.Random(f"bezoutian-{kind}-{d}")
+    for _ in range(3):
+        if kind == "int":
+            h1, h2 = rand_form(rng, d), rand_form(rng, d)
+        elif kind == "fraction":
+            h1, h2 = (
+                BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d + 1)])
+                for _ in range(2)
+            )
+        else:
+            h1, h2 = rand_eps_form(rng, d), rand_eps_form(rng, d)
+        B = bezout(h1, h2)
+        assert [list(row) for row in B] == bezoutian_reference(h1, h2)
+        if kind == "int":
+            assert all(type(x) is int for row in B for x in row)
+        if kind == "eps":
+            assert all(isinstance(x, MPoly) and x.names == (EPS,) for row in B for x in row)
 
 
 def test_det_expand_matches_naive_on_symbolic_matrix():

@@ -116,6 +116,39 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+UNDECODABLE = [
+    # UTF-16 byte-order mark: not UTF-8 at the first byte.
+    (b'\xff\xfe{"n":2}', "not UTF-8 text"),
+    # Deeper than json's recursion limit: json.loads raises RecursionError.
+    (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+]
+CURVE_COMMANDS = [
+    ["compute", "@"],
+    ["incident", "@", "--plane", "1,0,0;0,1,0"],
+    ["check", "@"],
+    ["implicitize", "@"],
+    ["plucker", "@"],
+    ["degenerate", "@", "good.json"],
+    ["degenerate", "good.json", "@"],
+]
+
+
+@pytest.mark.parametrize("data, message", UNDECODABLE, ids=["not-utf8", "nested"])
+@pytest.mark.parametrize(
+    "argv",
+    CURVE_COMMANDS,
+    ids=["compute", "incident", "check", "implicitize", "plucker", "degenerate-f", "degenerate-g"],
+)
+def test_undecodable_curve_file_exits_2(tmp_path, capsys, data, message, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    good = write(tmp_path, "good.json", LINE_F)
+    paths = {"@": str(bad), "good.json": good}
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: {message}\n"
+
+
 def test_wrong_shape_rejected(tmp_path, capsys):
     bad = dict(CONIC, coeffs=[["1", "0"], ["0", "1"], ["0", "0"]])
     path = write(tmp_path, "bad.json", bad)

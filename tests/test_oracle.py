@@ -6,6 +6,7 @@ import pytest
 
 from chowforms import (
     BinaryForm,
+    CurveCheck,
     CurveMap,
     Plane,
     act_gl2,
@@ -16,12 +17,16 @@ from chowforms import (
     incident_oracle,
     map_degree,
 )
+from chowforms.polynomial import form_gcd_all
 from helpers import (
+    all_minors,
+    allpairs_sample_map_degree,
     compose_curve,
     plane_through,
     rand_base_free_pair,
     rand_curve,
     rand_curve_birational,
+    rand_form,
     rand_invertible,
     rand_plane,
 )
@@ -125,6 +130,76 @@ def test_map_degree_multiplies_under_covers():
         phi0, phi1 = rand_base_free_pair(rng, 2)
         f = compose_curve(g, phi0, phi1)
         assert map_degree(f, rng=rng) == 2 * map_degree(g, rng=rng)
+
+
+def sampler_cases():
+    """Seeded curves for the sampler tests: n = 1..5, integer curves, curves
+    with Fraction coefficients and degree-2 covers."""
+    cases = []
+    for n in range(1, 6):
+        rng = random.Random(n)
+        for _ in range(7):
+            d = rng.randint(1, 3)
+            cases.append(rand_curve(rng, n, d))
+            rows = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)]
+                for _ in range(n + 1)
+            ]
+            cases.append(CurveMap.from_coeffs(rows))
+            phi0, phi1 = rand_base_free_pair(rng, 2)
+            cases.append(compose_curve(rand_curve(rng, n, rng.randint(1, 2)), phi0, phi1))
+    return cases
+
+
+def _checked(f, seed):
+    rng = random.Random(seed)
+    try:
+        report = check_curve(f, rng=rng)
+    except RuntimeError as exc:
+        report = str(exc)
+    return report, rng.getstate()
+
+
+def test_pivot_sampler_matches_the_all_pairs_reference(monkeypatch):
+    import chowforms.oracle as oracle
+
+    cases = sampler_cases()
+    assert len(cases) >= 100
+    ours = [_checked(f, seed) for seed, f in enumerate(cases)]
+    monkeypatch.setattr(oracle, "_sample_map_degree", allpairs_sample_map_degree)
+    reference = [_checked(f, seed) for seed, f in enumerate(cases)]
+    assert ours == reference
+    reports = [r for r, _ in ours if isinstance(r, CurveCheck) and r.base_free]
+    assert len(reports) >= 90
+    assert {1, 2} <= {r.map_degree for r in reports}
+
+
+def test_pivot_minors_have_the_gcd_of_all_minors():
+    # P_k M_ij = P_j N_i - P_i N_j with N_i = P_k f_i - P_i f_k, P_k != 0.
+    rng = random.Random(17)
+    points = [(1, 2), (2, -3), (0, 1), (1, 0)]
+    # f_0 vanishes at (1, 2) on the last five curves, so the pivot there is a
+    # later coordinate.
+    root = BinaryForm([-2, 1])
+    curves = sampler_cases() + [
+        CurveMap((root * rand_form(rng, 2),) + f.components[1:])
+        for f in (rand_curve(rng, n, 3) for n in range(1, 6))
+    ]
+    shifted = 0
+    for f in curves:
+        if not base_locus_free(f):
+            continue
+        for z in points + [(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3)]:
+            P = f.point(z)
+            k = next(i for i, x in enumerate(P) if x)
+            shifted += k > 0
+            pivot = [P[k] * h - P[i] * f.components[k] for i, h in enumerate(f.components) if i != k]
+            everything = all_minors(f, P)
+            if all(m.is_zero for m in pivot):
+                assert everything == []
+            else:
+                assert form_gcd_all(pivot) == form_gcd_all(everything)
+    assert shifted
 
 
 def test_degree_factorization():

@@ -317,6 +317,16 @@ def test_contract_numeric_and_symbolic():
         contract(forms, [1, 2])
 
 
+def test_contract_checks_degrees_only_where_the_covector_is_nonzero():
+    forms = [BinaryForm([1, 2]), BinaryForm([1, 0, 3]), BinaryForm([Fraction(1, 2), 1])]
+    h = contract(forms, [2, 0, Fraction(2, 3)])
+    assert h == BinaryForm([Fraction(7, 3), Fraction(14, 3)])
+    assert contract(forms, [4, 0, 2]).coeffs == (5, 10)
+    assert all(type(c) is int for c in contract(forms, [4, 0, 2]).coeffs)
+    with pytest.raises(ValueError, match="different degrees"):
+        contract(forms, [1, 1, 0])
+
+
 def test_distinct_root_count():
     # z0^2 z1 (z0 - z1): roots (0:1) twice, (1:0) and (1:1)
     h = BinaryForm([1, -1]) * BinaryForm([1, 0, 0]) * BinaryForm([0, 1])
