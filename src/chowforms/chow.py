@@ -325,7 +325,8 @@ def proportional(a: CayleyBiform, b: CayleyBiform) -> bool:
         raise ValueError("proportionality of zero biforms")
     if a.is_zero or b.is_zero:
         return False
-    return a.poly * b.poly.leading_coeff() == b.poly * a.poly.leading_coeff()
+    la, lb = a.poly.leading_coeff(), b.poly.leading_coeff()
+    return a.poly * (lb.numerator * la.denominator) == b.poly * (la.numerator * lb.denominator)
 
 
 # -- Plucker coordinates -----------------------------------------------------

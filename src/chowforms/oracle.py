@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import CurveMap, Plane
-from .polynomial import contract, distinct_root_count, form_gcd, form_gcd_all
+from .polynomial import BinaryForm, contract, distinct_root_count, form_gcd, form_gcd_all
 
 __all__ = ["CurveCheck", "base_locus_free", "incident_oracle", "map_degree", "check_curve"]
 
@@ -83,7 +83,11 @@ def _sample_map_degree(f: CurveMap, rng: random.Random, trials: int = 3) -> int:
         # f is base-point-free, so some coordinate of P is nonzero.
         k = next(i for i, x in enumerate(P) if x)
         fk = f.components[k]
-        minors = [P[k] * h - P[i] * fk for i, h in enumerate(f.components) if i != k]
+        minors = [
+            BinaryForm([P[k] * a - P[i] * b for a, b in zip(h.coeffs, fk.coeffs)])
+            for i, h in enumerate(f.components)
+            if i != k
+        ]
         if all(m.is_zero for m in minors):
             continue
         G = form_gcd_all(minors)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -664,15 +665,20 @@ class BinaryForm:
         return f"BinaryForm({' + '.join(parts) or '0'}, degree={d})"
 
     def compose(self, p: "BinaryForm", q: "BinaryForm") -> "BinaryForm":
-        """Substitute z0 -> p, z1 -> q for forms p, q of one common degree."""
+        """Substitute z0 -> p, z1 -> q for forms p, q of one common degree.
+
+        The powers of p and q are built once each, as running products.
+        """
         if p.degree != q.degree:
             raise ValueError("substituted forms must share a degree")
         d = self.degree
+        ps = list(accumulate([p] * d, BinaryForm.__mul__, initial=BinaryForm([1])))
+        qs = list(accumulate([q] * d, BinaryForm.__mul__, initial=BinaryForm([1])))
         out = BinaryForm.zero(d * p.degree)
         for j, c in enumerate(self.coeffs):
             if not c:
                 continue
-            out = out + c * (p ** (d - j) * q**j)
+            out = out + c * (ps[d - j] * qs[j])
         return out
 
     def substitute_gl2(self, A: Sequence[Sequence[ScalarLike]]) -> "BinaryForm":
@@ -712,23 +718,18 @@ def contract(forms: Sequence[BinaryForm], covector: Sequence) -> BinaryForm:
 # -- gcd of numeric binary forms --------------------------------------------
 
 
-def _split_monomial(h: BinaryForm) -> tuple[int, int, BinaryForm]:
-    """Write h = z0^p0 * z1^p1 * core with core nonzero at both ends."""
-    nz = [j for j, c in enumerate(h.coeffs) if c]
-    j0, j1 = nz[0], nz[-1]
-    p1 = j0
-    p0 = h.degree - j1
-    core = BinaryForm(h.coeffs[j0 : j1 + 1])
-    return p0, p1, core
+def _core(h: BinaryForm) -> tuple[int, int, list[int]]:
+    """The integer core (p0, p1, u) of a nonzero numeric form h.
 
-
-def _int_list(core: BinaryForm) -> list[int]:
-    """Dehomogenize at z1 = 1 as an integer list, low power first."""
-    return _primitive_part(core.coeffs, False)[2][::-1]
-
-
-def _deg(p: list[int]) -> int:
-    return len(p) - 1
+    h = unit * z0^p0 * z1^p1 * core with the core nonzero at both ends; u is
+    the core dehomogenized at z1 = 1, low power first, as a primitive
+    integer list with a positive last entry.
+    """
+    c = h.coeffs
+    nz = [j for j, x in enumerate(c) if x]
+    if not nz or not h.is_numeric:
+        raise ValueError("needs a nonzero form with numeric coefficients")
+    return len(c) - 1 - nz[-1], nz[0], _primitive(c[nz[0] : nz[-1] + 1][::-1])
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -740,12 +741,11 @@ def _trim(p: list[int]) -> list[int]:
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
     r = _trim(list(a))
-    db = _deg(b)
     lb = b[-1]
-    delta = _deg(r) - db
+    delta = len(r) - len(b)
     steps = 0
-    while r != [0] and _deg(r) >= db:
-        shift = _deg(r) - db
+    while r != [0] and len(r) >= len(b):
+        shift = len(r) - len(b)
         lr = r[-1]
         r = [lb * c for c in r]
         for i, bc in enumerate(b):
@@ -757,29 +757,25 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _primitive(p: list[int]) -> list[int]:
-    """Primitive part of a nonzero integer list, positive last entry."""
+def _primitive(p: Sequence[ScalarLike]) -> list[int]:
+    """Primitive part of a nonzero list of rationals, positive last entry."""
     return _primitive_part(p, p[-1] < 0)[2]
 
 
-def _int_poly_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials via the subresultant PRS.
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, positive last entry, of primitive integer polynomials
+    via the subresultant PRS.
 
     Fraction-free: every division in the remainder sequence is exact over
     Z, which keeps intermediate coefficients from exploding the way naive
     rational elimination would.
     """
-    a, b = _primitive(list(u)), _primitive(list(v))
-    if _deg(a) < _deg(b):
+    if len(a) < len(b):
         a, b = b, a
     g = 1
     h = 1
-    while True:
-        if b == [0]:
-            return _primitive(a)
-        if _deg(b) == 0:
-            return [1]
-        delta = _deg(a) - _deg(b)
+    while len(b) > 1:
+        delta = len(a) - len(b)
         r = _prem(a, b)
         if r == [0]:
             return _primitive(b)
@@ -788,58 +784,46 @@ def _int_poly_gcd(u: list[int], v: list[int]) -> list[int]:
         g = a[-1]
         if delta >= 1:
             h = g**delta // h ** (delta - 1)
+    return [1]
 
 
 def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-    """Primitive gcd of two numeric binary forms, positive leading coefficient.
+    """Primitive gcd of two numeric binary forms; see :func:`form_gcd_all`."""
+    return form_gcd_all((a, b))
 
-    Common z0/z1 powers come out first, the dehomogenized cores go through
-    the integer subresultant gcd, and the result is rehomogenized to the
-    gcd degree.  Degree 0 output means the forms share no projective root.
+
+def form_gcd_all(forms: Iterable[BinaryForm]) -> BinaryForm:
+    """Primitive gcd of numeric binary forms, zero forms ignored, with
+    positive first nonzero coefficient.
+
+    One fold over the integer cores (see :func:`_core`): the z0 and z1
+    powers of the gcd are the least among the forms and its core is the
+    integer subresultant gcd of theirs.  The fold stops once the gcd has
+    degree 0, which means the forms share no projective root.  Raises
+    ValueError when every form is zero or a form it reaches is not numeric.
     """
-    if not (a.is_numeric and b.is_numeric):
-        raise ValueError("gcd needs numeric coefficients")
-    if a.is_zero and b.is_zero:
+    g = None
+    for h in forms:
+        if h.is_zero:
+            continue
+        q0, q1, u = _core(h)
+        if g is None:
+            p0, p1, g = q0, q1, u
+        else:
+            p0, p1, g = min(p0, q0), min(p1, q1), _int_poly_gcd(g, u)
+        if p0 == p1 == len(g) - 1 == 0:
+            break
+    if g is None:
         raise ValueError("gcd of zero forms")
-    if a.is_zero:
-        return b.normalized()
-    if b.is_zero:
-        return a.normalized()
-    p0a, p1a, core_a = _split_monomial(a)
-    p0b, p1b, core_b = _split_monomial(b)
-    p0, p1 = min(p0a, p0b), min(p1a, p1b)
-    g = _int_poly_gcd(_int_list(core_a), _int_list(core_b))
-    e = _deg(g)
-    out = [0] * (e + p0 + p1 + 1)
-    for j in range(e + 1):
-        out[p1 + j] = g[e - j]
-    return BinaryForm(out)
+    return BinaryForm([0] * p1 + g[::-1] + [0] * p0)
 
 
 def distinct_root_count(h: BinaryForm) -> tuple[int, bool]:
     """Number of distinct projective roots of a nonzero numeric form, plus a
-    squarefree flag."""
-    p0, p1, core = _split_monomial(h)
-    count = (1 if p0 else 0) + (1 if p1 else 0)
-    squarefree = p0 <= 1 and p1 <= 1
-    if core.degree >= 1:
-        u = _int_list(core)
-        du = [k * c for k, c in enumerate(u)][1:]
-        g = _int_poly_gcd(u, du)
-        count += _deg(u) - _deg(g)
-        squarefree = squarefree and _deg(g) == 0
-    return count, squarefree
-
-
-def form_gcd_all(forms: Iterable[BinaryForm]) -> BinaryForm:
-    """Iterated gcd over a collection, ignoring zero forms."""
-    acc: Optional[BinaryForm] = None
-    for h in forms:
-        if h.is_zero:
-            continue
-        acc = h.normalized() if acc is None else form_gcd(acc, h)
-        if acc.degree == 0:
-            return acc
-    if acc is None:
-        raise ValueError("gcd of zero forms")
-    return acc
+    squarefree flag; ValueError for any other form."""
+    p0, p1, u = _core(h)
+    g = [1]
+    if len(u) > 1:
+        g = _int_poly_gcd(u, _primitive([k * c for k, c in enumerate(u)][1:]))
+    count = (1 if p0 else 0) + (1 if p1 else 0) + len(u) - len(g)
+    return count, p0 <= 1 and p1 <= 1 and len(g) == 1

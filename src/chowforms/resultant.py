@@ -156,7 +156,8 @@ def det_bareiss(M) -> Entry:
     Every division against the previous pivot is exact (Sylvester's
     identity), so entries stay in the coefficient ring throughout.  Pivot
     choice is the first row with a nonzero candidate, in column order;
-    singular matrices return 0.
+    singular matrices return 0.  A matrix of numbers gives a number in
+    coefficient normal form, as :func:`det_expand` does.
     """
     A = _rows(M)
     n = len(A)
@@ -166,7 +167,8 @@ def det_bareiss(M) -> Entry:
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if A[r][k]), None)
         if pivot_row is None:
-            return zero
+            det = zero
+            break
         if pivot_row != k:
             A[k], A[pivot_row] = A[pivot_row], A[k]
             sign = -sign
@@ -175,8 +177,10 @@ def det_bareiss(M) -> Entry:
                 A[i][j] = _exact_div(A[i][j] * A[k][k] - A[i][k] * A[k][j], prev)
             A[i][k] = zero
         prev = A[k][k]
-    det = A[n - 1][n - 1] if n else prev
-    return -det if sign < 0 else det
+    else:
+        det = A[n - 1][n - 1] if n else prev
+    det = -det if sign < 0 else det
+    return det if isinstance(det, MPoly) else rational(det)
 
 
 # -- packed minor kernel ---------------------------------------------------------

@@ -5,6 +5,7 @@ expansion) used to cross-check the production backends; keep it free of any
 imports from chowforms.resultant internals.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +49,42 @@ def truncated(p, K):
 def is_normal(x) -> bool:
     """Coefficient normal form: an int, or a Fraction that is not integral."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def ref_normalized(h: list) -> list:
+    """Primitive integer multiple of a nonzero list of rationals, first
+    nonzero entry positive."""
+    num = 0
+    den = 1
+    for c in h:
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    scale = Fraction(den, num)
+    if next(c for c in h if c) < 0:
+        scale = -scale
+    return [c * scale for c in h]
+
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_gcd(a: list, b: list) -> list:
+    """Euclid over Q on the forms dehomogenized at z0 = 1; the z0 power of
+    the gcd is the lesser drop in degree (the multiplicity at (0 : 1))."""
+    pa, pb = _trim(list(a)), _trim(list(b))
+    z0_power = min(len(a) - len(pa), len(b) - len(pb))
+    while pb:
+        r = list(pa)
+        while len(r) >= len(pb):
+            q, shift = r[-1] / pb[-1], len(r) - len(pb)
+            for i, c in enumerate(pb):
+                r[i + shift] -= q * c
+            _trim(r)
+        pa, pb = pb, r
+    return ref_normalized(pa + [Fraction(0)] * z0_power)
 
 
 def wedge(names, i, j):

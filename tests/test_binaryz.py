@@ -4,14 +4,13 @@ coefficients where the value is integral and a ``Fraction`` otherwise, never
 a bool, a float or an integral ``Fraction``, with the values a plain
 ``Fraction`` computation gives."""
 
-import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowforms import BinaryForm, CurveMap, act_gln, contract, form_gcd
-from helpers import is_normal
+from helpers import is_normal, ref_gcd, ref_normalized
 
 SCALAR = st.one_of(
     st.integers(-6, 6),
@@ -60,40 +59,6 @@ def ref_contract(forms: list, cov) -> list:
     return out
 
 
-def ref_normalized(h: list) -> list:
-    num = 0
-    den = 1
-    for c in h:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    if next(c for c in h if c) < 0:
-        scale = -scale
-    return [c * scale for c in h]
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def ref_gcd(a: list, b: list) -> list:
-    """Euclid over Q on the forms dehomogenized at z0 = 1; the z0 power of
-    the gcd is the lesser drop in degree (the multiplicity at (0 : 1))."""
-    pa, pb = _trim(list(a)), _trim(list(b))
-    z0_power = min(len(a) - len(pa), len(b) - len(pb))
-    while pb:
-        r = list(pa)
-        while len(r) >= len(pb):
-            q, shift = r[-1] / pb[-1], len(r) - len(pb)
-            for i, c in enumerate(pb):
-                r[i + shift] -= q * c
-            _trim(r)
-        pa, pb = pb, r
-    return ref_normalized(pa + [Fraction(0)] * z0_power)
-
-
 @st.composite
 def form(draw, degree):
     return BinaryForm(draw(st.lists(SCALAR, min_size=degree + 1, max_size=degree + 1)))
@@ -105,6 +70,7 @@ def test_numeric_forms_stay_in_normal_form(data):
     d = data.draw(st.integers(1, 3))
     a, b = data.draw(form(d)), data.draw(form(d))
     e = data.draw(form(data.draw(st.integers(0, 2))))
+    g = data.draw(form(data.draw(st.integers(0, 6))))
     k = data.draw(SCALAR)
     A = data.draw(st.lists(st.lists(SCALAR, min_size=2, max_size=2), min_size=2, max_size=2))
     cov = data.draw(st.lists(SCALAR, min_size=3, max_size=3))
@@ -119,6 +85,7 @@ def test_numeric_forms_stay_in_normal_form(data):
     assert_form(k * a, [x * k for x in ra])
     assert_form(a**2, ref_mul(ra, ra))
     assert_form(a.substitute_gl2(A), ref_substitute(ra, A))
+    assert_form(g.substitute_gl2(A), ref_substitute(ref(g), A))
     zero = BinaryForm.zero(d)
     assert_form(zero, [Fraction(0)] * (d + 1))
     assert_form(contract([a, b, zero], cov), ref_contract([ra, rb, ref(zero)], cov))

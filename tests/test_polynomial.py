@@ -17,7 +17,7 @@ from chowforms import (
     parse_terms,
     poly_divides,
 )
-from helpers import matmul, naive_det, rand_form
+from helpers import matmul, naive_det, rand_form, ref_gcd, ref_normalized
 
 UV = ("u0", "u1", "v0", "v1")
 
@@ -291,6 +291,76 @@ def test_form_gcd_all():
     assert form_gcd_all(forms) == BinaryForm([1, 0])
     with pytest.raises(ValueError):
         form_gcd_all([BinaryForm.zero(1), BinaryForm.zero(1)])
+
+
+def _planted_forms(rng):
+    """1-4 forms of degree at most 8 sharing a planted factor, with z0 and z1
+    powers, zero forms and Fraction entries."""
+
+    def coeffs(deg):
+        return [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.3
+            else rng.randint(-4, 4)
+            for _ in range(deg + 1)
+        ]
+
+    common = rand_form(rng, rng.randint(0, 3))
+    common = common * BinaryForm([0] * rng.randint(0, 1) + [1] + [0] * rng.randint(0, 1))
+    forms = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.15:
+            forms.append(BinaryForm.zero(rng.randint(0, 8)))
+            continue
+        p0, p1 = rng.randint(0, 2), rng.randint(0, 2)
+        extra = rng.randint(0, max(0, 8 - common.degree - p0 - p1))
+        cofactor = BinaryForm([0] * p1 + coeffs(extra) + [0] * p0)
+        forms.append(cofactor * common)
+    return forms
+
+
+def _ref_root_count(h: BinaryForm) -> tuple[int, bool]:
+    """Distinct roots over Q-bar: the degree of the squarefree part of the
+    core by Euclid over Q, plus the roots at (1:0) and (0:1)."""
+    nz = [j for j, c in enumerate(h.coeffs) if c]
+    p1, p0 = nz[0], h.degree - nz[-1]
+    core = [Fraction(c) for c in h.coeffs[nz[0] : nz[-1] + 1]]
+    e = 0
+    if len(core) > 1:
+        e = len(ref_gcd(core, [k * c for k, c in enumerate(core)][1:])) - 1
+    count = len(core) - 1 - e + (p0 > 0) + (p1 > 0)
+    return count, p0 <= 1 and p1 <= 1 and e == 0
+
+
+def test_gcd_fold_matches_euclid_over_q():
+    rng = random.Random(2024)
+    for _ in range(300):
+        forms = _planted_forms(rng)
+        nonzero = [[Fraction(c) for c in h.coeffs] for h in forms if not h.is_zero]
+        if not nonzero:
+            with pytest.raises(ValueError):
+                form_gcd_all(forms)
+            continue
+        ref = ref_normalized(nonzero[0])
+        for r in nonzero[1:]:
+            ref = ref_gcd(ref, r)
+        G = form_gcd_all(forms)
+        assert list(G.coeffs) == ref
+        assert all(type(c) is int for c in G.coeffs)
+        a, b = forms[0], forms[-1]
+        if not (a.is_zero and b.is_zero):
+            assert form_gcd(a, b) == form_gcd_all([a, b])
+        for h in forms:
+            if not h.is_zero:
+                assert distinct_root_count(h) == _ref_root_count(h)
+
+
+def test_distinct_root_count_rejects_zero_and_symbolic_forms():
+    with pytest.raises(ValueError):
+        distinct_root_count(BinaryForm.zero(3))
+    with pytest.raises(ValueError):
+        distinct_root_count(BinaryForm([V("u0"), 1]))
+    with pytest.raises(ValueError):
+        distinct_root_count(BinaryForm([0, V("u0"), 0]))
 
 
 def test_normalized_form():

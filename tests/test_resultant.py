@@ -77,6 +77,22 @@ def test_det_identity():
     assert det_bareiss([]) == 1
 
 
+def test_det_bareiss_numbers_are_in_normal_form():
+    h = Fraction(1, 2)
+    for M in (
+        [],
+        [[1, 2], [3, 4]],
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[h, Fraction(1, 3)], [1, 1]],
+        [[h, 1], [1, 2]],
+        [[Fraction(4, 2)]],
+        [[0, 1, 2], [1, 0, 3], [2, 1, h]],
+    ):
+        assert type(det_bareiss(M)) is type(det_expand(M))
+        assert det_bareiss(M) == det_expand(M)
+
+
 def test_det_2x2_symbolic():
     M = sylvester(_symbolic_form("u", 1, 1), _symbolic_form("v", 1, 1))
     w = MPoly.var(UV1, "u0") * MPoly.var(UV1, "v1") - MPoly.var(UV1, "u1") * MPoly.var(UV1, "v0")
