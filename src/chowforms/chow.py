@@ -177,16 +177,25 @@ def contraction_resultant(forms: Sequence[BinaryForm]) -> MPoly:
 
     The determinant runs over Z: :func:`bezout_pform` scales every form by
     the lcm lam of all coefficient denominators, which multiplies the
-    resultant by lam^(2d), and the result is divided by lam^(2d) at the end.
+    resultant by lam^(2d).  Each integer coefficient c is then divided once
+    by q = (-1)^(d(d+1)/2) * lam^(2d), which also fixes the sign: with
+    g = gcd(c, q), the quotient is (c/g) / (q/g), already in lowest terms.
     """
     weighted = bezout_pform(forms)
     d = len(weighted)
     out = wedge_expand(det_expand(weighted), len(forms))
     lam = _denominator_lcm(forms)
-    if lam != 1:
-        out = out * Fraction(1, lam ** (2 * d))
     # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
-    return -out if (d * (d + 1) // 2) % 2 else out
+    negate = (d * (d + 1) // 2) % 2
+    if lam == 1:
+        return -out if negate else out
+    q = lam ** (2 * d)
+    terms = {}
+    for exps, c in out.terms.items():
+        g = math.gcd(c, q)
+        num, den = (-c if negate else c) // g, q // g
+        terms[exps] = num if den == 1 else Fraction(num, den)
+    return MPoly._trusted(out.names, terms)
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +327,9 @@ def incident(ca: CayleyBiform, plane: Plane) -> bool:
 
 
 def proportional(a: CayleyBiform, b: CayleyBiform) -> bool:
-    """Projective equality of biforms by exact cross-multiplication."""
+    """Projective equality of biforms by exact cross-multiplication; with
+    equal leading coefficients the ratio is 1, so the biforms are compared
+    as they are."""
     if a.n != b.n or a.d != b.d:
         raise ValueError("biforms must share (n, d)")
     if a.is_zero and b.is_zero:
@@ -326,6 +337,8 @@ def proportional(a: CayleyBiform, b: CayleyBiform) -> bool:
     if a.is_zero or b.is_zero:
         return False
     la, lb = a.poly.leading_coeff(), b.poly.leading_coeff()
+    if la == lb:
+        return a.poly == b.poly
     return a.poly * (lb.numerator * la.denominator) == b.poly * (la.numerator * lb.denominator)
 
 

@@ -43,6 +43,7 @@ from .chow import (
     implicitize_plane_curve,
     incident,
     plucker_rewrite,
+    uv_names,
 )
 from .curves import CurveMap, Plane
 from .degeneration import (
@@ -54,7 +55,7 @@ from .degeneration import (
     normalize_attachment,
 )
 from .oracle import check_curve, incident_oracle
-from .polynomial import format_terms
+from .polynomial import format_terms, monomial_writer
 
 __all__ = ["main", "entry"]
 
@@ -294,24 +295,25 @@ def cmd_degenerate(args) -> int:
     # serves both the factor check and the printed line.
     product = _chow_form(f) * _chow_form(g)
     factors = boundary_factor_check(limit, [product])
-    print(_biform_lines(limit, label="limit"))
     # By Gauss's lemma the product of primitive biforms is primitive, and its
     # leading term is the product of two positive leading terms, so it is
-    # already normalized.
-    print(_biform_lines(product, label="product"))
+    # already normalized: where the factors check holds, it equals the limit
+    # term for term and its text is written once.
+    body = format_terms(limit.poly)
+    print(f"limit n={limit.n} d={limit.d}\n{body}")
+    if product.poly != limit.poly:
+        body = format_terms(product.poly)
+    print(f"product n={product.n} d={product.d}\n{body}")
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4
 
 
 def _write_eps_table(path: str, fam: CayleyBiform) -> None:
     parts = fam.poly.decompose(EPS)
+    write = monomial_writer(uv_names(fam.n))
     lines = ["# eps_order\tmonomial\tcoeff"]
     for k in sorted(parts):
-        for exps, c in parts[k].sorted_terms():
-            mono = " ".join(
-                f"{name}^{e}" for name, e in zip(parts[k].names, exps) if e
-            )
-            lines.append(f"{k}\t{mono or '1'}\t{c}")
+        lines += [f"{k}\t{write(exps) or '1'}\t{c}" for exps, c in parts[k].sorted_terms()]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -51,6 +51,7 @@ __all__ = [
     "form_gcd_all",
     "distinct_root_count",
     "format_terms",
+    "monomial_writer",
     "parse_terms",
     "rational",
     "field_bytes",
@@ -192,8 +193,15 @@ class MPoly:
         return self.leading_term()[1]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], ScalarLike]]:
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """Terms in descending graded-lex order.
+
+        Two sorts, with no Python key function: the exponent tuples in
+        descending lex order, then by descending total degree.  The second
+        sort is stable, so ties of total degree keep lex order."""
+        keys = sorted(self.terms, reverse=True)
+        keys.sort(key=sum, reverse=True)
+        terms = self.terms
+        return [(e, terms[e]) for e in keys]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -504,12 +512,45 @@ def format_terms(p: MPoly) -> str:
     """
     if p.is_zero:
         return "0"
+    write = monomial_writer(p.names)
     lines = []
     for exps, c in p.sorted_terms():
         coeff = f"+{c}" if c > 0 else str(c)
-        factors = " ".join(f"{n}^{e}" for n, e in zip(p.names, exps) if e)
+        factors = write(exps)
         lines.append(f"{coeff} * {factors}" if factors else coeff)
     return "\n".join(lines)
+
+
+def monomial_writer(names: Sequence[str]):
+    """The function that writes a monomial of the ring ``names`` from its
+    exponents as ``var^exp`` factors, "u0^1 v2^3", and "" for 1.
+
+    Each half of the exponent vector is written once per writer and then
+    looked up: a biform's terms pair few distinct u-monomials with few
+    distinct v-monomials.  Each half has its own memo, keyed by the half's
+    exponents, since a u-part and a v-part can be equal tuples.
+    """
+    names = tuple(names)
+    h = len(names) // 2
+    low, high = names[:h], names[h:]
+    low_memo: dict[tuple[int, ...], str] = {}
+    high_memo: dict[tuple[int, ...], str] = {}
+
+    def factors(half: tuple[str, ...], part: tuple[int, ...]) -> str:
+        return " ".join(f"{n}^{e}" for n, e in zip(half, part) if e)
+
+    def write(exps: tuple[int, ...]) -> str:
+        part = exps[:h]
+        a = low_memo.get(part)
+        if a is None:
+            a = low_memo[part] = factors(low, part)
+        part = exps[h:]
+        b = high_memo.get(part)
+        if b is None:
+            b = high_memo[part] = factors(high, part)
+        return f"{a} {b}" if a and b else a or b
+
+    return write
 
 
 def parse_terms(text: str, names: Iterable[str]) -> MPoly:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 from .polynomial import BinaryForm, MPoly, ScalarLike, field_bytes, pack, rational, unpack
 
-Entry = Union[Fraction, MPoly]
+Entry = Union[ScalarLike, MPoly]
 
 __all__ = [
     "SylvesterMatrix",
@@ -137,7 +137,7 @@ def _zero_like(entries: Sequence[Entry]) -> Entry:
     for c in entries:
         if isinstance(c, MPoly):
             return MPoly.zero(c.names)
-    return Fraction(0)
+    return 0
 
 
 def _rows(M) -> list[list[Entry]]:

@@ -2,7 +2,9 @@
 
 ``naive_det`` is a deliberately separate determinant (first-row cofactor
 expansion) used to cross-check the production backends; keep it free of any
-imports from chowforms.resultant internals.
+imports from chowforms.resultant internals.  ``ref_format_terms`` and
+``ref_eps_table`` write terms one factor at a time, as a plain reference for
+the memoized term writer.
 """
 
 import math
@@ -217,3 +219,32 @@ def allpairs_sample_map_degree(f, rng, trials=3):
             continue
         counts.append(count)
     return min(counts)
+
+
+def ref_sorted_terms(p):
+    """The terms of p in descending graded-lex order, by a key function."""
+    return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def ref_format_terms(p) -> str:
+    """``format_terms`` written term by term, factor by factor."""
+    if not p.terms:
+        return "0"
+    lines = []
+    for exps, c in ref_sorted_terms(p):
+        coeff = f"+{c}" if c > 0 else str(c)
+        factors = " ".join(f"{n}^{e}" for n, e in zip(p.names, exps) if e)
+        lines.append(f"{coeff} * {factors}" if factors else coeff)
+    return "\n".join(lines)
+
+
+def ref_eps_table(fam) -> str:
+    """The ``--emit-eps-table`` file of an eps biform: a header, then one
+    ``order, monomial, coefficient`` line per term, orders ascending."""
+    parts = fam.poly.decompose("eps")
+    lines = ["# eps_order\tmonomial\tcoeff"]
+    for k in sorted(parts):
+        for exps, c in ref_sorted_terms(parts[k]):
+            mono = " ".join(f"{name}^{e}" for name, e in zip(parts[k].names, exps) if e)
+            lines.append(f"{k}\t{mono or '1'}\t{c}")
+    return "\n".join(lines) + "\n"

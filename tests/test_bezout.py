@@ -20,6 +20,7 @@ from chowforms import (
     det_expand,
     family_biform,
     join_family,
+    normalize_attachment,
     proportional,
     resultant,
     uv_names,
@@ -45,15 +46,28 @@ def eps_forms(fam):
     return forms, names
 
 
+def rand_fraction_curve(rng, n, d):
+    """A curve whose coefficients have denominators up to 6, so that
+    :func:`contraction_resultant` divides by lam^(2d) with lam > 1."""
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d + 1)] for _ in range(n + 1)]
+        if any(x.denominator != 1 for row in rows for x in row):
+            return CurveMap.from_coeffs(rows)
+
+
 # Largest d per n keeps the Sylvester reference (2d x 2d over 2(n+1)
-# variables) to about a second.
+# variables) to about a second.  Fraction curves run up to d = 5, so the
+# sign (-1)^(d(d+1)/2) folded into the division takes both values.
 @pytest.mark.parametrize("n, d_max", [(1, 6), (2, 4), (3, 3), (4, 3)])
 def test_cayley_biform_equals_sylvester_route(n, d_max):
-    rng = random.Random(300 + n)
+    rng, fraction_rng = random.Random(300 + n), random.Random(f"fraction-{n}")
     for d in range(1, d_max + 1):
-        f = rand_curve(rng, n, d)
-        expected = sylvester_route(f.components, uv_names(n), n + 1)
-        assert cayley_biform(f).poly == expected, (n, d)
+        curves = [rand_curve(rng, n, d)]
+        if d <= 5:
+            curves.append(rand_fraction_curve(fraction_rng, n, d))
+        for f in curves:
+            expected = sylvester_route(f.components, uv_names(n), n + 1)
+            assert cayley_biform(f).poly == expected, (n, d)
 
 
 def test_base_pointed_curve_gives_zero_on_both_routes():
@@ -78,8 +92,19 @@ CONIC_F = CurveMap.from_coeffs([[1, 0, 0], [1, 1, 0], [1, 0, 1]])  # (1,1,1) at 
 CONIC_G = CurveMap.from_coeffs([[1, 0, 1], [0, 0, 1], [0, 1, 1]])  # (1,1,1) at (0,1)
 
 
+# A line and a conic in P^3 whose attachment points have coordinates other
+# than 1, moved there by normalize_attachment: the join has Fraction
+# coefficients.
+LINE_P3_FAR = normalize_attachment(CurveMap.from_coeffs([[2, 1], [3, -1], [5, 2], [-4, 7]]))
+CONIC_P3_FAR = normalize_attachment(
+    CurveMap.from_coeffs([[3, 0, 1], [1, 2, 4], [2, -1, 3], [1, 1, -2]]), at=(0, 1)
+)
+
+
 @pytest.mark.parametrize(
-    "f, g", [(LINE_P3, CONIC_P3), (CONIC_F, CONIC_G)], ids=["line_conic_P3", "conic_conic_P2"]
+    "f, g",
+    [(LINE_P3, CONIC_P3), (CONIC_F, CONIC_G), (LINE_P3_FAR, CONIC_P3_FAR)],
+    ids=["line_conic_P3", "conic_conic_P2", "normalized_line_conic_P3"],
 )
 def test_family_biform_equals_sylvester_route(f, g):
     assert check_curve(f).birational and check_curve(g).birational

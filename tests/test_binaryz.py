@@ -9,8 +9,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowforms import BinaryForm, CurveMap, act_gln, contract, form_gcd
-from helpers import is_normal, ref_gcd, ref_normalized
+from chowforms import BinaryForm, CurveMap, act_gln, contract, det_bareiss, form_gcd, sylvester
+from helpers import is_normal, naive_det, ref_gcd, ref_normalized
 
 SCALAR = st.one_of(
     st.integers(-6, 6),
@@ -59,6 +59,11 @@ def ref_contract(forms: list, cov) -> list:
     return out
 
 
+def ref_sylvester(a: list, b: list) -> list:
+    d = len(a) - 1
+    return [[Fraction(0)] * i + h + [Fraction(0)] * (d - 1 - i) for h in (a, b) for i in range(d)]
+
+
 @st.composite
 def form(draw, degree):
     return BinaryForm(draw(st.lists(SCALAR, min_size=degree + 1, max_size=degree + 1)))
@@ -93,6 +98,11 @@ def test_numeric_forms_stay_in_normal_form(data):
         assert_form(a.normalized(), ref_normalized(ra))
     if not (a.is_zero and b.is_zero):
         assert_form(form_gcd(a, b), ref_gcd(ra, rb))
+    S = sylvester(a, b).entries
+    assert all(is_normal(x) for row in S for x in row), S
+    assert [[Fraction(x) for x in row] for row in S] == ref_sylvester(ra, rb)
+    det = det_bareiss(S)
+    assert is_normal(det) and det == naive_det(ref_sylvester(ra, rb))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

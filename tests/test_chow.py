@@ -157,6 +157,26 @@ def test_proportional_examples():
         proportional(p01, conic)
 
 
+def test_proportional_with_equal_leading_coefficients():
+    conic = cayley_biform(CONIC)
+    # Same leading term, another lower term: not proportional.
+    other = conic.poly + MPoly.monomial(UV2, min(conic.poly.terms), 1)
+    assert other.leading_term() == conic.poly.leading_term()
+    assert not proportional(conic, CayleyBiform(2, 2, other))
+    assert proportional(conic, CayleyBiform(2, 2, conic.poly * 1))
+    scaled = CayleyBiform(2, 2, Fraction(-5, 7) * conic.poly)
+    assert proportional(conic, scaled) and proportional(scaled, conic)
+    assert proportional(scaled, CayleyBiform(2, 2, Fraction(-5, 7) * conic.poly))
+    zero = CayleyBiform(2, 2, MPoly.zero(UV2))
+    with pytest.raises(ValueError, match="zero biforms"):
+        proportional(zero, zero)
+    assert not proportional(zero, conic)
+    with pytest.raises(ValueError, match="share"):
+        proportional(conic, CayleyBiform(2, 1, wedge(UV2, 0, 1)))
+    with pytest.raises(ValueError, match="share"):
+        proportional(conic, cayley_biform(CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])))
+
+
 # -- covariance suite ----------------------------------------------------------------
 
 

@@ -1,0 +1,99 @@
+"""The term writer against the plain references of ``helpers``: the same
+graded-lex order, the same text of every monomial, and the same eps table,
+byte for byte."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from chowforms import MPoly, family_biform, join_family, normalize_attachment, uv_names
+from chowforms.cli import load_curve, main
+from chowforms.polynomial import format_terms, monomial_writer
+from helpers import rand_curve_birational, ref_eps_table, ref_format_terms, ref_sorted_terms
+
+RINGS = [(), ("x",), ("x0", "x1", "x2"), uv_names(1), uv_names(2), uv_names(2, eps=True)]
+
+
+def rand_coeff(rng):
+    if rng.random() < 0.5:
+        return rng.choice([-1, 1]) * rng.randint(1, 12)
+    return Fraction(rng.randint(-30, 30) or 1, rng.randint(2, 9))
+
+
+def rand_poly(rng, names, terms):
+    """Up to ``terms`` terms of mixed degrees, constant term included."""
+    return MPoly(names, {tuple(rng.randint(0, 3) for _ in names): rand_coeff(rng) for _ in range(terms)})
+
+
+def rand_mirrored(rng, n, terms):
+    """A (d, d) biform on P^n whose every u-part equals its v-part, so the
+    two halves of each exponent vector are equal tuples."""
+    names = uv_names(n)
+    parts = [tuple(rng.randint(0, 2) for _ in range(n + 1)) for _ in range(terms)]
+    return MPoly(names, {part + part: rand_coeff(rng) for part in parts})
+
+
+def check(p):
+    assert p.sorted_terms() == ref_sorted_terms(p)
+    assert format_terms(p) == ref_format_terms(p)
+
+
+@pytest.mark.parametrize("names", RINGS, ids=lambda names: f"{len(names)}vars")
+def test_format_terms_matches_the_reference(names):
+    rng = random.Random(f"writer-{len(names)}")
+    check(MPoly.zero(names))
+    check(MPoly.const(names, Fraction(-7, 3)))
+    check(MPoly.const(names, 5))
+    for terms in (1, 2, 5, 20, 60):
+        check(rand_poly(rng, names, terms))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_equal_halves_keep_their_own_variables(n):
+    rng = random.Random(f"mirrored-{n}")
+    for terms in (1, 3, 12):
+        check(rand_mirrored(rng, n, terms))
+    names = uv_names(1)
+    p = MPoly(names, {(1, 0, 1, 0): 1, (0, 1, 0, 1): -2, (1, 1, 1, 1): Fraction(1, 2)})
+    assert format_terms(p) == "+1/2 * u0^1 u1^1 v0^1 v1^1\n+1 * u0^1 v0^1\n-2 * u1^1 v1^1"
+
+
+def test_one_writer_serves_many_polynomials_of_a_ring():
+    rng = random.Random("shared-writer")
+    names = uv_names(2)
+    write = monomial_writer(names)
+    for _ in range(20):
+        for exps, _ in rand_poly(rng, names, 10).sorted_terms():
+            assert write(exps) == " ".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+def curve_doc(f):
+    return {"n": f.n, "d": f.d, "coeffs": [[str(c) for c in h.coeffs] for h in f.components]}
+
+
+def has_fraction(fam):
+    coeffs = [c for h in fam.components for c in h.coeffs]
+    values = [x for c in coeffs for x in (c.terms.values() if isinstance(c, MPoly) else (c,))]
+    return any(Fraction(x).denominator != 1 for x in values)
+
+
+# d = d1 + d2 of the family; d(d+1)/2 is odd for d = 2 and even for d = 3, 4.
+@pytest.mark.parametrize("n, d1, d2", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_eps_table_of_normalized_joins_matches_the_reference(n, d1, d2, tmp_path, capsys):
+    rng = random.Random(f"eps-table-{n}-{d1}-{d2}")
+    paths = []
+    for name, d in (("f", d1), ("g", d2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(curve_doc(rand_curve_birational(rng, n, d, -3, 3))))
+        paths.append(str(path))
+    table = tmp_path / "eps.tsv"
+    argv = ["degenerate", *paths, "--normalize-attachment", "--emit-eps-table", str(table)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    f = normalize_attachment(load_curve(paths[0]), at=(1, 0))
+    g = normalize_attachment(load_curve(paths[1]), at=(0, 1))
+    fam = join_family(f, g)
+    assert has_fraction(fam)  # the resultant is divided by lam^(2d) with lam > 1
+    assert table.read_text(encoding="utf-8") == ref_eps_table(family_biform(fam))
