@@ -24,7 +24,6 @@ from .chow import (
 )
 from .curves import CurveMap, Plane, act_gl2, act_gln
 from .degeneration import (
-    DegenerationFamily,
     boundary_factor_check,
     family_biform,
     family_limit,
@@ -61,7 +60,6 @@ __all__ = [
     "CayleyBiform",
     "CurveCheck",
     "CurveMap",
-    "DegenerationFamily",
     "MPoly",
     "NotBirational",
     "Plane",

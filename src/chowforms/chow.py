@@ -214,9 +214,11 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     filled directly.  The determinant, with p_kl -> u_k v_l - u_l v_k
     substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
-    Raises ValueError unless the forms share one degree d >= 1 and one
-    coefficient ring.
+    Raises ValueError unless there are at least two forms and they share
+    one degree d >= 1 and one coefficient ring.
     """
+    if len(forms) < 2:
+        raise ValueError("need at least two forms")
     d = forms[0].degree
     if any(h.degree != d for h in forms):
         raise ValueError("forms must have equal degrees")

@@ -1,14 +1,19 @@
-"""One-parameter joins of two curves and their boundary Chow forms.
+"""One-parameter families of curves and their boundary Chow forms.
 
-Two curves attached at the all-ones point A = (1, ..., 1) -- the first at
-parameter (1, 0), the second at (0, 1) -- give the family with components
+A family is its component tuple: n+1 binary forms of one degree d whose
+coefficients lie in Q[eps], a curve map for every eps != 0.  Some limit
+components can be multiple, as in the double line (z0^2, eps*z0*z1, z1^2).
+Its Chow form is a polynomial in eps; the projective limit of the family
+as eps -> 0 is the lowest nonvanishing eps-order coefficient.
+
+:func:`join_family` builds one such tuple.  Two curves attached at the
+all-ones point A = (1, ..., 1) -- the first at parameter (1, 0), the
+second at (0, 1) -- give the components
 
     F_i = f_i(z0, z1) * g_i(eps*z0, z1),
 
-a degree d1+d2 curve map for every eps != 0.  Its Chow form is a polynomial
-in eps; the projective limit of the family as eps -> 0 is the lowest
-nonvanishing eps-order coefficient, and for a valid join that limit factors
-into the two component Chow forms.  This realizes, in exact arithmetic, the
+of degree d1+d2, and for a valid join the limit factors into the two
+component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
 
 :func:`family_limit` computes that limit modulo eps^K with
@@ -23,7 +28,6 @@ determinant, and only the lowest surviving order is substituted into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
@@ -32,7 +36,6 @@ from .chow import (
     EPS,
     CayleyBiform,
     bezout_pform,
-    cayley_biform,
     contraction_resultant,
     proportional,
     wedge_expand,
@@ -42,7 +45,6 @@ from .polynomial import BinaryForm, MPoly, ScalarLike, rational
 from .resultant import det_expand
 
 __all__ = [
-    "DegenerationFamily",
     "join_family",
     "normalize_attachment",
     "family_biform",
@@ -50,35 +52,6 @@ __all__ = [
     "family_limit",
     "boundary_factor_check",
 ]
-
-@dataclass(frozen=True)
-class DegenerationFamily:
-    """Componentwise product family joining two curves at (1, ..., 1)."""
-
-    first: CurveMap
-    second: CurveMap
-    components: tuple[BinaryForm, ...]
-
-    @property
-    def n(self) -> int:
-        return self.first.n
-
-    @property
-    def d(self) -> int:
-        return self.first.d + self.second.d
-
-    def at_eps(self, value: ScalarLike) -> CurveMap:
-        """Specialize eps to a number, giving an honest curve map.
-
-        The value must be an exact rational (int or Fraction); anything else
-        raises TypeError.
-        """
-        val = rational(value)
-        return CurveMap.from_coeffs([
-            [c.evaluate({EPS: val}) if isinstance(c, MPoly) else c for c in comp.coeffs]
-            for comp in self.components
-        ])
-
 
 def _attachment_errors(f: CurveMap, param: tuple[int, int]) -> list[str]:
     point = f.point(param)
@@ -92,8 +65,9 @@ def _attachment_errors(f: CurveMap, param: tuple[int, int]) -> list[str]:
     return errs
 
 
-def join_family(f: CurveMap, g: CurveMap) -> DegenerationFamily:
-    """Join f (at parameter (1,0)) to g (at parameter (0,1)).
+def join_family(f: CurveMap, g: CurveMap) -> tuple[BinaryForm, ...]:
+    """Components over Q[eps] of the family joining f (at parameter (1,0))
+    to g (at parameter (0,1)).
 
     Both curves must pass through A = (1, ..., 1) at those parameters with
     coordinates exactly 1; use :func:`normalize_attachment` to arrange
@@ -112,7 +86,7 @@ def join_family(f: CurveMap, g: CurveMap) -> DegenerationFamily:
         d2 = gi.degree
         twisted = BinaryForm([c * eps ** (d2 - k) for k, c in enumerate(gi.coeffs)])
         components.append(fi * twisted)
-    return DegenerationFamily(f, g, tuple(components))
+    return tuple(components)
 
 
 def normalize_attachment(
@@ -170,9 +144,12 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
             raise RuntimeError("no parameter avoids all coordinate zeros")
 
 
-def family_biform(F: DegenerationFamily) -> CayleyBiform:
-    """Chow biform of the family with eps carried as a ring variable."""
-    return CayleyBiform(F.n, F.d, contraction_resultant(F.components))
+def family_biform(components: Sequence[BinaryForm]) -> CayleyBiform:
+    """Chow biform of the family with the given components, eps carried as
+    a ring variable.  The forms share one degree d, and there are n+1 of
+    them for a family in P^n."""
+    poly = contraction_resultant(components)
+    return CayleyBiform(len(components) - 1, components[0].degree, poly)
 
 
 def limit_direction(ca: CayleyBiform) -> CayleyBiform:
@@ -180,53 +157,61 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
 
     Writes the biform as sum_k eps^k C_k and returns the normalized C_k of
     least k with C_k != 0: the lowest-order direction of the algebraic arc.
-    This reads the fully expanded family biform, which only the eps table
-    (``--emit-eps-table``) needs.  :func:`family_limit` gives the same limit
-    from the family itself, computed modulo eps^K with K starting from the
-    min-plus valuation bound on the lowest order.
+    Only that one coefficient is split off.  This reads the fully expanded
+    family biform, which only the eps table (``--emit-eps-table``) needs.
+    :func:`family_limit` gives the same limit from the components
+    themselves, computed modulo eps^K with K starting from the min-plus
+    valuation bound on the lowest order.
     """
     if ca.is_zero:
         raise ValueError("zero family biform has no limit")
     if not ca.has_eps:
         return ca.normalized()
-    parts = ca.poly.decompose(EPS)
-    k0 = min(parts)
-    return CayleyBiform(ca.n, ca.d, parts[k0]).normalized()
+    k0 = min(exps[-1] for exps in ca.poly.terms)
+    low = {exps[:-1]: c for exps, c in ca.poly.terms.items() if exps[-1] == k0}
+    return CayleyBiform(ca.n, ca.d, MPoly(ca.poly.names[:-1], low)).normalized()
 
 
-def family_limit(F: DegenerationFamily) -> CayleyBiform:
-    """``limit_direction(family_biform(F))``, term for term, without forming
-    the family biform.
+def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
+    """``limit_direction(family_biform(components))``, term for term, without
+    forming the family biform.
 
-    The determinant D of the Bezout p-form (:func:`~chowforms.chow.bezout_pform`)
-    is expanded modulo eps^K only.  Reduction modulo eps^K is a ring
-    homomorphism, so the orders below K are exact.  K starts one above the
-    min-plus assignment value of the entries' eps-valuations, a lower bound
-    on the order of every Leibniz term.  Orders below K are tried in turn:
-    p_kl -> u_k v_l - u_l v_k is substituted into that one p-coefficient,
-    which survives when the result is nonzero (for n >= 3 a nonzero
-    p-coefficient can vanish on the Grassmannian).  Without a survivor K
-    doubles, up to one past the eps-degree of D (at most 2*d*d2 + 1 for a
-    join, where each Bezout entry has eps-degree at most 2*d2).  The
-    lam^(2d) scale and the sign of :func:`~chowforms.chow.contraction_resultant`
-    are skipped: normalization removes both.  Raises ValueError when the
-    family biform is identically zero.
+    The components are n+1 binary forms of one degree d over Q[eps], such
+    as the tuple :func:`join_family` returns or the components of a
+    :class:`~chowforms.curves.CurveMap`, whose limit is its normalized
+    Chow form.  The determinant D of the Bezout p-form
+    (:func:`~chowforms.chow.bezout_pform`) is expanded modulo eps^K only.
+    Reduction modulo eps^K is a ring homomorphism, so the orders below K
+    are exact.  K starts one above the min-plus assignment value of the
+    entries' eps-valuations, a lower bound on the order of every Leibniz
+    term.  Orders below K are tried in turn: p_kl -> u_k v_l - u_l v_k is
+    substituted into that one p-coefficient, which survives when the
+    result is nonzero (for n >= 3 a nonzero p-coefficient can vanish on the
+    Grassmannian).  Without a survivor K doubles, up to one past the
+    eps-degree of D.  For a join of f and g of degree d_g the family has
+    degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
+    and the cap is at most 2*d*d_g + 1.  The lam^(2d) scale and the sign of
+    :func:`~chowforms.chow.contraction_resultant` are skipped:
+    normalization removes both.  Raises ValueError for fewer than two
+    forms or unequal degrees, and when the family biform is identically
+    zero.
     """
-    matrix = bezout_pform(F.components)
+    matrix = bezout_pform(components)
     if matrix[0][0].names[-1] != EPS:  # eps-free components: a constant family
-        return limit_direction(family_biform(F))
+        return limit_direction(family_biform(components))
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
     # One past the eps-degree of D: each Leibniz term takes one entry per row.
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
+    n, d = len(components) - 1, components[0].degree
     K = bound + 1
     while True:
         parts = det_expand(matrix, trunc=K).decompose(EPS)
         for k in sorted(parts):
-            c = wedge_expand(parts[k], F.n + 1)
+            c = wedge_expand(parts[k], n + 1)
             if c:
-                return CayleyBiform(F.n, F.d, c).normalized()
+                return CayleyBiform(n, d, c).normalized()
         if K == top:
             raise ValueError("zero family biform has no limit")
         K = min(2 * K, top)

@@ -175,6 +175,15 @@ def compose_curve(g, phi0, phi1):
     return CurveMap(tuple(c.compose(phi0, phi1) for c in g.components))
 
 
+def ref_at_eps(components, value):
+    """The member at eps = value of the family with the given components
+    over Q[eps]: every MPoly coefficient evaluated, giving a curve map."""
+    env = {"eps": Fraction(value)}
+    return CurveMap.from_coeffs(
+        [[c.evaluate(env) if isinstance(c, MPoly) else c for c in comp.coeffs] for comp in components]
+    )
+
+
 def rand_base_free_pair(rng, e, lo=-4, hi=4):
     """Two degree-e forms with no common root (a base-point-free pair)."""
     from chowforms import form_gcd

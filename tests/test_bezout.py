@@ -38,10 +38,10 @@ def sylvester_route(forms, names, m):
 
 
 def eps_forms(fam):
-    names = uv_names(fam.n, eps=True)
+    names = uv_names(len(fam) - 1, eps=True)
     forms = [
         BinaryForm([c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs])
-        for comp in fam.components
+        for comp in fam
     ]
     return forms, names
 
@@ -112,7 +112,7 @@ def test_family_biform_equals_sylvester_route(f, g):
     forms, names = eps_forms(fam)
     biform = family_biform(fam)
     assert biform.has_eps
-    assert biform.poly == sylvester_route(forms, names, fam.n + 1)
+    assert biform.poly == sylvester_route(forms, names, len(fam))
 
 
 def test_bezout_determinant_sign_against_both_backends():
@@ -214,7 +214,7 @@ def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
     with pytest.raises(ValueError, match="u- or v-name"):
         contraction_resultant(forms)
     x = MPoly.var(("x",), "x")
-    mixed = [fam.components[0], BinaryForm([x, 0, 0, 0, 0]), *fam.components[2:]]
+    mixed = [fam[0], BinaryForm([x, 0, 0, 0, 0]), *fam[2:]]
     with pytest.raises(ValueError, match="different coefficient rings"):
         bezout_pform(mixed)
     with pytest.raises(ValueError, match="different coefficient rings"):
@@ -223,8 +223,8 @@ def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
 
 def test_bezout_pform_reads_the_eps_ring_off_a_join():
     fam = join_family(CONIC_F, CONIC_G)
-    matrix = bezout_pform(fam.components)
-    assert len(matrix) == fam.d
+    matrix = bezout_pform(fam)
+    assert len(matrix) == fam[0].degree
     pairs = ("p0,1", "p0,2", "p1,2")
     assert all(x.names == pairs + (EPS,) for row in matrix for x in row)
     assert any(x.degree_in(EPS) > 0 for row in matrix for x in row)

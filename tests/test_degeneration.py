@@ -8,7 +8,6 @@ from chowforms import (
     BinaryForm,
     CayleyBiform,
     CurveMap,
-    DegenerationFamily,
     MPoly,
     boundary_factor_check,
     cayley_biform,
@@ -22,12 +21,13 @@ from chowforms import (
     proportional,
     uv_names,
 )
-from chowforms.chow import bezout_pform
-from helpers import plane_through, rand_curve_birational, truncated
+from chowforms.chow import bezout_pform, contraction_resultant
+from helpers import plane_through, rand_curve_birational, ref_at_eps, truncated
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
 LINE_G = CurveMap.from_coeffs([[0, 1], [1, 1], [0, 1]])
+EPS = MPoly.var(("eps",), "eps")
 
 
 def test_join_family_components():
@@ -36,10 +36,10 @@ def test_join_family_components():
     eps = MPoly.var(eps_ring, "eps")
     one = MPoly.const(eps_ring, 1)
     # F = (z0*z1, z0*(eps*z0 + z1), (z0+z1)*z1)
-    assert fam.components[0].coeffs == (0, one, 0)
-    assert fam.components[1].coeffs == (eps, one, 0)
-    assert fam.components[2].coeffs == (0, one, one)
-    assert fam.d == 2
+    assert fam[0].coeffs == (0, one, 0)
+    assert fam[1].coeffs == (eps, one, 0)
+    assert fam[2].coeffs == (0, one, one)
+    assert all(h.degree == 2 for h in fam)
 
 
 def test_join_checks_attachment():
@@ -81,8 +81,10 @@ def test_family_biform_specialization_commutes():
     fam = join_family(LINE_F, LINE_G)
     fb = family_biform(fam)
     for val in (Fraction(1), Fraction(2), Fraction(-1, 3)):
-        assert fb.specialize_eps(val).poly == cayley_biform(fam.at_eps(val)).poly
+        assert fb.specialize_eps(val).poly == cayley_biform(ref_at_eps(fam, val)).poly
     assert not fb.specialize_eps(1).is_zero
+    # f(1, 1) = (1, 1, 2) times g(1/3, 1) = (1, 4/3, 1), componentwise
+    assert ref_at_eps(fam, Fraction(1, 3)).point((1, 1)) == (1, Fraction(4, 3), 2)
 
 
 def test_family_biform_generic_point_eps_polynomial():
@@ -100,7 +102,7 @@ def test_family_biform_eps_degree_bound():
     fam = join_family(LINE_F, LINE_G)
     fb = family_biform(fam)
     assert fb.poly.degree_in("eps") == 2
-    assert fb.poly.degree_in("eps") <= 2 * fam.d * fam.second.d
+    assert fb.poly.degree_in("eps") <= 2 * fb.d * LINE_G.d
 
 
 def test_limit_direction_synthetic():
@@ -227,11 +229,41 @@ def test_det_expand_reducer_is_truncation_past_unattained_bound():
 def test_family_limit_of_an_eps_free_family_is_its_chow_form():
     # Components without eps give a constant family: the p-form ring has no
     # eps, and the limit is the normalized Chow form of the components.
-    line = CurveMap.from_coeffs([[1, 0], [0, 1], [1, 1]])
     conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    fam = DegenerationFamily(line, line, conic.components)
+    fam = conic.components
     expected = cayley_biform(conic).normalized().poly
     assert family_limit(fam).poly == limit_direction(family_biform(fam)).poly == expected
+
+
+@pytest.mark.parametrize("forms", [(), (BinaryForm([1, 0]),)], ids=["none", "one"])
+def test_fewer_than_two_forms_are_rejected(forms):
+    for route in (contraction_resultant, family_biform, family_limit):
+        with pytest.raises(ValueError, match="at least two forms"):
+            route(forms)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        (BinaryForm([1, 0, 0]), BinaryForm([0, EPS, 0]), BinaryForm([0, 0, 1])),
+        (
+            BinaryForm([1, 0, 0, 0]),
+            BinaryForm([0, EPS, 0, 0]),
+            BinaryForm([0, 0, EPS, 0]),
+            BinaryForm([0, 0, 0, 1]),
+        ),
+    ],
+    ids=["double_line_P2", "triple_line_P3"],
+)
+def test_multiple_line_limits(fam):
+    # A rational normal curve for eps != 0 whose member at eps = 0 covers
+    # the line (z0, 0, ..., 0, z1) k = n times: the limit is its Chow form
+    # to the k-th power.
+    k = len(fam) - 1
+    limit = family_limit(fam)
+    assert limit.poly == limit_direction(family_biform(fam)).poly
+    line = CurveMap.from_coeffs([[1, 0]] + [[0, 0]] * (k - 1) + [[0, 1]])
+    assert boundary_factor_check(limit, [cayley_biform(line).normalized()] * k)
 
 
 def test_family_limit_rejects_zero_family():
@@ -252,16 +284,14 @@ def _base_pointed_at_zero():
     eps = MPoly.var(("eps",), "eps")
     lines = ([1, 0], [0, 1], [1, 2], [2, -1])
     quads = ([0, 1, 3], [1, 0, -1], [2, 1, 0], [0, 0, 1])
-    comps = tuple(
+    return tuple(
         BinaryForm([1, 1]) * BinaryForm(l) + BinaryForm(q) * eps for l, q in zip(lines, quads)
     )
-    line = CurveMap.from_coeffs([[1, 0], [0, 1], [1, 1], [1, -1]])
-    return DegenerationFamily(line, line, comps)
 
 
 def test_family_limit_doubles_past_an_unattained_bound():
     fam = _base_pointed_at_zero()
-    matrix = bezout_pform(fam.components)
+    matrix = bezout_pform(fam)
     vals = [[min(e[-1] for e in x.terms) for x in row] for row in matrix]
     assert min(vals[0][0] + vals[1][1], vals[0][1] + vals[1][0]) == 0
     full = family_biform(fam)

@@ -1,6 +1,8 @@
-"""Module layering rule: no chowforms module imports another's private names."""
+"""Module layering rules: no chowforms module imports another's private names,
+and every name a module exports resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,13 @@ def test_no_private_cross_module_imports(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+MODULES = ["chowforms"] + [f"chowforms.{p.stem}" for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [x for x in module.__all__ if not hasattr(module, x)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

@@ -159,7 +159,7 @@ def test_family_biform_of_normalized_rational_pair_equals_sylvester_route():
         for q in (c.terms.values() if isinstance(c, MPoly) else (c,))
     )
     biform = family_biform(fam)
-    assert biform.poly == sylvester_route(forms, names, fam.n + 1)
+    assert biform.poly == sylvester_route(forms, names, len(fam))
     assert in_normal_form(biform.poly)
 
 

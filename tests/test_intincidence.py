@@ -182,15 +182,6 @@ def test_incident_still_rejects_zero_and_eps_biforms():
 # -- exact scalars at every entry point -------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/3", True])
-def test_at_eps_rejects_inexact_values(bad):
-    family = join_family(LINE_F, LINE_G)
-    with pytest.raises(TypeError):
-        family.at_eps(bad)
-    # f(1, 1) = (1, 1, 2) times g(1/3, 1) = (1, 4/3, 1), componentwise
-    assert family.at_eps(Fraction(1, 3)).point((1, 1)) == (1, Fraction(4, 3), 2)
-
-
 @pytest.mark.parametrize("bad", [0.5, "1/3", True])
 def test_specialize_eps_rejects_inexact_values(bad):
     fb = family_biform(join_family(LINE_F, LINE_G))

@@ -89,12 +89,12 @@ def test_wedge_expand_matches_evaluate_on_a_family_pform():
     fam = join_family(
         normalize_attachment(line, at=(1, 0)), normalize_attachment(conic, at=(0, 1))
     )
-    matrix = bezout_pform(fam.components)
+    matrix = bezout_pform(fam)
     pform = det_expand(matrix)
     assert pform.degree_in(EPS) > 0
-    names = uv_names(fam.n, eps=True)
-    got = wedge_expand(pform, fam.n + 1)
-    assert got and got == evaluate_route(pform, fam.n + 1, names)
+    names = uv_names(len(fam) - 1, eps=True)
+    got = wedge_expand(pform, len(fam))
+    assert got and got == evaluate_route(pform, len(fam), names)
 
 
 def test_wedge_expand_widens_fields_past_one_byte():

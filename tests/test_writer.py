@@ -74,20 +74,26 @@ def curve_doc(f):
 
 
 def has_fraction(fam):
-    coeffs = [c for h in fam.components for c in h.coeffs]
+    coeffs = [c for h in fam for c in h.coeffs]
     values = [x for c in coeffs for x in (c.terms.values() if isinstance(c, MPoly) else (c,))]
     return any(Fraction(x).denominator != 1 for x in values)
 
 
-# d = d1 + d2 of the family; d(d+1)/2 is odd for d = 2 and even for d = 3, 4.
-@pytest.mark.parametrize("n, d1, d2", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
-def test_eps_table_of_normalized_joins_matches_the_reference(n, d1, d2, tmp_path, capsys):
-    rng = random.Random(f"eps-table-{n}-{d1}-{d2}")
+def write_pair(tmp_path, rng, n, d1, d2):
+    """Curve files f.json and g.json of random birational curves of degrees
+    d1 and d2 in P^n; returns their paths."""
     paths = []
     for name, d in (("f", d1), ("g", d2)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(curve_doc(rand_curve_birational(rng, n, d, -3, 3))))
         paths.append(str(path))
+    return paths
+
+
+# d = d1 + d2 of the family; d(d+1)/2 is odd for d = 2 and even for d = 3, 4.
+@pytest.mark.parametrize("n, d1, d2", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_eps_table_of_normalized_joins_matches_the_reference(n, d1, d2, tmp_path, capsys):
+    paths = write_pair(tmp_path, random.Random(f"eps-table-{n}-{d1}-{d2}"), n, d1, d2)
     table = tmp_path / "eps.tsv"
     argv = ["degenerate", *paths, "--normalize-attachment", "--emit-eps-table", str(table)]
     assert main(argv) == 0
@@ -97,3 +103,20 @@ def test_eps_table_of_normalized_joins_matches_the_reference(n, d1, d2, tmp_path
     fam = join_family(f, g)
     assert has_fraction(fam)  # the resultant is divided by lam^(2d) with lam > 1
     assert table.read_text(encoding="utf-8") == ref_eps_table(family_biform(fam))
+
+
+def test_eps_table_run_splits_the_family_biform_by_eps_once(tmp_path, monkeypatch, capsys):
+    paths = write_pair(tmp_path, random.Random("eps-table-split"), 3, 1, 2)
+    calls = []
+    decompose = MPoly.decompose
+
+    def counted(self, name):
+        calls.append(name)
+        return decompose(self, name)
+
+    monkeypatch.setattr(MPoly, "decompose", counted)
+    table = tmp_path / "eps.tsv"
+    argv = ["degenerate", *paths, "--normalize-attachment", "--emit-eps-table", str(table)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == ["eps"]
