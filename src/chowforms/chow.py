@@ -116,22 +116,19 @@ class CayleyBiform:
     def is_zero(self) -> bool:
         return self.poly.is_zero
 
-    def eval(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]):
-        """Value at numeric covectors, or a poly in eps for an eps biform.
-
-        A numeric value comes in coefficient normal form (see
+    def eval(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]) -> ScalarLike:
+        """Value at numeric covectors, in coefficient normal form (see
         :func:`~chowforms.polynomial.rational`): an ``int`` when integral,
         else a ``Fraction``.  Integer covectors against an integer biform
         are evaluated over Z throughout.  Entries must be exact rationals
-        (int or Fraction); anything else raises TypeError.
+        (int or Fraction); anything else raises TypeError.  An eps-biform
+        has no numeric value and raises ValueError.
         """
+        if self.has_eps:
+            raise ValueError("evaluation needs an eps-free biform")
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError(f"covectors must have length {self.n + 1}")
-        # The ring starts with u0..un, v0..vn; zip stops before eps.
-        env: dict[str, object] = dict(zip(self.poly.names, map(rational, [*u, *v])))
-        if self.has_eps:
-            env[EPS] = MPoly.var((EPS,), EPS)
-            return self.poly.evaluate(env, one=MPoly.const((EPS,), 1))
+        env = dict(zip(self.poly.names, map(rational, [*u, *v])))
         return rational(self.poly.evaluate(env))
 
     def normalized(self) -> "CayleyBiform":
@@ -141,30 +138,12 @@ class CayleyBiform:
         _, q = content_primitive(self.poly)
         return CayleyBiform._trusted(self.n, self.d, q)
 
-    def specialize_eps(self, value: ScalarLike) -> "CayleyBiform":
-        if not self.has_eps:
-            raise ValueError("biform carries no eps")
-        val = rational(value)
-        parts = self.poly.decompose(EPS)
-        acc = MPoly.zero(uv_names(self.n))
-        for k, c in parts.items():
-            acc = acc + c * val**k
-        return CayleyBiform._trusted(self.n, self.d, acc)
-
     def __mul__(self, other):
         if not isinstance(other, CayleyBiform):
             return NotImplemented
         if other.n != self.n or self.has_eps or other.has_eps:
             raise ValueError("can only multiply eps-free biforms on one P^n")
         return CayleyBiform._trusted(self.n, self.d + other.d, self.poly * other.poly)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("exponent must be a positive integer")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
 
 def contraction_resultant(forms: Sequence[BinaryForm]) -> MPoly:
@@ -323,8 +302,6 @@ def incident(ca: CayleyBiform, plane: Plane) -> bool:
     """True iff the plane meets the curve, i.e. the biform vanishes on it."""
     if ca.is_zero:
         raise ValueError("degenerate Cayley form")
-    if ca.has_eps:
-        raise ValueError("incidence needs a numeric biform")
     return ca.eval(plane.u, plane.v) == 0
 
 
@@ -383,27 +360,31 @@ def plucker_names(n: int) -> tuple[str, ...]:
 
 
 def depends_only_on_wedge(ca: CayleyBiform) -> bool:
-    """Check the two identities forcing the biform to factor through u ^ v:
-    invariance under v -> v + lam*u and swap symmetry with sign (-1)^(d*d).
+    """Check the two identities forcing the biform p to factor through u ^ v,
+    read off its exponents.
+
+    First, D = sum_i u_i d/dv_i annihilates p.  Over Q this is invariance
+    under v -> v + lam*u, since p(u, v + lam*u) = sum_k lam^k D^k p / k!
+    and D^k p = 0 for every k >= 1 once Dp = 0.  Second, swapping the u-
+    and v-half of every exponent gives (-1)^(d*d) p.
     """
     if ca.has_eps:
         raise ValueError("wedge check needs an eps-free biform")
-    names = ca.poly.names
-    ext = names + ("lam",)
-    lam = MPoly.var(ext, "lam")
-    shift = {
-        f"v{i}": MPoly.var(ext, f"v{i}") + lam * MPoly.var(ext, f"u{i}")
-        for i in range(ca.n + 1)
-    }
-    lifted = ca.poly.embed(ext)
-    if lifted.subs(shift) != lifted:
+    m, terms = ca.n + 1, ca.poly.terms
+    # D takes u^a v^b to sum_i b_i u^(a + e_i) v^(b - e_i).
+    image: dict[tuple[int, ...], ScalarLike] = {}
+    for exps, c in terms.items():
+        for i in range(m):
+            b = exps[m + i]
+            if b:
+                e = list(exps)
+                e[i], e[m + i] = e[i] + 1, b - 1
+                key = tuple(e)
+                image[key] = image.get(key, 0) + b * c
+    if any(image.values()):
         return False
-    swap = {}
-    for i in range(ca.n + 1):
-        swap[f"u{i}"] = MPoly.var(names, f"v{i}")
-        swap[f"v{i}"] = MPoly.var(names, f"u{i}")
-    sign = -1 if (ca.d * ca.d) % 2 else 1
-    return ca.poly.subs(swap) == sign * ca.poly
+    sign = (-1) ** (ca.d * ca.d)
+    return all(terms.get(exps[m:] + exps[:m]) == sign * c for exps, c in terms.items())
 
 
 def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:

@@ -144,10 +144,21 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
             raise RuntimeError("no parameter avoids all coordinate zeros")
 
 
+def _family_ring(components: Sequence[BinaryForm]) -> tuple[str, ...]:
+    """The coefficient ring of the components, () or (eps,).  Raises
+    ValueError for any other ring, before any determinant is expanded."""
+    ring = next((c.names for h in components for c in h.coeffs if isinstance(c, MPoly)), ())
+    if ring not in ((), (EPS,)):
+        raise ValueError(f"family coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
+    return ring
+
+
 def family_biform(components: Sequence[BinaryForm]) -> CayleyBiform:
     """Chow biform of the family with the given components, eps carried as
     a ring variable.  The forms share one degree d, and there are n+1 of
-    them for a family in P^n."""
+    them for a family in P^n.  Raises ValueError when their coefficients
+    lie in a ring other than Q or Q[eps]."""
+    _family_ring(components)
     poly = contraction_resultant(components)
     return CayleyBiform(len(components) - 1, components[0].degree, poly)
 
@@ -192,19 +203,24 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
     and the cap is at most 2*d*d_g + 1.  The lam^(2d) scale and the sign of
     :func:`~chowforms.chow.contraction_resultant` are skipped:
-    normalization removes both.  Raises ValueError for fewer than two
-    forms or unequal degrees, and when the family biform is identically
-    zero.
+    normalization removes both.  Eps-free components are a constant family:
+    D is expanded once and its substitution normalized.  Raises ValueError
+    for fewer than two forms or unequal degrees, for coefficients outside
+    Q and Q[eps], and when the family biform is identically zero.
     """
+    ring = _family_ring(components)
     matrix = bezout_pform(components)
-    if matrix[0][0].names[-1] != EPS:  # eps-free components: a constant family
-        return limit_direction(family_biform(components))
+    n, d = len(components) - 1, components[0].degree
+    if not ring:
+        limit = wedge_expand(det_expand(matrix), n + 1)
+        if not limit:
+            raise ValueError("zero family biform has no limit")
+        return CayleyBiform(n, d, limit).normalized()
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
     # One past the eps-degree of D: each Leibniz term takes one entry per row.
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
-    n, d = len(components) - 1, components[0].degree
     K = bound + 1
     while True:
         parts = det_expand(matrix, trunc=K).decompose(EPS)

@@ -334,8 +334,6 @@ class MPoly:
         the ring of its inputs: integer coefficients at integer values give
         an ``int``, and a ``Fraction`` appears only where a coefficient or a
         value is one (the result is not normalized; see :func:`rational`).
-        MPoly results are summed into one term dict, since chaining ``+``
-        would rebuild the whole accumulator once per term.
         """
         maxes = [0] * len(self.names)
         for exps in self.terms:
@@ -354,17 +352,6 @@ class MPoly:
             for _ in range(m - 1):
                 table.append(table[-1] * v)
             pows[i] = table
-        if isinstance(one, MPoly):
-            out: dict[tuple[int, ...], ScalarLike] = {}
-            get = out.get
-            for exps, c in self.terms.items():
-                val = one
-                for i, e in enumerate(exps):
-                    if e:
-                        val = val * pows[i][e]
-                for mono, x in val.terms.items():
-                    out[mono] = get(mono, 0) + c * x
-            return MPoly._trusted(one.names, _normal_terms(out))
         acc = None
         for exps, c in self.terms.items():
             val = c * one
@@ -375,33 +362,6 @@ class MPoly:
         if acc is None:
             return one * 0
         return acc
-
-    def subs(self, env: Mapping[str, "MPoly | ScalarLike"]) -> "MPoly":
-        """Substitute within the same ring; unnamed variables stay fixed."""
-        full: dict[str, MPoly] = {}
-        for name in self.names:
-            v = env.get(name, None)
-            if v is None:
-                full[name] = MPoly.var(self.names, name)
-            elif isinstance(v, MPoly):
-                if v.names != self.names:
-                    raise ValueError("substitution value from a different ring")
-                full[name] = v
-            else:
-                full[name] = MPoly.const(self.names, v)
-        return self.evaluate(full, one=MPoly.const(self.names, 1))
-
-    def embed(self, names: Iterable[str]) -> "MPoly":
-        """Reinterpret in a larger ring containing all current variables."""
-        names = tuple(names)
-        pos = [names.index(n) for n in self.names]
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(names)
-            for p, e in zip(pos, exps):
-                new[p] = e
-            out[tuple(new)] = c
-        return MPoly._trusted(names, out)
 
     def decompose(self, name: str) -> dict[int, "MPoly"]:
         """Coefficient polynomials by power of one variable.

@@ -4,14 +4,16 @@
 expansion) used to cross-check the production backends; keep it free of any
 imports from chowforms.resultant internals.  ``ref_format_terms`` and
 ``ref_eps_table`` write terms one factor at a time, as a plain reference for
-the memoized term writer.
+the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
+``ref_depends_only_on_wedge`` substitute through ``MPoly.evaluate`` with an
+MPoly ``one``: ring changes the package itself never needs.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from chowforms import BinaryForm, CurveMap, MPoly, Plane, check_curve
+from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, uv_names
 from chowforms.polynomial import distinct_root_count, form_gcd_all
 
 
@@ -182,6 +184,37 @@ def ref_at_eps(components, value):
     return CurveMap.from_coeffs(
         [[c.evaluate(env) if isinstance(c, MPoly) else c for c in comp.coeffs] for comp in components]
     )
+
+
+def ref_embed(p, names):
+    """p read in the ring ``names``, which contains every variable of p."""
+    names = tuple(names)
+    return p.evaluate({x: MPoly.var(names, x) for x in p.names}, one=MPoly.const(names, 1))
+
+
+def ref_specialize_eps(ca, value):
+    """The eps-biform ``ca`` at eps = value: its eps-orders summed with
+    weights value^k."""
+    acc = MPoly.zero(uv_names(ca.n))
+    for k, c in ca.poly.decompose("eps").items():
+        acc = acc + c * Fraction(value) ** k
+    return CayleyBiform(ca.n, ca.d, acc)
+
+
+def ref_depends_only_on_wedge(ca):
+    """The wedge check by substitution: p(u, v + lam*u) = p in Q[u, v, lam],
+    and p(v, u) = (-1)^(d*d) p."""
+    names = ca.poly.names
+    ext = names + ("lam",)
+    lam = MPoly.var(ext, "lam")
+    shift = {x: MPoly.var(ext, x) for x in names}
+    for i in range(ca.n + 1):
+        shift[f"v{i}"] = shift[f"v{i}"] + lam * MPoly.var(ext, f"u{i}")
+    if ca.poly.evaluate(shift, one=MPoly.const(ext, 1)) != ref_embed(ca.poly, ext):
+        return False
+    swap = {f"{a}{i}": MPoly.var(names, f"{b}{i}") for a, b in ("uv", "vu") for i in range(ca.n + 1)}
+    sign = -1 if (ca.d * ca.d) % 2 else 1
+    return ca.poly.evaluate(swap, one=MPoly.const(names, 1)) == sign * ca.poly
 
 
 def rand_base_free_pair(rng, e, lo=-4, hi=4):

@@ -27,7 +27,7 @@ from chowforms import (
 )
 from chowforms.chow import EPS, bezout_pform
 from chowforms.polynomial import poly_divides
-from helpers import naive_det, rand_curve, rand_form
+from helpers import naive_det, rand_curve, rand_form, ref_embed
 
 
 def sylvester_route(forms, names, m):
@@ -40,7 +40,7 @@ def sylvester_route(forms, names, m):
 def eps_forms(fam):
     names = uv_names(len(fam) - 1, eps=True)
     forms = [
-        BinaryForm([c.embed(names) if isinstance(c, MPoly) else c for c in comp.coeffs])
+        BinaryForm([ref_embed(c, names) if isinstance(c, MPoly) else c for c in comp.coeffs])
         for comp in fam
     ]
     return forms, names
@@ -148,7 +148,7 @@ def bezoutian_reference(h1, h2):
     s, t = MPoly.var(names, "s"), MPoly.var(names, "t")
 
     def at(h, x):
-        lift = lambda c: c.embed(names) if isinstance(c, MPoly) else MPoly.const(names, c)
+        lift = lambda c: ref_embed(c, names) if isinstance(c, MPoly) else MPoly.const(names, c)
         return sum((lift(c) * x**p for p, c in enumerate(h.coeffs)), MPoly.zero(names))
 
     q = poly_divides(s - t, at(h1, s) * at(h2, t) - at(h1, t) * at(h2, s))

@@ -30,6 +30,7 @@ from helpers import (
     rand_curve_birational,
     rand_invertible,
     rand_plane,
+    ref_depends_only_on_wedge,
     wedge,
 )
 
@@ -66,15 +67,12 @@ def test_biform_bidegree_validated():
 
 
 def test_internal_biform_constructions_pass_the_public_checks():
-    # normalized, products, eps specialization and Plucker expansion build
-    # their biforms unchecked; the public constructor accepts each of them.
+    # normalized, products and Plucker expansion build their biforms
+    # unchecked; the public constructor accepts each of them.
     f = CurveMap.from_coeffs([[1, 0, 2], [0, 1, -1], [3, 1, 0]])
     ca = cayley_biform(f)
-    eps = MPoly.var(uv_names(2, eps=True), "eps")
-    lifted = CayleyBiform(2, 2, ca.poly.embed(uv_names(2, eps=True)) * (eps + 1))
-    for x in (ca.normalized(), ca * ca, lifted.specialize_eps(3), plucker_rewrite(ca).expand()):
+    for x in (ca.normalized(), ca * ca, plucker_rewrite(ca).expand()):
         assert CayleyBiform(x.n, x.d, x.poly) == x
-    assert lifted.specialize_eps(3).poly == 4 * ca.poly
     assert plucker_rewrite(ca).expand() == ca
 
 
@@ -219,7 +217,8 @@ def test_gln_equivariance():
                 (Fraction(B[j][i]) * MPoly.var(names, f"v{j}") for j in range(n + 1)),
                 MPoly.zero(names),
             )
-        assert cayley_biform(act_gln(f, B)).poly == cayley_biform(f).poly.subs(env)
+        one = MPoly.const(names, 1)
+        assert cayley_biform(act_gln(f, B)).poly == cayley_biform(f).poly.evaluate(env, one=one)
 
 
 def test_unipotent_and_swap_invariance():
@@ -237,7 +236,36 @@ def test_unipotent_and_swap_invariance():
             swap[f"u{i}"] = MPoly.var(names, f"v{i}")
             swap[f"v{i}"] = MPoly.var(names, f"u{i}")
         sign = -1 if (d * d) % 2 else 1
-        assert ca.poly.subs(swap) == sign * ca.poly
+        assert ca.poly.evaluate(swap, one=MPoly.const(names, 1)) == sign * ca.poly
+
+
+def test_wedge_check_matches_substitution_reference():
+    # Chow forms and their perturbations: an extra (d, d) monomial, one
+    # coefficient negated, the halves swapped, (u0 v0)^d and zero.
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(12):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        ca = cayley_biform(rand_curve(rng, n, d))
+        names, m = uv_names(n), n + 1
+        u = [rng.randrange(m) for _ in range(d)]
+        v = [m + rng.randrange(m) for _ in range(d)]
+        extra = MPoly.monomial(names, [(u + v).count(i) for i in range(2 * m)])
+        polys = [
+            ca.poly,
+            ca.poly + extra,
+            MPoly(names, {e[m:] + e[:m]: c for e, c in ca.poly.terms.items()}),
+            MPoly.monomial(names, [d if i in (0, m) else 0 for i in range(2 * m)]),
+            MPoly.zero(names),
+        ]
+        if ca.poly:
+            flip = rng.choice(sorted(ca.poly.terms))
+            polys.append(MPoly(names, {e: -c if e == flip else c for e, c in ca.poly.terms.items()}))
+        for poly in polys:
+            b = CayleyBiform(n, d, poly)
+            verdicts.append(depends_only_on_wedge(b))
+            assert verdicts[-1] == ref_depends_only_on_wedge(b)
+    assert set(verdicts) == {True, False}
 
 
 def test_bidegree_of_stored_terms():
@@ -285,7 +313,7 @@ def test_cover_power_law():
         g = rand_curve_birational(rng, 2, rng.randint(1, 2))
         phi0, phi1 = rand_base_free_pair(rng, 2)
         f = compose_curve(g, phi0, phi1)
-        assert proportional(cayley_biform(f), cayley_biform(g) ** 2)
+        assert proportional(cayley_biform(f), cayley_biform(g) * cayley_biform(g))
 
 
 # -- plucker rewrite --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,7 +23,7 @@ from chowforms import (
     uv_names,
 )
 from chowforms.chow import bezout_pform, contraction_resultant
-from helpers import plane_through, rand_curve_birational, ref_at_eps, truncated
+from helpers import plane_through, rand_curve_birational, ref_at_eps, ref_specialize_eps, truncated
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
@@ -81,8 +82,8 @@ def test_family_biform_specialization_commutes():
     fam = join_family(LINE_F, LINE_G)
     fb = family_biform(fam)
     for val in (Fraction(1), Fraction(2), Fraction(-1, 3)):
-        assert fb.specialize_eps(val).poly == cayley_biform(ref_at_eps(fam, val)).poly
-    assert not fb.specialize_eps(1).is_zero
+        assert ref_specialize_eps(fb, val).poly == cayley_biform(ref_at_eps(fam, val)).poly
+    assert not ref_specialize_eps(fb, 1).is_zero
     # f(1, 1) = (1, 1, 2) times g(1/3, 1) = (1, 4/3, 1), componentwise
     assert ref_at_eps(fam, Fraction(1, 3)).point((1, 1)) == (1, Fraction(4, 3), 2)
 
@@ -91,10 +92,10 @@ def test_family_biform_generic_point_eps_polynomial():
     fam = join_family(LINE_F, LINE_G)
     fb = family_biform(fam)
     u, v = (1, 2, -3), (2, -1, 5)
-    poly = fb.eval(u, v)  # univariate in eps
-    assert poly.names == ("eps",)
-    at_one = poly.evaluate({"eps": Fraction(1)})
-    assert at_one == fb.specialize_eps(1).eval(u, v)
+    # the value at (u, v) is a polynomial in eps: one value per eps-order
+    orders = {k: CayleyBiform(fb.n, fb.d, c).eval(u, v) for k, c in fb.poly.decompose("eps").items()}
+    assert len(orders) > 1
+    assert sum(orders.values()) == ref_specialize_eps(fb, 1).eval(u, v)
 
 
 def test_family_biform_eps_degree_bound():
@@ -233,6 +234,51 @@ def test_family_limit_of_an_eps_free_family_is_its_chow_form():
     fam = conic.components
     expected = cayley_biform(conic).normalized().poly
     assert family_limit(fam).poly == limit_direction(family_biform(fam)).poly == expected
+
+
+def test_family_limit_builds_one_pform_for_an_eps_free_family(monkeypatch):
+    import chowforms.chow as chow
+    import chowforms.degeneration as degeneration
+
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    expected = cayley_biform(conic).normalized()
+    calls = []
+
+    def counting(forms):
+        calls.append(len(forms))
+        return bezout_pform(forms)
+
+    monkeypatch.setattr(chow, "bezout_pform", counting)
+    monkeypatch.setattr(degeneration, "bezout_pform", counting)
+    assert family_limit(conic.components) == expected
+    assert calls == [3]
+    # a base point (z0 + z1 = 0) makes the determinant vanish
+    based = CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]])
+    with pytest.raises(ValueError, match="zero family biform"):
+        family_limit(based.components)
+
+
+def test_family_routes_reject_other_rings_before_any_determinant(monkeypatch):
+    import chowforms.chow as chow
+    import chowforms.degeneration as degeneration
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a determinant was expanded")
+
+    monkeypatch.setattr(chow, "det_expand", forbidden)
+    monkeypatch.setattr(degeneration, "det_expand", forbidden)
+    t = MPoly.var(("t",), "t")
+    x, e = (MPoly.var(("x", "eps"), v) for v in ("x", "eps"))
+    over_t = (BinaryForm([1, 0, 0]), BinaryForm([0, t, 0]), BinaryForm([0, 0, 1]))
+    over_x_eps = (BinaryForm([1, 0, 0]), BinaryForm([0, x * e, 0]), BinaryForm([0, 0, 1]))
+    for route, fam, ring in [
+        (family_biform, over_t, "Q[t]"),
+        (family_limit, over_t, "Q[t]"),
+        (family_biform, over_x_eps, "Q[x, eps]"),
+        (family_limit, over_x_eps, "Q[x, eps]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(ring)):
+            route(fam)
 
 
 @pytest.mark.parametrize("forms", [(), (BinaryForm([1, 0]),)], ids=["none", "one"])

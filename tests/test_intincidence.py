@@ -179,15 +179,13 @@ def test_incident_still_rejects_zero_and_eps_biforms():
         incident(family_biform(join_family(LINE_F, LINE_G)), plane)
 
 
-# -- exact scalars at every entry point -------------------------------------------
-
-
-@pytest.mark.parametrize("bad", [0.5, "1/3", True])
-def test_specialize_eps_rejects_inexact_values(bad):
+def test_eval_rejects_eps_biforms():
     fb = family_biform(join_family(LINE_F, LINE_G))
-    with pytest.raises(TypeError):
-        fb.specialize_eps(bad)
-    assert not fb.specialize_eps(Fraction(1, 3)).is_zero
+    with pytest.raises(ValueError, match="eps"):
+        fb.eval((1, 2, -3), (2, -1, 5))
+
+
+# -- exact scalars at every entry point -------------------------------------------
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", True])

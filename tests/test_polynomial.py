@@ -17,7 +17,7 @@ from chowforms import (
     parse_terms,
     poly_divides,
 )
-from helpers import matmul, naive_det, rand_form, ref_gcd, ref_normalized
+from helpers import matmul, naive_det, rand_form, ref_embed, ref_gcd, ref_normalized
 
 UV = ("u0", "u1", "v0", "v1")
 
@@ -80,13 +80,14 @@ def test_evaluate_full_and_partial():
     p = 2 * V("u0") * V("v1") + V("u1") ** 2
     val = p.evaluate({"u0": Fraction(2), "u1": Fraction(-1), "v0": Fraction(0), "v1": Fraction(3)})
     assert val == 2 * 2 * 3 + 1
-    shifted = p.subs({"u0": V("u0") + V("u1")})
+    env = {x: V(x) for x in UV} | {"u0": V("u0") + V("u1")}
+    shifted = p.evaluate(env, one=MPoly.const(UV, 1))
     assert shifted == 2 * (V("u0") + V("u1")) * V("v1") + V("u1") ** 2
 
 
 def test_embed_restrict_decompose():
     p = V("u0") * V("v1")
-    big = p.embed(UV + ("eps",))
+    big = ref_embed(p, UV + ("eps",))
     assert big.names[-1] == "eps"
     q = big + MPoly.var(UV + ("eps",), "eps") ** 2
     parts = q.decompose("eps")
