@@ -43,6 +43,7 @@ from .polynomial import (
     ScalarLike,
     content_primitive,
     field_bytes,
+    form_ring,
     pack,
     rational,
     unpack,
@@ -193,20 +194,14 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     filled directly.  The determinant, with p_kl -> u_k v_l - u_l v_k
     substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
-    Raises ValueError unless there are at least two forms and they share
-    one degree d >= 1 and one coefficient ring.
+    Raises ValueError unless the forms pass
+    :func:`~chowforms.polynomial.form_ring`.  Each Bez(f_k, f_l) from
+    :func:`bezout` may mix numbers and MPolys over that ring.
     """
-    if len(forms) < 2:
-        raise ValueError("need at least two forms")
-    d = forms[0].degree
-    if any(h.degree != d for h in forms):
-        raise ValueError("forms must have equal degrees")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    d, coeff_vars = form_ring(forms)
     lam = _denominator_lcm(forms)
     if lam != 1:
         forms = [h * lam for h in forms]
-    coeff_vars = next((c.names for h in forms for c in h.coeffs if isinstance(c, MPoly)), ())
     pairs = _pair_vars(len(forms))
     npairs, const = len(pairs), (0,) * len(coeff_vars)
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
@@ -360,20 +355,23 @@ def plucker_names(n: int) -> tuple[str, ...]:
 
 
 def depends_only_on_wedge(ca: CayleyBiform) -> bool:
-    """Check the two identities forcing the biform p to factor through u ^ v,
-    read off its exponents.
+    """Check that the biform p factors through u ^ v, read off its exponents.
 
-    First, D = sum_i u_i d/dv_i annihilates p.  Over Q this is invariance
-    under v -> v + lam*u, since p(u, v + lam*u) = sum_k lam^k D^k p / k!
-    and D^k p = 0 for every k >= 1 once Dp = 0.  Second, swapping the u-
-    and v-half of every exponent gives (-1)^(d*d) p.
+    The test is that D = sum_i u_i d/dv_i annihilates p.  Over Q this is
+    invariance under v -> v + lam*u, since p(u, v + lam*u) =
+    sum_k lam^k D^k p / k! and D^k p = 0 for every k >= 1 once Dp = 0.
+    It also gives p(v, u) = (-1)^d p, so the swap needs no check of its
+    own: a bidegree-(d, d) p with Dp = 0 is a highest-weight vector of
+    weight (d, d) for GL2 acting on the rows (u, v), so it spans a copy of
+    det^d and is SL2-invariant; (u, v) -> (v, -u) lies in SL2 and p has
+    degree d in v, so p(v, u) = (-1)^d p(v, -u) = (-1)^d p(u, v).
     """
     if ca.has_eps:
         raise ValueError("wedge check needs an eps-free biform")
-    m, terms = ca.n + 1, ca.poly.terms
+    m = ca.n + 1
     # D takes u^a v^b to sum_i b_i u^(a + e_i) v^(b - e_i).
     image: dict[tuple[int, ...], ScalarLike] = {}
-    for exps, c in terms.items():
+    for exps, c in ca.poly.terms.items():
         for i in range(m):
             b = exps[m + i]
             if b:
@@ -381,10 +379,7 @@ def depends_only_on_wedge(ca: CayleyBiform) -> bool:
                 e[i], e[m + i] = e[i] + 1, b - 1
                 key = tuple(e)
                 image[key] = image.get(key, 0) + b * c
-    if any(image.values()):
-        return False
-    sign = (-1) ** (ca.d * ca.d)
-    return all(terms.get(exps[m:] + exps[:m]) == sign * c for exps, c in terms.items())
+    return not any(image.values())
 
 
 def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:

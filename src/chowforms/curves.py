@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polynomial import BinaryForm, ScalarLike, contract, rational
+from .polynomial import BinaryForm, ScalarLike, contract, form_ring, rational
 from .resultant import det_bareiss
 
 __all__ = ["CurveMap", "Plane", "act_gl2", "act_gln"]
@@ -24,13 +24,7 @@ class CurveMap:
     components: tuple[BinaryForm, ...]
 
     def __post_init__(self):
-        if len(self.components) < 2:
-            raise ValueError("a curve map needs at least two components")
-        d = self.components[0].degree
-        if any(c.degree != d for c in self.components):
-            raise ValueError("components must share one degree")
-        if d < 1:
-            raise ValueError("degree must be at least 1")
+        form_ring(self.components)
         if all(c.is_zero for c in self.components):
             raise ValueError("all components are zero")
         if any(not c.is_numeric for c in self.components):

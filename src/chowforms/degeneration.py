@@ -41,7 +41,7 @@ from .chow import (
     wedge_expand,
 )
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, ScalarLike, rational
+from .polynomial import BinaryForm, MPoly, form_ring
 from .resultant import det_expand
 
 __all__ = [
@@ -89,18 +89,13 @@ def join_family(f: CurveMap, g: CurveMap) -> tuple[BinaryForm, ...]:
     return tuple(components)
 
 
-def normalize_attachment(
-    f: CurveMap,
-    z_star: Optional[Sequence[ScalarLike]] = None,
-    at: tuple[int, int] = (1, 0),
-) -> CurveMap:
+def normalize_attachment(f: CurveMap, at: tuple[int, int] = (1, 0)) -> CurveMap:
     """Move a point with all coordinates nonzero to A = (1, ..., 1).
 
-    Reparametrizes so the chosen point sits at the parameter ``at`` and
-    rescales coordinates by a diagonal ambient matrix.  If no suitable
-    parameter exists the curve lies in a coordinate hyperplane and no
-    diagonal normalization can work.  Entries of ``z_star`` must be exact
-    rationals (int or Fraction); anything else raises TypeError.
+    Picks a parameter where no coordinate vanishes, reparametrizes so that
+    point sits at the parameter ``at`` and rescales coordinates by a
+    diagonal ambient matrix.  If no suitable parameter exists the curve
+    lies in a coordinate hyperplane and no diagonal normalization can work.
     """
     for i, comp in enumerate(f.components):
         if comp.is_zero:
@@ -108,13 +103,8 @@ def normalize_attachment(
                 f"component {i} vanishes identically: curve lies in the "
                 f"coordinate hyperplane x{i} = 0"
             )
-    if z_star is None:
-        z_star = _find_nonvanishing_parameter(f)
-    s, t = (rational(v) for v in z_star)
+    s, t = _find_nonvanishing_parameter(f)
     values = f.point((s, t))
-    if any(v == 0 for v in values):
-        bad = [i for i, v in enumerate(values) if v == 0]
-        raise ValueError(f"chosen point has zero coordinates {bad}")
     if at == (1, 0):
         A = ((s, 0), (t, 1)) if s else ((s, 1), (t, 0))
     elif at == (0, 1):
@@ -146,8 +136,9 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
 
 def _family_ring(components: Sequence[BinaryForm]) -> tuple[str, ...]:
     """The coefficient ring of the components, () or (eps,).  Raises
-    ValueError for any other ring, before any determinant is expanded."""
-    ring = next((c.names for h in components for c in h.coeffs if isinstance(c, MPoly)), ())
+    ValueError where :func:`~chowforms.polynomial.form_ring` does, and for
+    any other ring, before any determinant is expanded."""
+    ring = form_ring(components)[1]
     if ring not in ((), (EPS,)):
         raise ValueError(f"family coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
     return ring
@@ -203,19 +194,17 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
     and the cap is at most 2*d*d_g + 1.  The lam^(2d) scale and the sign of
     :func:`~chowforms.chow.contraction_resultant` are skipped:
-    normalization removes both.  Eps-free components are a constant family:
-    D is expanded once and its substitution normalized.  Raises ValueError
-    for fewer than two forms or unequal degrees, for coefficients outside
-    Q and Q[eps], and when the family biform is identically zero.
+    normalization removes both.  Eps-free components are lifted to constant
+    forms over Q[eps] and take the same route: every entry has eps-degree
+    0, so one expansion modulo eps gives their normalized Chow form.
+    Raises ValueError where :func:`~chowforms.polynomial.form_ring` does,
+    for coefficients outside Q and Q[eps], and when the family biform is
+    identically zero.
     """
-    ring = _family_ring(components)
+    if not _family_ring(components):
+        components = [BinaryForm([MPoly.const((EPS,), c) for c in h.coeffs]) for h in components]
     matrix = bezout_pform(components)
     n, d = len(components) - 1, components[0].degree
-    if not ring:
-        limit = wedge_expand(det_expand(matrix), n + 1)
-        if not limit:
-            raise ValueError("zero family biform has no limit")
-        return CayleyBiform(n, d, limit).normalized()
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")

@@ -46,6 +46,7 @@ __all__ = [
     "BinaryForm",
     "content_primitive",
     "contract",
+    "form_ring",
     "poly_divides",
     "form_gcd",
     "form_gcd_all",
@@ -714,6 +715,27 @@ def contract(forms: Sequence[BinaryForm], covector: Sequence) -> BinaryForm:
     if any(len(h) != len(forms[0].coeffs) for _, h in terms):
         raise ValueError("cannot contract forms of different degrees")
     return BinaryForm([sum(c * h[j] for c, h in terms) for j in range(len(forms[0].coeffs))])
+
+
+def form_ring(forms: Sequence[BinaryForm]) -> tuple[int, tuple[str, ...]]:
+    """The common degree d and coefficient ring of a tuple of binary forms.
+
+    The ring is the variables of the forms' MPoly coefficients, () when
+    every coefficient is a number; numbers count as constants of any ring.
+    Raises ValueError unless there are at least two forms and they share
+    one degree d >= 1 and one coefficient ring.
+    """
+    if len(forms) < 2:
+        raise ValueError("need at least two forms")
+    d = forms[0].degree
+    if any(h.degree != d for h in forms):
+        raise ValueError("forms must have equal degrees")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    rings = {c.names for h in forms for c in h.coeffs if isinstance(c, MPoly)}
+    if len(rings) > 1:
+        raise ValueError("forms use different coefficient rings")
+    return d, rings.pop() if rings else ()
 
 
 # -- gcd of numeric binary forms --------------------------------------------

@@ -30,7 +30,7 @@ from functools import partial
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .polynomial import BinaryForm, MPoly, ScalarLike, field_bytes, pack, rational, unpack
+from .polynomial import BinaryForm, MPoly, ScalarLike, field_bytes, form_ring, pack, rational, unpack
 
 Entry = Union[ScalarLike, MPoly]
 
@@ -70,22 +70,25 @@ class SylvesterMatrix:
 
 
 def sylvester(h1: BinaryForm, h2: BinaryForm) -> SylvesterMatrix:
-    """Build the Sylvester matrix; both forms must share a degree d >= 1."""
-    d = _common_degree(h1, h2)
-    c1, c2 = _join_coeffs(h1, h2)
-    zero = _zero_like(c1 + c2)
+    """Build the Sylvester matrix; both forms must share a degree d >= 1 and
+    a coefficient ring.  Numbers are lifted into that ring, so Bareiss never
+    divides a number by a polynomial pivot."""
+    d, ring = form_ring((h1, h2))
+    zero = MPoly.zero(ring) if ring else 0
     rows = []
-    for block in (c1, c2):
+    for h in (h1, h2):
+        block = [MPoly.const(ring, c) if ring and not isinstance(c, MPoly) else c for c in h.coeffs]
         for i in range(d):
             row = [zero] * (2 * d)
-            for j, c in enumerate(block):
-                row[i + j] = c
+            row[i : i + d + 1] = block
             rows.append(tuple(row))
     return SylvesterMatrix(d, tuple(rows))
 
 
 def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
-    """d x d Bezout matrix of two forms sharing a degree d >= 1.
+    """d x d Bezout matrix of two forms sharing a degree d >= 1 and a
+    coefficient ring.  The coefficients are used as given, so an entry is a
+    number where every coefficient it reads is one.
 
     With t = z1/z0, entry [i][j] is the coefficient of s^i t^j in
     (h1(s) h2(t) - h1(t) h2(s)) / (s - t).  The matrix is bilinear and
@@ -98,8 +101,8 @@ def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
     The rows are filled from the bottom, so each entry costs one minor and
     at most one addition: d^2 minors and (d-1)^2 additions in all.
     """
-    d = _common_degree(h1, h2)
-    a, b = _join_coeffs(h1, h2)
+    d = form_ring((h1, h2))[0]
+    a, b = h1.coeffs, h2.coeffs
     B: list[tuple[Entry, ...]] = [()] * d
     for i in range(d - 1, -1, -1):
         row = [a[i + 1] * b[j] - a[j] * b[i + 1] for j in range(d)]
@@ -107,30 +110,6 @@ def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
             row[1:] = [c + x for c, x in zip(row[1:], B[i + 1])]
         B[i] = tuple(row)
     return tuple(B)
-
-
-def _common_degree(h1: BinaryForm, h2: BinaryForm) -> int:
-    d = h1.degree
-    if h2.degree != d:
-        raise ValueError("forms must have equal degrees")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    return d
-
-
-def _join_coeffs(h1: BinaryForm, h2: BinaryForm) -> tuple[list[Entry], list[Entry]]:
-    """Coerce both coefficient lists into one common ring."""
-    names = None
-    for c in h1.coeffs + h2.coeffs:
-        if isinstance(c, MPoly):
-            if names is None:
-                names = c.names
-            elif c.names != names:
-                raise ValueError("forms use different coefficient rings")
-    if names is None:
-        return list(h1.coeffs), list(h2.coeffs)
-    lift = lambda c: c if isinstance(c, MPoly) else MPoly.const(names, c)
-    return [lift(c) for c in h1.coeffs], [lift(c) for c in h2.coeffs]
 
 
 def _zero_like(entries: Sequence[Entry]) -> Entry:

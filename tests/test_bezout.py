@@ -2,6 +2,7 @@
 the Sylvester backends (and, where sympy is installed, against sympy)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from chowforms import (
     det_bareiss,
     det_expand,
     family_biform,
+    family_limit,
     join_family,
     normalize_attachment,
     proportional,
     resultant,
+    sylvester,
     uv_names,
 )
 from chowforms.chow import EPS, bezout_pform
@@ -194,6 +197,24 @@ def test_bezout_matches_the_bezoutian_definition(d, kind):
             assert all(isinstance(x, MPoly) and x.names == (EPS,) for row in B for x in row)
 
 
+def test_bezout_takes_mixed_coefficients_as_given():
+    # join_family coefficients mix int 0 with Q[eps] values, and bezout no
+    # longer lifts the numbers: an entry that reads only numbers is a number.
+    eps = MPoly.var((EPS,), EPS)
+    lift = lambda x: x if isinstance(x, MPoly) else MPoly.const((EPS,), x)
+    pairs = [(BinaryForm([eps, 1, 0]), BinaryForm([eps, 0, 1]))]
+    for f, g in [(LINE_P3, CONIC_P3), (CONIC_F, CONIC_G)]:
+        fam = join_family(f, g)
+        assert {type(c) for h in fam for c in h.coeffs} == {int, MPoly}
+        pairs += [(fam[k], fam[l]) for k in range(len(fam)) for l in range(k + 1, len(fam))]
+    kinds = set()
+    for h1, h2 in pairs:
+        B = bezout(h1, h2)
+        kinds.update(type(x) for row in B for x in row)
+        assert [[lift(x) for x in row] for row in B] == bezoutian_reference(h1, h2)
+    assert kinds == {int, MPoly}
+
+
 def test_det_expand_matches_naive_on_symbolic_matrix():
     names = ("x", "y")
     x, y = MPoly.var(names, "x"), MPoly.var(names, "y")
@@ -206,6 +227,30 @@ def test_contraction_resultant_rejects_bad_degrees():
         contraction_resultant([BinaryForm([1]), BinaryForm([2])])
     with pytest.raises(ValueError):
         contraction_resultant([BinaryForm([1, 0]), BinaryForm([0, 1, 1])])
+
+
+X = MPoly.var(("x",), "x")
+MALFORMED = [
+    ((), "need at least two forms"),
+    ((BinaryForm([1, 0]),), "need at least two forms"),
+    ((BinaryForm([1, 0]), BinaryForm([0, 1, 1])), "forms must have equal degrees"),
+    ((BinaryForm([1]), BinaryForm([2])), "degree must be at least 1"),
+    ((BinaryForm([X, 0]), BinaryForm([0, MPoly.var((EPS,), EPS)])), "forms use different coefficient rings"),
+]
+
+
+@pytest.mark.parametrize(
+    "forms, message", MALFORMED, ids=["none", "one", "unequal", "degree0", "two_rings"]
+)
+def test_every_entry_point_rejects_a_malformed_tuple_with_one_message(forms, message):
+    routes = [bezout_pform, contraction_resultant, family_biform, family_limit]
+    if all(h.is_numeric for h in forms):
+        routes.append(CurveMap)
+    if len(forms) == 2:
+        routes += [lambda fs: sylvester(*fs), lambda fs: bezout(*fs)]
+    for route in routes:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(tuple(forms))
 
 
 def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():

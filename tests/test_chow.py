@@ -240,31 +240,40 @@ def test_unipotent_and_swap_invariance():
 
 
 def test_wedge_check_matches_substitution_reference():
-    # Chow forms and their perturbations: an extra (d, d) monomial, one
-    # coefficient negated, the halves swapped, (u0 v0)^d and zero.
+    # Chow forms, a rational multiple, a product with a line's Chow form and
+    # the swapped halves are accepted; an extra (d, d) monomial, one
+    # coefficient negated and (u0 v0)^d are not; zero is.  Every accepted
+    # biform satisfies the swap identity p(v, u) = (-1)^d p(u, v), which
+    # the D check implies and no longer tests.
     rng = random.Random(43)
     verdicts = []
     for _ in range(12):
         n, d = rng.randint(1, 4), rng.randint(1, 3)
         ca = cayley_biform(rand_curve(rng, n, d))
         names, m = uv_names(n), n + 1
+        swap = lambda p: MPoly(names, {e[m:] + e[:m]: c for e, c in p.terms.items()})
         u = [rng.randrange(m) for _ in range(d)]
         v = [m + rng.randrange(m) for _ in range(d)]
         extra = MPoly.monomial(names, [(u + v).count(i) for i in range(2 * m)])
         polys = [
             ca.poly,
+            ca.poly * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)),
+            swap(ca.poly),
             ca.poly + extra,
-            MPoly(names, {e[m:] + e[:m]: c for e, c in ca.poly.terms.items()}),
             MPoly.monomial(names, [d if i in (0, m) else 0 for i in range(2 * m)]),
             MPoly.zero(names),
         ]
         if ca.poly:
             flip = rng.choice(sorted(ca.poly.terms))
             polys.append(MPoly(names, {e: -c if e == flip else c for e, c in ca.poly.terms.items()}))
-        for poly in polys:
-            b = CayleyBiform(n, d, poly)
+        biforms = [CayleyBiform(n, d, poly) for poly in polys]
+        if d < 3:
+            biforms.append(ca * cayley_biform(rand_curve(rng, n, 1)))
+        for b in biforms:
             verdicts.append(depends_only_on_wedge(b))
             assert verdicts[-1] == ref_depends_only_on_wedge(b)
+            if verdicts[-1]:
+                assert swap(b.poly) == (-1) ** b.d * b.poly
     assert set(verdicts) == {True, False}
 
 

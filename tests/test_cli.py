@@ -116,6 +116,13 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_one_row_curve_file_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "point.json", {"n": 0, "d": 1, "coeffs": [["1", "0"]]})
+    code, out, err = run(capsys, ["compute", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: need at least two forms\n"
+
+
 UNDECODABLE = [
     # UTF-16 byte-order mark: not UTF-8 at the first byte.
     (b'\xff\xfe{"n":2}', "not UTF-8 text"),

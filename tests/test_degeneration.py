@@ -64,14 +64,6 @@ def test_normalize_attachment_moves_point():
     assert check_curve(g).birational
 
 
-def test_normalize_attachment_with_explicit_parameter():
-    f = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g = normalize_attachment(f, z_star=(1, 1), at=(1, 0))
-    assert g.point((1, 0)) == (Fraction(1),) * 3
-    with pytest.raises(ValueError, match="zero coordinates"):
-        normalize_attachment(f, z_star=(1, 0), at=(1, 0))
-
-
 def test_normalize_attachment_rejects_hyperplane_curve():
     f = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(ValueError, match="coordinate hyperplane"):
@@ -190,7 +182,7 @@ def test_normalize_attachment_postcondition_is_checked(monkeypatch):
     monkeypatch.setattr(degeneration, "act_gl2", lambda f, A: f)
     f = CurveMap.from_coeffs([[2, 1], [1, 3], [1, 1]])
     with pytest.raises(RuntimeError, match="attachment"):
-        normalize_attachment(f, z_star=(1, 1), at=(1, 0))
+        normalize_attachment(f, at=(1, 0))
 
 
 @pytest.mark.parametrize(
@@ -256,6 +248,23 @@ def test_family_limit_builds_one_pform_for_an_eps_free_family(monkeypatch):
     based = CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]])
     with pytest.raises(ValueError, match="zero family biform"):
         family_limit(based.components)
+
+
+def test_family_limit_runs_an_eps_free_family_on_the_truncated_route(monkeypatch):
+    # Eps-free components are lifted to a constant family over Q[eps]: every
+    # entry has eps-degree 0, so one expansion modulo eps^1 gives the limit.
+    import chowforms.degeneration as degeneration
+
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    truncs = []
+
+    def spy(M, trunc=None):
+        truncs.append(trunc)
+        return det_expand(M, trunc=trunc)
+
+    monkeypatch.setattr(degeneration, "det_expand", spy)
+    assert family_limit(conic.components) == cayley_biform(conic).normalized()
+    assert truncs == [1]
 
 
 def test_family_routes_reject_other_rings_before_any_determinant(monkeypatch):

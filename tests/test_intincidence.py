@@ -197,16 +197,6 @@ def test_curve_point_rejects_inexact_parameters(bad):
     assert CONIC.point((Fraction(1, 2), 1)) == (Fraction(1, 4), Fraction(1, 2), 1)
 
 
-@pytest.mark.parametrize("bad", [0.5, True])
-def test_normalize_attachment_rejects_inexact_z_star(bad):
-    with pytest.raises(TypeError):
-        normalize_attachment(CONIC, z_star=(bad, 1))
-    with pytest.raises(TypeError):
-        normalize_attachment(CONIC, z_star=(1, bad))
-    moved = normalize_attachment(CONIC, z_star=(Fraction(1, 2), 1))
-    assert moved.point((1, 0)) == (1, 1, 1)
-
-
 # -- content_primitive -----------------------------------------------------------
 
 polys = st.dictionaries(
