@@ -27,6 +27,7 @@ from .degeneration import (
     boundary_factor_check,
     family_biform,
     family_limit,
+    family_orders,
     join_family,
     limit_direction,
     normalize_attachment,
@@ -81,6 +82,7 @@ __all__ = [
     "distinct_root_count",
     "family_biform",
     "family_limit",
+    "family_orders",
     "form_gcd",
     "form_gcd_all",
     "format_terms",

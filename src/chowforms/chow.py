@@ -48,7 +48,7 @@ from .polynomial import (
     rational,
     unpack,
 )
-from .resultant import bezout, det_expand
+from .resultant import bezoutian, det_expand
 
 __all__ = [
     "uv_names",
@@ -57,6 +57,7 @@ __all__ = [
     "cayley_biform",
     "contraction_resultant",
     "bezout_pform",
+    "pform_scale",
     "wedge_expand",
     "incident",
     "plucker_rewrite",
@@ -153,29 +154,41 @@ def contraction_resultant(forms: Sequence[BinaryForm]) -> MPoly:
     the forms' MPoly coefficients (such as eps).  It equals the Sylvester
     resultant exactly, sign included: the determinant of
     :func:`bezout_pform`, with p_kl -> u_k v_l - u_l v_k substituted at the
-    end.  Raises ValueError where those two functions do.
+    end, divided by :func:`pform_scale`.  Raises ValueError where
+    :func:`bezout_pform` or :func:`wedge_expand` does.
 
-    The determinant runs over Z: :func:`bezout_pform` scales every form by
-    the lcm lam of all coefficient denominators, which multiplies the
-    resultant by lam^(2d).  Each integer coefficient c is then divided once
-    by q = (-1)^(d(d+1)/2) * lam^(2d), which also fixes the sign: with
-    g = gcd(c, q), the quotient is (c/g) / (q/g), already in lowest terms.
+    The determinant runs over Z, so each integer coefficient c is divided
+    once by q = |pform_scale(forms)|, with its sign carried separately:
+    with g = gcd(c, q), the quotient is (c/g) / (q/g), already in lowest
+    terms.
     """
-    weighted = bezout_pform(forms)
-    d = len(weighted)
-    out = wedge_expand(det_expand(weighted), len(forms))
-    lam = _denominator_lcm(forms)
-    # det Bez(h1, h2) = (-1)^(d(d+1)/2) * Res(h1, h2).
-    negate = (d * (d + 1) // 2) % 2
-    if lam == 1:
+    out = wedge_expand(det_expand(bezout_pform(forms)), len(forms))
+    q = pform_scale(forms)
+    negate, q = q < 0, abs(q)
+    if q == 1:
         return -out if negate else out
-    q = lam ** (2 * d)
     terms = {}
     for exps, c in out.terms.items():
         g = math.gcd(c, q)
         num, den = (-c if negate else c) // g, q // g
         terms[exps] = num if den == 1 else Fraction(num, den)
     return MPoly._trusted(out.names, terms)
+
+
+def pform_scale(forms: Sequence[BinaryForm]) -> int:
+    """The integer q = (-1)^(d(d+1)/2) * lam^(2d) such that the determinant
+    of :func:`bezout_pform`, with p_kl -> u_k v_l - u_l v_k substituted, is
+    q * Res(sum_i u_i f_i, sum_i v_i f_i).
+
+    lam is the lcm of every coefficient denominator, including those inside
+    MPoly coefficients, and the sign is that of det Bez(h1, h2) =
+    (-1)^(d(d+1)/2) * Res(h1, h2).  d is read off the first form with no
+    check: the forms are meant to be a tuple that :func:`bezout_pform`
+    accepts.
+    """
+    d = forms[0].degree
+    sign = -1 if (d * (d + 1) // 2) % 2 else 1
+    return sign * _denominator_lcm(forms) ** (2 * d)
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +208,9 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
     Raises ValueError unless the forms pass
-    :func:`~chowforms.polynomial.form_ring`.  Each Bez(f_k, f_l) from
-    :func:`bezout` may mix numbers and MPolys over that ring.
+    :func:`~chowforms.polynomial.form_ring`, which runs once: each
+    Bez(f_k, f_l) comes from the unchecked :func:`~chowforms.resultant.bezoutian`
+    and may mix numbers and MPolys over that ring.
     """
     d, coeff_vars = form_ring(forms)
     lam = _denominator_lcm(forms)
@@ -207,7 +221,7 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
     for t, ((k, l), _) in enumerate(pairs):
         unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
-        for row, bez_row in zip(terms, bezout(forms[k], forms[l])):
+        for row, bez_row in zip(terms, bezoutian(forms[k].coeffs, forms[l].coeffs)):
             for entry, c in zip(row, bez_row):
                 if isinstance(c, MPoly):
                     entry.update((unit + e, x) for e, x in c.terms.items())

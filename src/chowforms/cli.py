@@ -30,28 +30,28 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import re
 import sys
 from fractions import Fraction
 
 from .chow import (
-    EPS,
     CayleyBiform,
     NotBirational,
     cayley_biform,
     implicitize_plane_curve,
     incident,
+    pform_scale,
     plucker_rewrite,
     uv_names,
 )
 from .curves import CurveMap, Plane
 from .degeneration import (
     boundary_factor_check,
-    family_biform,
     family_limit,
+    family_orders,
     join_family,
-    limit_direction,
     normalize_attachment,
 )
 from .oracle import check_curve, incident_oracle
@@ -71,6 +71,8 @@ class DegenerateInput(Exception):
 
     exit_code = 3
 
+
+_ZERO_FAMILY = "family biform is identically zero"
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -282,14 +284,19 @@ def cmd_degenerate(args) -> int:
         family = join_family(f, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    # The table lists every eps order, so only that path expands them all.
-    fam = family_biform(family) if args.emit_eps_table else None
-    try:
-        limit = family_limit(family) if fam is None else limit_direction(fam)
-    except ValueError:
-        raise DegenerateInput("family biform is identically zero") from None
-    if fam is not None:
-        _write_eps_table(args.emit_eps_table, fam)
+    # The table lists every eps order, so only that path expands them all;
+    # its limit is the lowest order, and normalization removes the scale.
+    if args.emit_eps_table:
+        orders = family_orders(family)
+        if not orders:
+            raise DegenerateInput(_ZERO_FAMILY)
+        limit = CayleyBiform(f.n, family[0].degree, orders[min(orders)]).normalized()
+        _write_eps_table(args.emit_eps_table, family, orders)
+    else:
+        try:
+            limit = family_limit(family)
+        except ValueError:
+            raise DegenerateInput(_ZERO_FAMILY) from None
     # A base point in f or g already makes the family zero.  Primitive
     # integer components keep the product over Z; it is formed once and
     # serves both the factor check and the printed line.
@@ -308,12 +315,22 @@ def cmd_degenerate(args) -> int:
     return 0 if factors else 4
 
 
-def _write_eps_table(path: str, fam: CayleyBiform) -> None:
-    parts = fam.poly.decompose(EPS)
-    write = monomial_writer(uv_names(fam.n))
+def _write_eps_table(path: str, family, orders: dict) -> None:
+    """One line per term of the family biform, orders ascending: the
+    coefficient of eps^k is W_k / q for the integer orders W_k of
+    :func:`~chowforms.degeneration.family_orders` and q =
+    :func:`~chowforms.chow.pform_scale`.  Each quotient is written in
+    lowest terms from one gcd, the text of ``str(Fraction(c, q))``."""
+    q = pform_scale(family)
+    negate, q = q < 0, abs(q)
+    write = monomial_writer(uv_names(len(family) - 1))
     lines = ["# eps_order\tmonomial\tcoeff"]
-    for k in sorted(parts):
-        lines += [f"{k}\t{write(exps) or '1'}\t{c}" for exps, c in parts[k].sorted_terms()]
+    for k, w in orders.items():
+        for exps, c in w.sorted_terms():
+            g = math.gcd(c, q)
+            num, den = (-c if negate else c) // g, q // g
+            coeff = num if den == 1 else f"{num}/{den}"
+            lines.append(f"{k}\t{write(exps) or '1'}\t{coeff}")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -22,15 +22,20 @@ the Bezout p-form's ring: the packed minor kernel skips every product of
 eps-blocks whose orders sum to K or more, so no term of eps-degree >= K is
 ever formed.  K starts from the min-plus bound on the valuation of the
 determinant, and only the lowest surviving order is substituted into
-(u, v) and normalized.  Only the eps table (:func:`family_biform`,
-``--emit-eps-table``) expands every eps order.
+(u, v) and normalized.  :func:`family_orders` takes the same route with
+no truncation and returns every nonzero order W_k as an integer (u, v)
+polynomial; the eps table (``--emit-eps-table``) is written from those.
+:func:`family_biform` is the reference route: it also expands every
+order, but divides each term by the scale
+:func:`~chowforms.chow.pform_scale` to give the exact family biform, and
+:func:`limit_direction` reads the limit off that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chow import (
     EPS,
@@ -50,6 +55,7 @@ __all__ = [
     "family_biform",
     "limit_direction",
     "family_limit",
+    "family_orders",
     "boundary_factor_check",
 ]
 
@@ -159,11 +165,12 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
 
     Writes the biform as sum_k eps^k C_k and returns the normalized C_k of
     least k with C_k != 0: the lowest-order direction of the algebraic arc.
-    Only that one coefficient is split off.  This reads the fully expanded
-    family biform, which only the eps table (``--emit-eps-table``) needs.
+    Only that one coefficient is split off.  This is the reference route:
+    it reads a fully expanded biform such as :func:`family_biform` gives.
     :func:`family_limit` gives the same limit from the components
     themselves, computed modulo eps^K with K starting from the min-plus
-    valuation bound on the lowest order.
+    valuation bound on the lowest order, and the eps table takes it as
+    the lowest of the :func:`family_orders`, normalized.
     """
     if ca.is_zero:
         raise ValueError("zero family biform has no limit")
@@ -172,6 +179,23 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
     k0 = min(exps[-1] for exps in ca.poly.terms)
     low = {exps[:-1]: c for exps, c in ca.poly.terms.items() if exps[-1] == k0}
     return CayleyBiform(ca.n, ca.d, MPoly(ca.poly.names[:-1], low)).normalized()
+
+
+def family_orders(components: Sequence[BinaryForm]) -> dict[int, MPoly]:
+    """The nonzero eps-orders W_k of the family determinant, k ascending.
+
+    W_k is the eps^k coefficient of det :func:`~chowforms.chow.bezout_pform`
+    with p_kl -> u_k v_l - u_l v_k substituted, an integer (d, d) biform
+    polynomial in ``uv_names(n)``.  The family biform is their sum
+    sum_k eps^k W_k / q, q = :func:`~chowforms.chow.pform_scale`, so its
+    eps^k coefficient is W_k / q and its limit is W_k normalized for the
+    least k.  The whole determinant is expanded, every order on the same
+    route as :func:`family_limit`; a zero family has no orders.  Eps-free
+    components are lifted to constant forms over Q[eps], as there.  Raises
+    ValueError where :func:`family_limit` does, except for a zero family.
+    """
+    components = _over_eps(components)
+    return dict(_orders(bezout_pform(components), len(components), None))
 
 
 def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
@@ -192,17 +216,16 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     Grassmannian).  Without a survivor K doubles, up to one past the
     eps-degree of D.  For a join of f and g of degree d_g the family has
     degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
-    and the cap is at most 2*d*d_g + 1.  The lam^(2d) scale and the sign of
-    :func:`~chowforms.chow.contraction_resultant` are skipped:
-    normalization removes both.  Eps-free components are lifted to constant
-    forms over Q[eps] and take the same route: every entry has eps-degree
-    0, so one expansion modulo eps gives their normalized Chow form.
-    Raises ValueError where :func:`~chowforms.polynomial.form_ring` does,
-    for coefficients outside Q and Q[eps], and when the family biform is
-    identically zero.
+    and the cap is at most 2*d*d_g + 1.  The scale
+    :func:`~chowforms.chow.pform_scale` is skipped: normalization removes
+    it.  :func:`family_orders` walks the same orders with no truncation.
+    Eps-free components are lifted to constant forms over Q[eps] and take
+    the same route: every entry has eps-degree 0, so one expansion modulo
+    eps gives their normalized Chow form.  Raises ValueError where
+    :func:`~chowforms.polynomial.form_ring` does, for coefficients outside
+    Q and Q[eps], and when the family biform is identically zero.
     """
-    if not _family_ring(components):
-        components = [BinaryForm([MPoly.const((EPS,), c) for c in h.coeffs]) for h in components]
+    components = _over_eps(components)
     matrix = bezout_pform(components)
     n, d = len(components) - 1, components[0].degree
     bound = _valuation_bound(matrix)
@@ -212,14 +235,30 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
-        parts = det_expand(matrix, trunc=K).decompose(EPS)
-        for k in sorted(parts):
-            c = wedge_expand(parts[k], n + 1)
-            if c:
-                return CayleyBiform(n, d, c).normalized()
+        for _, c in _orders(matrix, n + 1, K):
+            return CayleyBiform(n, d, c).normalized()
         if K == top:
             raise ValueError("zero family biform has no limit")
         K = min(2 * K, top)
+
+
+def _over_eps(components: Sequence[BinaryForm]) -> Sequence[BinaryForm]:
+    """The components over Q[eps]: eps-free ones are lifted to constant
+    forms.  Raises ValueError where :func:`_family_ring` does."""
+    if _family_ring(components):
+        return components
+    return [BinaryForm([MPoly.const((EPS,), c) for c in h.coeffs]) for h in components]
+
+
+def _orders(matrix: list[list[MPoly]], m: int, K: Optional[int]) -> Iterator[tuple[int, MPoly]]:
+    """(k, W_k) for the nonzero orders k < K of the determinant of a Bezout
+    p-form over Q[eps] of m forms, k ascending, each substituted into
+    (u, v) only when it is reached; K = None expands every order."""
+    parts = det_expand(matrix, trunc=K).decompose(EPS)
+    for k in sorted(parts):
+        c = wedge_expand(parts[k], m)
+        if c:
+            yield k, c
 
 
 def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:

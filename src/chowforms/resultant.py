@@ -3,7 +3,7 @@ determinants.
 
 The production route to a Chow form (:func:`chowforms.chow.contraction_resultant`)
 takes the determinant of a weighted sum of the d x d Bezout matrices from
-:func:`bezout`, by :func:`det_expand`: first-row expansion with memoized
+:func:`bezoutian`, by :func:`det_expand`: first-row expansion with memoized
 minors, division-free, so it needs only ring operations on the entries.
 The minors run on packed monomials: each entry becomes, once, a map from
 the degree of the ring's last variable (eps in the family rings) to a map
@@ -38,6 +38,7 @@ __all__ = [
     "SylvesterMatrix",
     "sylvester",
     "bezout",
+    "bezoutian",
     "det_bareiss",
     "det_expand",
     "det_laplace_split",
@@ -87,22 +88,35 @@ def sylvester(h1: BinaryForm, h2: BinaryForm) -> SylvesterMatrix:
 
 def bezout(h1: BinaryForm, h2: BinaryForm) -> tuple[tuple[Entry, ...], ...]:
     """d x d Bezout matrix of two forms sharing a degree d >= 1 and a
-    coefficient ring.  The coefficients are used as given, so an entry is a
-    number where every coefficient it reads is one.
+    coefficient ring: :func:`bezoutian` of their coefficients, after
+    :func:`~chowforms.polynomial.form_ring` has checked the pair.
 
     With t = z1/z0, entry [i][j] is the coefficient of s^i t^j in
     (h1(s) h2(t) - h1(t) h2(s)) / (s - t).  The matrix is bilinear and
     alternating in (h1, h2), and its determinant is
     (-1)^(d(d+1)/2) * resultant(h1, h2).
-
-    With a, b the coefficients of h1, h2 (a[p] at t^p) and the minor
-    c(p, q) = a[p] b[q] - a[q] b[p], the entries follow the Bezoutian
-    recurrence B[i][j] = c(i+1, j) + B[i+1][j-1], with B[d][.] = B[.][-1] = 0.
-    The rows are filled from the bottom, so each entry costs one minor and
-    at most one addition: d^2 minors and (d-1)^2 additions in all.
     """
-    d = form_ring((h1, h2))[0]
-    a, b = h1.coeffs, h2.coeffs
+    form_ring((h1, h2))
+    return bezoutian(h1.coeffs, h2.coeffs)
+
+
+def bezoutian(a: Sequence[Entry], b: Sequence[Entry]) -> tuple[tuple[Entry, ...], ...]:
+    """The Bezout matrix of :func:`bezout` from the coefficient lists a and
+    b of two forms (a[p] at t^p), with no check of its own.
+
+    Precondition: a and b are the coefficient tuples of forms that pass
+    :func:`~chowforms.polynomial.form_ring`, so they share a length d + 1
+    >= 2, and their MPoly entries share one ring.  The coefficients are
+    used as given, so an entry is a number where every coefficient it
+    reads is one.
+
+    With the minor c(p, q) = a[p] b[q] - a[q] b[p], the entries follow the
+    Bezoutian recurrence B[i][j] = c(i+1, j) + B[i+1][j-1], with
+    B[d][.] = B[.][-1] = 0.  The rows are filled from the bottom, so each
+    entry costs one minor and at most one addition: d^2 minors and
+    (d-1)^2 additions in all.
+    """
+    d = len(a) - 1
     B: list[tuple[Entry, ...]] = [()] * d
     for i in range(d - 1, -1, -1):
         row = [a[i + 1] * b[j] - a[j] * b[i + 1] for j in range(d)]

@@ -266,6 +266,33 @@ def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
         contraction_resultant(mixed)
 
 
+def test_bezout_pform_checks_its_tuple_once(monkeypatch):
+    # bezout would check each of the C(n+1, 2) pairs again; bezout_pform
+    # checks the whole tuple once and calls the unchecked kernel.
+    import importlib
+
+    import chowforms.chow as chow
+
+    # chowforms.resultant names the function, so fetch the module by name.
+    resultant_module = importlib.import_module("chowforms.resultant")
+    rng = random.Random("one-check")
+    curves = [rand_curve(rng, n, d) for n, d in [(1, 2), (2, 3), (3, 2), (4, 3)]]
+    fam = join_family(CONIC_F, CONIC_G)
+    form_ring = chow.form_ring
+    calls = []
+
+    def counted(forms):
+        calls.append(len(forms))
+        return form_ring(forms)
+
+    monkeypatch.setattr(chow, "form_ring", counted)
+    monkeypatch.setattr(resultant_module, "form_ring", counted)
+    for forms in [f.components for f in curves] + [fam]:
+        calls.clear()
+        bezout_pform(forms)
+        assert calls == [len(forms)]
+
+
 def test_bezout_pform_reads_the_eps_ring_off_a_join():
     fam = join_family(CONIC_F, CONIC_G)
     matrix = bezout_pform(fam)

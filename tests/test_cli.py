@@ -447,6 +447,18 @@ def test_degenerate_zero_family_exits_3(tmp_path, capsys, f, table):
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err.endswith("error: family biform is identically zero\n")
+    assert not (tmp_path / "eps.tsv").exists()
+
+
+def test_degenerate_eps_table_write_failure_exits_2(tmp_path, capsys):
+    pf = write(tmp_path, "f.json", LINE_F)
+    pg = write(tmp_path, "g.json", LINE_G)
+    table = tmp_path / "missing" / "eps.tsv"
+    code, out, err = run(capsys, ["degenerate", pf, pg, "--emit-eps-table", str(table)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {table}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not table.parent.exists()
 
 
 # -- compute --json without the indenting encoder -------------------------------

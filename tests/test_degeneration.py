@@ -16,13 +16,14 @@ from chowforms import (
     det_expand,
     family_biform,
     family_limit,
+    family_orders,
     join_family,
     limit_direction,
     normalize_attachment,
     proportional,
     uv_names,
 )
-from chowforms.chow import bezout_pform, contraction_resultant
+from chowforms.chow import bezout_pform, contraction_resultant, pform_scale
 from helpers import plane_through, rand_curve_birational, ref_at_eps, ref_specialize_eps, truncated
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
@@ -196,6 +197,42 @@ def test_family_limit_equals_full_route(n, d_f, d_g, trials):
         g = normalize_attachment(rand_curve_birational(rng, n, d_g), at=(0, 1))
         fam = join_family(f, g)
         assert family_limit(fam).poly == limit_direction(family_biform(fam)).poly
+
+
+def scaled_orders(fam):
+    """The eps-orders of the reference family biform times the scale q."""
+    fb, q = family_biform(fam), pform_scale(fam)
+    if not fb.has_eps:
+        return {0: fb.poly * q} if fb.poly else {}
+    return {k: c * q for k, c in sorted(fb.poly.decompose("eps").items())}
+
+
+# The join shapes of the eps-table reference test in test_writer.py.
+@pytest.mark.parametrize("n, d_f, d_g", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_family_orders_are_the_scaled_orders_of_the_family_biform(n, d_f, d_g):
+    # The curves of those tests: the same seed, the same draws.
+    rng = random.Random(f"eps-table-{n}-{d_f}-{d_g}")
+    f = rand_curve_birational(rng, n, d_f, -3, 3)
+    g = rand_curve_birational(rng, n, d_g, -3, 3)
+    fam = join_family(normalize_attachment(f, at=(1, 0)), normalize_attachment(g, at=(0, 1)))
+    orders = family_orders(fam)
+    assert orders == scaled_orders(fam)
+    assert list(orders) == sorted(orders)
+    assert all(w.names == uv_names(n) for w in orders.values())
+    assert all(type(c) is int for w in orders.values() for c in w.terms.values())
+    lowest = CayleyBiform(n, d_f + d_g, orders[min(orders)]).normalized()
+    assert lowest.poly == limit_direction(family_biform(fam)).poly
+
+
+def test_family_orders_of_an_eps_free_tuple_and_a_zero_family():
+    # Eps-free components give one order, 0: their Chow form times q.
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 3]])
+    assert list(family_orders(conic.components)) == [0]
+    assert family_orders(conic.components) == scaled_orders(conic.components)
+    # A base point (z0 + z1 = 0) in f makes every member, so the family, zero.
+    f = CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]])
+    fam = join_family(f, LINE_G)
+    assert family_orders(fam) == {} == scaled_orders(fam)
 
 
 def test_det_expand_reducer_is_truncation_past_unattained_bound():

@@ -105,8 +105,15 @@ def test_eps_table_of_normalized_joins_matches_the_reference(n, d1, d2, tmp_path
     assert table.read_text(encoding="utf-8") == ref_eps_table(family_biform(fam))
 
 
-def test_eps_table_run_splits_the_family_biform_by_eps_once(tmp_path, monkeypatch, capsys):
+def run_eps_table(tmp_path, capsys):
     paths = write_pair(tmp_path, random.Random("eps-table-split"), 3, 1, 2)
+    table = tmp_path / "eps.tsv"
+    argv = ["degenerate", *paths, "--normalize-attachment", "--emit-eps-table", str(table)]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_eps_table_run_splits_the_family_determinant_by_eps_once(tmp_path, monkeypatch, capsys):
     calls = []
     decompose = MPoly.decompose
 
@@ -115,8 +122,25 @@ def test_eps_table_run_splits_the_family_biform_by_eps_once(tmp_path, monkeypatc
         return decompose(self, name)
 
     monkeypatch.setattr(MPoly, "decompose", counted)
-    table = tmp_path / "eps.tsv"
-    argv = ["degenerate", *paths, "--normalize-attachment", "--emit-eps-table", str(table)]
-    assert main(argv) == 0
-    capsys.readouterr()
+    run_eps_table(tmp_path, capsys)
     assert calls == ["eps"]
+
+
+def test_eps_table_run_sends_no_eps_form_through_contraction_resultant(tmp_path, monkeypatch, capsys):
+    # The table is written from the integer orders of the family
+    # determinant: only the two eps-free component Chow forms take the
+    # route that divides by the scale.
+    import chowforms.chow as chow
+    import chowforms.degeneration as degeneration
+
+    seen = []
+    resultant = chow.contraction_resultant
+
+    def spy(forms):
+        seen.append(any(isinstance(c, MPoly) for h in forms for c in h.coeffs))
+        return resultant(forms)
+
+    monkeypatch.setattr(chow, "contraction_resultant", spy)
+    monkeypatch.setattr(degeneration, "contraction_resultant", spy)
+    run_eps_table(tmp_path, capsys)
+    assert seen == [False, False]
