@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .curves import CurveMap, Plane
@@ -101,9 +102,10 @@ class CayleyBiform:
 
     @classmethod
     def _trusted(cls, n: int, d: int, poly: MPoly) -> "CayleyBiform":
-        """Wrap ``poly`` without the checks of ``__post_init__``.  For biforms
-        built from valid ones only: the caller guarantees the ring and the
-        (d, d) bidegree of every term."""
+        """Wrap ``poly`` without the checks of ``__post_init__``.  The caller
+        guarantees the ring and the (d, d) bidegree of every term: a biform
+        built from valid ones, or a resultant or eps-order of the
+        production route, which is bihomogeneous of bidegree (d, d)."""
         ca = object.__new__(cls)
         object.__setattr__(ca, "n", n)
         object.__setattr__(ca, "d", d)
@@ -208,27 +210,81 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
     Raises ValueError unless the forms pass
-    :func:`~chowforms.polynomial.form_ring`, which runs once: each
-    Bez(f_k, f_l) comes from the unchecked :func:`~chowforms.resultant.bezoutian`
-    and may mix numbers and MPolys over that ring.
+    :func:`~chowforms.polynomial.form_ring`, which runs once.
+
+    Each Bez(f_k, f_l) is taken on ints, by Kronecker substitution: a
+    scaled coefficient c, a polynomial in the r coefficient variables,
+    becomes the one int c(2^B), its monomials in slots of B bits.  A
+    monomial's slot index is its exponent vector in mixed radix
+    2 D_i + 1, the first variable most significant, with D_i the largest
+    degree of variable i in any coefficient.  A product of two
+    coefficients has degree at most 2 D_i in variable i, so its monomials
+    keep distinct slots and slot indices add without carry.  The unchecked
+    :func:`~chowforms.resultant.bezoutian` runs on those ints, and each
+    entry is read back from its balanced base-2^B digits.  An entry is a
+    sum of at most d minors a_p b_q - a_q b_p; a coefficient of a product
+    sums at most prod(D_i + 1) <= (D + 1)^r products of two scaled
+    coefficients, each at most A^2 in absolute value, with A the largest
+    scaled coefficient and D the largest D_i.  So no entry coefficient
+    exceeds 2 d prod(D_i + 1) A^2, and B (:func:`_slot_bits`) is the least
+    width with 2^(B-1) above that.  Numeric forms skip the encoding: with
+    r = 0 there is one slot, and each int is the scaled number itself.
+    The ints span the whole box of prod(2 D_i + 1) slots, so their length
+    grows with that box, not with the number of terms: a coefficient ring
+    of many variables of positive degree makes them long.
     """
     d, coeff_vars = form_ring(forms)
     lam = _denominator_lcm(forms)
-    if lam != 1:
-        forms = [h * lam for h in forms]
+    if coeff_vars:
+        exps = [e for h in forms for c in h.coeffs if isinstance(c, MPoly) for e in c.terms]
+        tops = [max(col) for col in zip(*exps)] or [0] * len(coeff_vars)
+        radix = [2 * t + 1 for t in tops]
+        strides = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
+
+        def slots(c) -> list[tuple[int, int]]:
+            if isinstance(c, MPoly):
+                return [(sum(map(mul, e, strides)), _scaled(x, lam)) for e, x in c.terms.items()]
+            return [(0, _scaled(c, lam))]
+
+        coded = [[slots(c) for c in h.coeffs] for h in forms]
+        B = _slot_bits(d, tops, max((abs(x) for h in coded for c in h for _, x in c), default=0))
+        ints = [[sum(x << B * k for k, x in c) for c in h] for h in coded]
+        keys = [tuple(k // s % q for s, q in zip(strides, radix)) for k in range(math.prod(radix))]
+    else:
+        ints = [[_scaled(c, lam) for c in h.coeffs] for h in forms]
+        B, keys = _slot_bits(d, (), max(abs(x) for h in ints for x in h)), [()]
+    half, mask = 1 << (B - 1), (1 << B) - 1
     pairs = _pair_vars(len(forms))
-    npairs, const = len(pairs), (0,) * len(coeff_vars)
+    npairs = len(pairs)
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
     for t, ((k, l), _) in enumerate(pairs):
         unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
-        for row, bez_row in zip(terms, bezoutian(forms[k].coeffs, forms[l].coeffs)):
-            for entry, c in zip(row, bez_row):
-                if isinstance(c, MPoly):
-                    entry.update((unit + e, x) for e, x in c.terms.items())
-                elif c:
-                    entry[unit + const] = c
+        for row, bez_row in zip(terms, bezoutian(ints[k], ints[l])):
+            for entry, v in zip(row, bez_row):
+                slot = 0
+                while v:
+                    x = v & mask
+                    if x >= half:
+                        x -= mask + 1
+                    if x:
+                        entry[unit + keys[slot]] = x
+                    v = (v - x) >> B
+                    slot += 1
     ring = tuple(p for _, p in pairs) + coeff_vars
     return [[MPoly._trusted(ring, entry) for entry in row] for row in terms]
+
+
+def _slot_bits(d: int, tops: Sequence[int], A: int) -> int:
+    """The slot width B of :func:`bezout_pform`: the least B with
+    2^(B-1) > 2 d prod(D_i + 1) A^2, for forms of degree d whose scaled
+    coefficients have degree D_i = tops[i] in variable i and absolute
+    values at most A."""
+    return (2 * d * math.prod(t + 1 for t in tops) * A * A).bit_length() + 1
+
+
+def _scaled(c: ScalarLike, lam: int) -> int:
+    """lam * c as an int, for a rational c whose denominator divides lam."""
+    return c * lam if type(c) is int else c.numerator * (lam // c.denominator)
 
 
 def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[list]]:
@@ -304,7 +360,7 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
     Total on all curve maps: a parametrization with a base point yields the
     identically zero biform instead of an error.
     """
-    return CayleyBiform(f.n, f.d, contraction_resultant(f.components))
+    return CayleyBiform._trusted(f.n, f.d, contraction_resultant(f.components))
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:

@@ -290,7 +290,7 @@ def cmd_degenerate(args) -> int:
         orders = family_orders(family)
         if not orders:
             raise DegenerateInput(_ZERO_FAMILY)
-        limit = CayleyBiform(f.n, family[0].degree, orders[min(orders)]).normalized()
+        limit = CayleyBiform._trusted(f.n, family[0].degree, orders[min(orders)]).normalized()
         _write_eps_table(args.emit_eps_table, family, orders)
     else:
         try:

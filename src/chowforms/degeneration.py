@@ -15,6 +15,9 @@ second at (0, 1) -- give the components
 of degree d1+d2, and for a valid join the limit factors into the two
 component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
+The join writes each coefficient's eps terms directly, and
+:func:`~chowforms.chow.bezout_pform` takes the Bezoutians on ints, so no
+MPoly is multiplied or added from the join to the determinant.
 
 :func:`family_limit` computes that limit modulo eps^K with
 ``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
@@ -46,7 +49,7 @@ from .chow import (
     wedge_expand,
 )
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, form_ring
+from .polynomial import BinaryForm, MPoly, form_ring, rational
 from .resultant import det_expand
 
 __all__ = [
@@ -79,6 +82,11 @@ def join_family(f: CurveMap, g: CurveMap) -> tuple[BinaryForm, ...]:
     coordinates exactly 1; use :func:`normalize_attachment` to arrange
     that.  Callers are expected to hand in base-point-free birational
     parametrizations; the attachment condition itself is checked here.
+
+    Coefficient m of F_i = f_i(z0, z1) * g_i(eps*z0, z1) is the sum of
+    f_i[a] g_i[b] eps^(d_g - b) over a + b = m.  Each b gives its own
+    power of eps, so no two products meet, and each term dict is written
+    directly; a coefficient that no nonzero product reaches is the int 0.
     """
     if f.n != g.n:
         raise ValueError("curves live in different ambient spaces")
@@ -86,12 +94,14 @@ def join_family(f: CurveMap, g: CurveMap) -> tuple[BinaryForm, ...]:
     errs += [f"g: {e}" for e in _attachment_errors(g, (0, 1))]
     if errs:
         raise ValueError("; ".join(errs))
-    eps = MPoly.var((EPS,), EPS)
     components = []
     for fi, gi in zip(f.components, g.components):
-        d2 = gi.degree
-        twisted = BinaryForm([c * eps ** (d2 - k) for k, c in enumerate(gi.coeffs)])
-        components.append(fi * twisted)
+        coeffs: list[dict] = [{} for _ in range(fi.degree + gi.degree + 1)]
+        for a, x in enumerate(fi.coeffs):
+            for b, y in enumerate(gi.coeffs):
+                if x and y:
+                    coeffs[a + b][(gi.degree - b,)] = rational(x * y)
+        components.append(BinaryForm([MPoly._trusted((EPS,), c) if c else 0 for c in coeffs]))
     return tuple(components)
 
 
@@ -140,14 +150,10 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
             raise RuntimeError("no parameter avoids all coordinate zeros")
 
 
-def _family_ring(components: Sequence[BinaryForm]) -> tuple[str, ...]:
-    """The coefficient ring of the components, () or (eps,).  Raises
-    ValueError where :func:`~chowforms.polynomial.form_ring` does, and for
-    any other ring, before any determinant is expanded."""
-    ring = form_ring(components)[1]
+def _check_ring(ring: tuple[str, ...]) -> None:
+    """Raise ValueError unless a family's coefficient ring is Q or Q[eps]."""
     if ring not in ((), (EPS,)):
         raise ValueError(f"family coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
-    return ring
 
 
 def family_biform(components: Sequence[BinaryForm]) -> CayleyBiform:
@@ -155,7 +161,7 @@ def family_biform(components: Sequence[BinaryForm]) -> CayleyBiform:
     a ring variable.  The forms share one degree d, and there are n+1 of
     them for a family in P^n.  Raises ValueError when their coefficients
     lie in a ring other than Q or Q[eps]."""
-    _family_ring(components)
+    _check_ring(form_ring(components)[1])
     poly = contraction_resultant(components)
     return CayleyBiform(len(components) - 1, components[0].degree, poly)
 
@@ -190,12 +196,12 @@ def family_orders(components: Sequence[BinaryForm]) -> dict[int, MPoly]:
     sum_k eps^k W_k / q, q = :func:`~chowforms.chow.pform_scale`, so its
     eps^k coefficient is W_k / q and its limit is W_k normalized for the
     least k.  The whole determinant is expanded, every order on the same
-    route as :func:`family_limit`; a zero family has no orders.  Eps-free
-    components are lifted to constant forms over Q[eps], as there.  Raises
-    ValueError where :func:`family_limit` does, except for a zero family.
+    route as :func:`family_limit`; a zero family has no orders.  The p-form
+    of eps-free components is lifted to a constant family over Q[eps], as
+    there.  Raises ValueError where :func:`family_limit` does, except for a
+    zero family.
     """
-    components = _over_eps(components)
-    return dict(_orders(bezout_pform(components), len(components), None))
+    return dict(_orders(_eps_pform(components), len(components), None))
 
 
 def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
@@ -219,14 +225,15 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     and the cap is at most 2*d*d_g + 1.  The scale
     :func:`~chowforms.chow.pform_scale` is skipped: normalization removes
     it.  :func:`family_orders` walks the same orders with no truncation.
-    Eps-free components are lifted to constant forms over Q[eps] and take
-    the same route: every entry has eps-degree 0, so one expansion modulo
-    eps gives their normalized Chow form.  Raises ValueError where
-    :func:`~chowforms.polynomial.form_ring` does, for coefficients outside
-    Q and Q[eps], and when the family biform is identically zero.
+    The p-form of eps-free components is lifted to a constant family over
+    Q[eps] and takes the same route: every entry has eps-degree 0, so one
+    expansion modulo eps gives their normalized Chow form.  The tuple is
+    checked once, by :func:`~chowforms.chow.bezout_pform`.  Raises
+    ValueError where :func:`~chowforms.polynomial.form_ring` does, for
+    coefficients outside Q and Q[eps], and when the family biform is
+    identically zero.
     """
-    components = _over_eps(components)
-    matrix = bezout_pform(components)
+    matrix = _eps_pform(components)
     n, d = len(components) - 1, components[0].degree
     bound = _valuation_bound(matrix)
     if bound is None:
@@ -236,18 +243,25 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     K = bound + 1
     while True:
         for _, c in _orders(matrix, n + 1, K):
-            return CayleyBiform(n, d, c).normalized()
+            return CayleyBiform._trusted(n, d, c).normalized()
         if K == top:
             raise ValueError("zero family biform has no limit")
         K = min(2 * K, top)
 
 
-def _over_eps(components: Sequence[BinaryForm]) -> Sequence[BinaryForm]:
-    """The components over Q[eps]: eps-free ones are lifted to constant
-    forms.  Raises ValueError where :func:`_family_ring` does."""
-    if _family_ring(components):
-        return components
-    return [BinaryForm([MPoly.const((EPS,), c) for c in h.coeffs]) for h in components]
+def _eps_pform(components: Sequence[BinaryForm]) -> list[list[MPoly]]:
+    """The Bezout p-form of the components over Q[eps]; an eps-free one is
+    lifted to a constant family, every term at eps^0.  Raises ValueError
+    where :func:`~chowforms.chow.bezout_pform` does, the only check of the
+    tuple, and for a coefficient ring other than Q or Q[eps]."""
+    matrix = bezout_pform(components)
+    names = matrix[0][0].names
+    ring = names[len(components) * (len(components) - 1) // 2 :]
+    _check_ring(ring)
+    if ring:
+        return matrix
+    names += (EPS,)
+    return [[MPoly._trusted(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
 
 
 def _orders(matrix: list[list[MPoly]], m: int, K: Optional[int]) -> Iterator[tuple[int, MPoly]]:

@@ -91,6 +91,14 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
 
 
+def _grlex_max(keys) -> tuple[int, ...]:
+    """The greatest of a nonempty collection of exponent tuples in
+    graded-lex order.  Among tuples of one total degree lex order is
+    graded-lex order, so a homogeneous polynomial's lead is the plain max,
+    found with no Python key function."""
+    return max(keys) if len(set(map(sum, keys))) == 1 else max(keys, key=_grlex_key)
+
+
 class MPoly:
     """Sparse multivariate polynomial over Q with a named variable ring.
 
@@ -187,7 +195,7 @@ class MPoly:
         """Greatest term in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
+        exps = _grlex_max(self.terms)
         return exps, Fraction(self.terms[exps])
 
     def leading_coeff(self) -> Fraction:
@@ -198,9 +206,12 @@ class MPoly:
 
         Two sorts, with no Python key function: the exponent tuples in
         descending lex order, then by descending total degree.  The second
-        sort is stable, so ties of total degree keep lex order."""
+        sort is stable, so ties of total degree keep lex order; when every
+        term has one total degree, lex order already is graded-lex order
+        and the second sort is skipped."""
         keys = sorted(self.terms, reverse=True)
-        keys.sort(key=sum, reverse=True)
+        if len(set(map(sum, keys))) > 1:
+            keys.sort(key=sum, reverse=True)
         terms = self.terms
         return [(e, terms[e]) for e in keys]
 
@@ -432,7 +443,7 @@ def content_primitive(p: MPoly) -> tuple[Fraction, MPoly]:
     """
     if p.is_zero:
         raise ValueError("content of zero polynomial")
-    lead = p.terms[max(p.terms, key=_grlex_key)]
+    lead = p.terms[_grlex_max(p.terms)]
     num, den, prim = _primitive_part(list(p.terms.values()), lead < 0)
     return Fraction(num, den), MPoly._trusted(p.names, dict(zip(p.terms, prim)))
 

@@ -5,6 +5,11 @@ The production route to a Chow form (:func:`chowforms.chow.contraction_resultant
 takes the determinant of a weighted sum of the d x d Bezout matrices from
 :func:`bezoutian`, by :func:`det_expand`: first-row expansion with memoized
 minors, division-free, so it needs only ring operations on the entries.
+:func:`bezoutian` is the one Bezoutian recurrence.  On that route it runs
+on Python ints only: :func:`~chowforms.chow.bezout_pform` hands it each
+coefficient as one int, a polynomial coefficient by Kronecker
+substitution, and reads the entries back into term dicts; :func:`bezout`
+runs it on the coefficients as given.
 The minors run on packed monomials: each entry becomes, once, a map from
 the degree of the ring's last variable (eps in the family rings) to a map
 from packed exponents of the other variables (:func:`~chowforms.polynomial.pack`)
@@ -104,11 +109,13 @@ def bezoutian(a: Sequence[Entry], b: Sequence[Entry]) -> tuple[tuple[Entry, ...]
     """The Bezout matrix of :func:`bezout` from the coefficient lists a and
     b of two forms (a[p] at t^p), with no check of its own.
 
-    Precondition: a and b are the coefficient tuples of forms that pass
-    :func:`~chowforms.polynomial.form_ring`, so they share a length d + 1
-    >= 2, and their MPoly entries share one ring.  The coefficients are
+    Precondition: a and b share a length d + 1 >= 2, and their MPoly
+    entries share one ring, as for the coefficient tuples of forms that
+    pass :func:`~chowforms.polynomial.form_ring`.  The coefficients are
     used as given, so an entry is a number where every coefficient it
-    reads is one.
+    reads is one; :func:`~chowforms.chow.bezout_pform` passes ints that
+    encode polynomials (Kronecker substitution), which the recurrence
+    treats as numbers.
 
     With the minor c(p, q) = a[p] b[q] - a[q] b[p], the entries follow the
     Bezoutian recurrence B[i][j] = c(i+1, j) + B[i+1][j-1], with

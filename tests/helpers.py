@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, uv_names
+from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, normalize_attachment, uv_names
 from chowforms.polynomial import distinct_root_count, form_gcd_all
 
 
@@ -126,6 +126,27 @@ def rand_curve_birational(rng, n, d, lo=-5, hi=5):
         f = rand_curve(rng, n, d, lo, hi)
         if check_curve(f, rng=rng).birational:
             return f
+
+
+# The (n, d_f, d_g) join shapes of the benchmark corpus: lines_P2,
+# line_conic_P3, line_conic_P2 and conic_conic_P2.
+JOIN_SHAPES = [(2, 1, 1), (3, 1, 2), (2, 1, 2), (2, 2, 2)]
+
+
+def seeded_joins(tag):
+    """Two pairs per corpus join shape, as (n, d_f, d_g, f, g): random
+    birational curves with no zero component, f moved to (1, ..., 1) at
+    (1, 0) and g at (0, 1), so join_family(f, g) has Fraction coefficients
+    in general."""
+    rng = random.Random(f"joins-{tag}")
+    joins = []
+    while len(joins) < 2 * len(JOIN_SHAPES):
+        n, d_f, d_g = JOIN_SHAPES[len(joins) // 2]
+        f = rand_curve_birational(rng, n, d_f, -3, 3)
+        g = rand_curve_birational(rng, n, d_g, -3, 3)
+        if all(not h.is_zero for h in f.components + g.components):
+            joins.append((n, d_f, d_g, normalize_attachment(f, at=(1, 0)), normalize_attachment(g, at=(0, 1))))
+    return joins
 
 
 def rand_plane(rng, n, lo=-5, hi=5):

@@ -1,9 +1,11 @@
 """The Plucker-weighted Bezout route to the Chow form, checked exactly against
 the Sylvester backends (and, where sympy is installed, against sympy)."""
 
+import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -30,7 +32,7 @@ from chowforms import (
 )
 from chowforms.chow import EPS, bezout_pform
 from chowforms.polynomial import poly_divides
-from helpers import naive_det, rand_curve, rand_form, ref_embed
+from helpers import naive_det, rand_curve, rand_form, ref_embed, seeded_joins
 
 
 def sylvester_route(forms, names, m):
@@ -256,6 +258,7 @@ def test_every_entry_point_rejects_a_malformed_tuple_with_one_message(forms, mes
 def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
     fam = join_family(CONIC_F, CONIC_G)
     forms, _ = eps_forms(fam)  # eps coefficients embedded into Q[u, v, eps]
+    assert bezout_pform(forms) == ref_pform(forms)
     with pytest.raises(ValueError, match="u- or v-name"):
         contraction_resultant(forms)
     x = MPoly.var(("x",), "x")
@@ -304,6 +307,88 @@ def test_bezout_pform_reads_the_eps_ring_off_a_join():
     assert all(x.names == pairs for row in numeric for x in row)
 
 
+# -- the Kronecker kernel of bezout_pform -------------------------------------------
+
+
+def ref_pform(forms):
+    """sum_{k<l} p_kl bezout(lam f_k, lam f_l) in MPoly arithmetic, lam the
+    lcm of every coefficient denominator: the pairwise route that the
+    integer kernel of bezout_pform must match term for term."""
+    coeff_names = next((c.names for h in forms for c in h.coeffs if isinstance(c, MPoly)), ())
+    values = [x for h in forms for c in h.coeffs for x in (c.terms.values() if isinstance(c, MPoly) else (c,))]
+    lam = math.lcm(*(Fraction(x).denominator for x in values))
+    pairs = list(combinations(range(len(forms)), 2))
+    names = tuple(f"p{k},{l}" for k, l in pairs) + coeff_names
+    lift = lambda c: ref_embed(c, names) if isinstance(c, MPoly) else MPoly.const(names, c)
+    d = forms[0].degree
+    M = [[MPoly.zero(names)] * d for _ in range(d)]
+    for k, l in pairs:
+        p = MPoly.var(names, f"p{k},{l}")
+        B = bezout(forms[k] * lam, forms[l] * lam)
+        M = [[x + p * lift(b) for x, b in zip(row, brow)] for row, brow in zip(M, B)]
+    return M
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 3), (4, 2)])
+def test_bezout_pform_equals_the_pairwise_route_on_curves(n, d):
+    rng = random.Random(f"kronecker-curve-{n}-{d}")
+    for f in (rand_curve(rng, n, d), rand_fraction_curve(rng, n, d)):
+        assert bezout_pform(f.components) == ref_pform(f.components)
+
+
+def test_bezout_pform_equals_the_pairwise_route_on_joins():
+    for *_, f, g in seeded_joins("kronecker"):
+        fam = join_family(f, g)
+        assert bezout_pform(fam) == ref_pform(fam)
+
+
+def test_bezout_pform_equals_the_pairwise_route_on_line_families_and_mixed_rings():
+    eps = MPoly.var((EPS,), EPS)
+    double_line = (BinaryForm([1, 0, 0]), BinaryForm([0, eps, 0]), BinaryForm([0, 0, 1]))
+    triple_line = (
+        BinaryForm([1, 0, 0, 0]),
+        BinaryForm([0, eps, 0, 0]),
+        BinaryForm([0, 0, eps, 0]),
+        BinaryForm([0, 0, 0, 1]),
+    )
+    families = [double_line, triple_line]
+    rng = random.Random("kronecker-rings")
+
+    def coeff(ring):
+        # ints (zero included), Fractions, and polynomials with Fraction terms
+        kind = rng.random()
+        if kind < 0.3:
+            return rng.randint(-4, 4)
+        if kind < 0.4:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return MPoly(ring, {tuple(rng.randint(0, 2) for _ in ring): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)})
+
+    for ring in [(EPS,), ("x", EPS)]:
+        for m, d in [(2, 1), (3, 2), (4, 3)]:
+            families.append(tuple(BinaryForm([coeff(ring) for _ in range(d + 1)]) for _ in range(m)))
+    for forms in families:
+        assert bezout_pform(forms) == ref_pform(forms)
+
+
+def test_slot_width_is_the_least_that_holds_an_entry_at_the_bound(monkeypatch):
+    # a = (-A P, A P) and b = (A P, A P) with P = 1 + eps + ... + eps^D give
+    # Bez(a, b) = a_1 b_0 - a_0 b_1 = 2 A^2 P^2: every coefficient positive,
+    # the middle one 2 (D + 1) A^2, the bound for d = 1.  One bit less and
+    # that digit no longer fits its slot.
+    import chowforms.chow as chow
+
+    width = chow._slot_bits
+    for D, A in [(1, 1), (1, 3), (2, 5), (3, 1000), (4, 7)]:
+        P = MPoly((EPS,), {(k,): A for k in range(D + 1)})
+        forms = [BinaryForm([-P, P]), BinaryForm([P, P])]
+        expected = ref_pform(forms)
+        assert max(expected[0][0].terms.values()) == 2 * (D + 1) * A * A
+        assert bezout_pform(forms) == expected
+        monkeypatch.setattr(chow, "_slot_bits", lambda *args: width(*args) - 1)
+        assert bezout_pform(forms) != expected
+        monkeypatch.setattr(chow, "_slot_bits", width)
+
+
 # -- independent oracle: sympy ---------------------------------------------------------
 
 
@@ -330,3 +415,31 @@ def test_cayley_biform_proportional_to_sympy_resultant(n, d):
     terms = {exps: Fraction(int(c.p), int(c.q)) for exps, c in res.terms()}
     oracle = CayleyBiform(n, d, MPoly(uv_names(n), terms))
     assert proportional(cayley_biform(f), oracle)
+
+
+def test_join_family_biform_equals_sympy_resultant():
+    # The dehomogenized contractions over Q[u, v, eps] at z0 = 1 list the
+    # Sylvester coefficients in the reverse column order, so sympy's
+    # resultant is q times the family biform with q = (-1)^d.
+    sympy = pytest.importorskip("sympy")
+    fam = join_family(CONIC_F, CONIC_G)
+    n, d = len(fam) - 1, fam[0].degree
+    t, eps = sympy.symbols(f"t {EPS}")
+    u = sympy.symbols(f"u0:{n + 1}")
+    v = sympy.symbols(f"v0:{n + 1}")
+
+    def rational(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def coeff(c):
+        if isinstance(c, MPoly):
+            return sum(rational(x) * eps ** e[0] for e, x in c.terms.items())
+        return rational(c)
+
+    def dehomogenized(covector):
+        return sum(w * coeff(c) * t**j for w, h in zip(covector, fam) for j, c in enumerate(h.coeffs))
+
+    res = sympy.Poly(sympy.resultant(dehomogenized(u), dehomogenized(v), t), *u, *v, eps)
+    oracle = MPoly(uv_names(n, eps=True), {e: Fraction(int(c.p), int(c.q)) for e, c in res.terms()})
+    assert oracle.degree_in(EPS) > 0
+    assert family_biform(fam).poly * (-1) ** d == oracle

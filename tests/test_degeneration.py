@@ -24,7 +24,15 @@ from chowforms import (
     uv_names,
 )
 from chowforms.chow import bezout_pform, contraction_resultant, pform_scale
-from helpers import plane_through, rand_curve_birational, ref_at_eps, ref_specialize_eps, truncated
+from helpers import (
+    is_normal,
+    plane_through,
+    rand_curve_birational,
+    ref_at_eps,
+    ref_specialize_eps,
+    seeded_joins,
+    truncated,
+)
 
 # two lines in P^2 through (1, 1, 1): f = (z0, z0, z0+z1), g = (z1, z0+z1, z1)
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
@@ -42,6 +50,31 @@ def test_join_family_components():
     assert fam[1].coeffs == (eps, one, 0)
     assert fam[2].coeffs == (0, one, one)
     assert all(h.degree == 2 for h in fam)
+
+
+def ref_join_family(f, g):
+    """The join by form products: F_i = f_i * g_i(eps*z0, z1)."""
+    eps = MPoly.var(("eps",), "eps")
+    return tuple(
+        fi * BinaryForm([c * eps ** (gi.degree - k) for k, c in enumerate(gi.coeffs)])
+        for fi, gi in zip(f.components, g.components)
+    )
+
+
+def test_join_family_equals_the_form_product():
+    # Every coefficient is a nonzero MPoly or the int 0, also where a zero
+    # g_i coefficient leaves the only product out: the reference has a zero
+    # MPoly there, F_0[0] = 1 * (0 * eps^1) for the sparse pair.
+    sparse_f = CurveMap.from_coeffs([[1, 0, 0], [1, 0, 1], [1, 2, 0]])  # (1,1,1) at (1,0)
+    sparse_g = CurveMap.from_coeffs([[0, 1], [1, 1], [2, 1]])  # (1,1,1) at (0,1)
+    joins = [(f, g) for *_, f, g in seeded_joins("product")] + [(LINE_F, LINE_G), (sparse_f, sparse_g)]
+    for f, g in joins:
+        fam = join_family(f, g)
+        assert fam == ref_join_family(f, g)
+        assert all(c if isinstance(c, MPoly) else type(c) is int and c == 0 for h in fam for c in h.coeffs)
+        assert all(is_normal(x) for h in fam for c in h.coeffs if c for x in c.terms.values())
+    assert join_family(sparse_f, sparse_g)[0].coeffs[0] == 0
+    assert isinstance(ref_join_family(sparse_f, sparse_g)[0].coeffs[0], MPoly)
 
 
 def test_join_checks_attachment():
@@ -408,3 +441,70 @@ def test_family_limit_tests_survival_after_substitution(monkeypatch):
 
     monkeypatch.setattr(degeneration, "det_expand", det_plus_relation)
     assert family_limit(fam).poly == expected
+
+
+def test_routes_give_biforms_of_bidegree_d_d():
+    # cayley_biform, family_limit and family_orders wrap their polynomials
+    # without the bidegree check of the public constructor.
+    def check(n, d, poly):
+        m = n + 1
+        assert poly.names == uv_names(n) and poly.terms
+        assert all(sum(e[:m]) == d == sum(e[m:]) for e in poly.terms)
+        assert CayleyBiform(n, d, poly).poly is poly
+
+    rng = random.Random("bidegree-grid")
+    for n, d in [(2, 3), (2, 4), (3, 3), (4, 3)]:
+        ca = cayley_biform(rand_curve_birational(rng, n, d, -3, 3))
+        check(ca.n, ca.d, ca.poly)
+    for n, d_f, d_g, f, g in seeded_joins("bidegree"):
+        fam = join_family(f, g)
+        limit = family_limit(fam)
+        assert (limit.n, limit.d) == (n, d_f + d_g)
+        check(n, d_f + d_g, limit.poly)
+        for w in family_orders(fam).values():
+            check(n, d_f + d_g, w)
+
+
+def test_family_routes_check_their_tuple_once(monkeypatch):
+    import importlib
+
+    import chowforms.chow as chow
+    import chowforms.degeneration as degeneration
+
+    resultant_module = importlib.import_module("chowforms.resultant")
+    form_ring = chow.form_ring
+    calls = []
+
+    def counted(forms):
+        calls.append(len(forms))
+        return form_ring(forms)
+
+    for module in (chow, degeneration, resultant_module):
+        monkeypatch.setattr(module, "form_ring", counted)
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    families = [join_family(f, g) for *_, f, g in seeded_joins("one-check")[::2]]
+    for fam in families + [conic.components]:
+        for route in (family_limit, family_orders):
+            calls.clear()
+            route(fam)
+            assert calls == [len(fam)]
+
+
+def test_family_routes_do_no_polynomial_arithmetic(monkeypatch):
+    # join_family writes its term dicts directly and bezout_pform runs the
+    # Bezoutian on ints, so no MPoly is multiplied, added or subtracted, and
+    # no BinaryForm multiplied, from the join to the limit and the eps orders.
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic was done")
+
+    joins = [(f, g) for *_, f, g in seeded_joins("no-product")]
+    conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    double_line = (BinaryForm([1, 0, 0]), BinaryForm([0, EPS, 0]), BinaryForm([0, 0, 1]))
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(MPoly, name, forbidden)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BinaryForm, name, forbidden)
+    families = [join_family(f, g) for f, g in joins] + [double_line, conic.components]
+    for fam in families:
+        family_limit(fam)
+        family_orders(fam)

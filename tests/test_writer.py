@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chowforms import MPoly, family_biform, join_family, normalize_attachment, uv_names
+from chowforms import MPoly, content_primitive, family_biform, join_family, normalize_attachment, uv_names
 from chowforms.cli import load_curve, main
-from chowforms.polynomial import format_terms, monomial_writer
+from chowforms.polynomial import _grlex_key, format_terms, monomial_writer
 from helpers import rand_curve_birational, ref_eps_table, ref_format_terms, ref_sorted_terms
 
 RINGS = [(), ("x",), ("x0", "x1", "x2"), uv_names(1), uv_names(2), uv_names(2, eps=True)]
@@ -67,6 +69,34 @@ def test_one_writer_serves_many_polynomials_of_a_ring():
     for _ in range(20):
         for exps, _ in rand_poly(rng, names, 10).sorted_terms():
             assert write(exps) == " ".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+@st.composite
+def grlex_polys(draw, homogeneous):
+    """A nonzero polynomial in 1-6 variables with nonzero int coefficients:
+    every term of one total degree, or of mixed total degrees."""
+    nv = draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, 4), min_size=nv, max_size=nv)
+    if homogeneous:
+        # Each tuple is a sorted cut of 0..deg into nv parts.
+        deg = draw(st.integers(0, 5))
+        cuts = st.lists(st.integers(0, deg), min_size=nv - 1, max_size=nv - 1).map(sorted)
+        exps = cuts.map(lambda c: [b - a for a, b in zip([0, *c], [*c, deg])])
+    coeff = st.integers(1, 9) | st.integers(-9, -1)
+    terms = draw(st.dictionaries(exps.map(tuple), coeff, min_size=1, max_size=25))
+    return MPoly(tuple(f"x{i}" for i in range(nv)), terms)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "mixed"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_grlex_order_matches_the_key_sort(homogeneous, data):
+    p = data.draw(grlex_polys(homogeneous))
+    expected = sorted(p.terms, key=_grlex_key, reverse=True)
+    assert [e for e, _ in p.sorted_terms()] == expected
+    assert p.leading_term() == (expected[0], Fraction(p.terms[expected[0]]))
+    _, q = content_primitive(p)
+    assert q.terms[expected[0]] > 0
 
 
 def curve_doc(f):
