@@ -213,73 +213,90 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     :func:`~chowforms.polynomial.form_ring`, which runs once.
 
     Each Bez(f_k, f_l) is taken on ints, by Kronecker substitution: a
-    scaled coefficient c, a polynomial in the r coefficient variables,
-    becomes the one int c(2^B), its monomials in slots of B bits.  A
-    monomial's slot index is its exponent vector in mixed radix
-    2 D_i + 1, the first variable most significant, with D_i the largest
-    degree of variable i in any coefficient.  A product of two
-    coefficients has degree at most 2 D_i in variable i, so its monomials
-    keep distinct slots and slot indices add without carry.  The unchecked
-    :func:`~chowforms.resultant.bezoutian` runs on those ints, and each
-    entry is read back from its balanced base-2^B digits.  An entry is a
-    sum of at most d minors a_p b_q - a_q b_p; a coefficient of a product
-    sums at most prod(D_i + 1) <= (D + 1)^r products of two scaled
-    coefficients, each at most A^2 in absolute value, with A the largest
-    scaled coefficient and D the largest D_i.  So no entry coefficient
-    exceeds 2 d prod(D_i + 1) A^2, and B (:func:`_slot_bits`) is the least
-    width with 2^(B-1) above that.  Numeric forms skip the encoding: with
-    r = 0 there is one slot, and each int is the scaled number itself.
-    The ints span the whole box of prod(2 D_i + 1) slots, so their length
-    grows with that box, not with the number of terms: a coefficient ring
-    of many variables of positive degree makes them long.
+    scaled coefficient c, a polynomial in the r coefficient variables (a
+    number is a constant one), becomes the one int c(2^B), its monomials
+    in slots of B = 8 W bits.  A monomial's slot index is its exponent
+    vector in mixed radix 2 D_i + 1, the first variable most significant,
+    with D_i the largest degree of variable i in any coefficient.  A
+    product of two coefficients has degree at most 2 D_i in variable i, so
+    its monomials keep distinct slots and slot indices add without carry.
+    The unchecked :func:`~chowforms.resultant.bezoutian` runs on those
+    ints.  An entry is a sum of at most d minors a_p b_q - a_q b_p; a
+    coefficient of a product sums at most prod(D_i + 1) products of two
+    scaled coefficients, each at most A^2 in absolute value, with A the
+    largest scaled coefficient.  So no entry coefficient exceeds
+    2 d prod(D_i + 1) A^2, and W (:func:`_slot_bytes`) is the least byte
+    count with 2^(8W-1) above that.  Each entry is read back from its
+    balanced base-2^B digits through one byte string, in time linear in
+    its length.
+
+    The ints hold the whole box of n = prod(2 D_i + 1) slots, however few
+    the terms: a sparse ring of several variables makes them long.  A
+    product of two coefficients of t terms costs about t^2 term products
+    on MPolys and about n slots on ints, so when n exceeds :data:`_SPARSE`
+    times the square of the mean term count of the nonzero coefficients,
+    the recurrence runs on the scaled coefficients as MPolys instead.
     """
     d, coeff_vars = form_ring(forms)
-    lam = _denominator_lcm(forms)
-    if coeff_vars:
-        exps = [e for h in forms for c in h.coeffs if isinstance(c, MPoly) for e in c.terms]
-        tops = [max(col) for col in zip(*exps)] or [0] * len(coeff_vars)
-        radix = [2 * t + 1 for t in tops]
-        strides = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
+    lam, const = _denominator_lcm(forms), (0,) * len(coeff_vars)
 
-        def slots(c) -> list[tuple[int, int]]:
-            if isinstance(c, MPoly):
-                return [(sum(map(mul, e, strides)), _scaled(x, lam)) for e, x in c.terms.items()]
-            return [(0, _scaled(c, lam))]
+    def scaled(c) -> dict:
+        if isinstance(c, MPoly):
+            return {e: _scaled(x, lam) for e, x in c.terms.items()}
+        return {const: _scaled(c, lam)} if c else {}
 
-        coded = [[slots(c) for c in h.coeffs] for h in forms]
-        B = _slot_bits(d, tops, max((abs(x) for h in coded for c in h for _, x in c), default=0))
-        ints = [[sum(x << B * k for k, x in c) for c in h] for h in coded]
-        keys = [tuple(k // s % q for s, q in zip(strides, radix)) for k in range(math.prod(radix))]
+    coeffs = [[scaled(c) for c in h.coeffs] for h in forms]
+    nonzero = [c for h in coeffs for c in h if c]
+    tops = [max((e[i] for c in nonzero for e in c), default=0) for i in range(len(coeff_vars))]
+    radix = [2 * t + 1 for t in tops]
+    n, nterms = math.prod(radix), sum(map(len, nonzero))
+    keys: list[tuple[slice, tuple[int, ...]]] = []
+    if n * len(nonzero) ** 2 > _SPARSE * nterms**2:
+        coded = [[MPoly._trusted(coeff_vars, c) for c in h] for h in coeffs]
     else:
-        ints = [[_scaled(c, lam) for c in h.coeffs] for h in forms]
-        B, keys = _slot_bits(d, (), max(abs(x) for h in ints for x in h)), [()]
-    half, mask = 1 << (B - 1), (1 << B) - 1
+        strides = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
+        W = _slot_bytes(d, tops, max((abs(x) for c in nonzero for x in c.values()), default=0))
+        B, half = 8 * W, 1 << (8 * W - 1)
+        shift = {e: B * sum(map(mul, e, strides)) for c in nonzero for e in c}
+        coded = [[sum(x << shift[e] for e, x in c.items()) for c in h] for h in coeffs]
+        keys = [(slice(W * s, W * s + W), tuple(s // st % q for st, q in zip(strides, radix))) for s in range(n)]
+        # half in every slot makes each digit x + half, in [0, 2^B).
+        offset = int.from_bytes((bytes(W - 1) + b"\x80") * n, "little")
+    from_bytes = int.from_bytes
     pairs = _pair_vars(len(forms))
     npairs = len(pairs)
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
     for t, ((k, l), _) in enumerate(pairs):
         unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
-        for row, bez_row in zip(terms, bezoutian(ints[k], ints[l])):
+        slots = [(cut, unit + key) for cut, key in keys]
+        for row, bez_row in zip(terms, bezoutian(coded[k], coded[l])):
             for entry, v in zip(row, bez_row):
-                slot = 0
-                while v:
-                    x = v & mask
-                    if x >= half:
-                        x -= mask + 1
-                    if x:
-                        entry[unit + keys[slot]] = x
-                    v = (v - x) >> B
-                    slot += 1
+                if isinstance(v, MPoly):
+                    entry.update((unit + e, x) for e, x in v.terms.items())
+                elif v:
+                    raw = (v + offset).to_bytes(W * n, "little")
+                    for cut, key in slots:
+                        x = from_bytes(raw[cut], "little")
+                        if x != half:
+                            entry[key] = x - half
     ring = tuple(p for _, p in pairs) + coeff_vars
     return [[MPoly._trusted(ring, entry) for entry in row] for row in terms]
 
 
-def _slot_bits(d: int, tops: Sequence[int], A: int) -> int:
-    """The slot width B of :func:`bezout_pform`: the least B with
-    2^(B-1) > 2 d prod(D_i + 1) A^2, for forms of degree d whose scaled
+# The slots per squared mean term count above which bezout_pform keeps a
+# ring's coefficients as MPolys: on random rings of one to six variables
+# (up to 4 forms of degree 3) ints were 1.4-5x faster at ratios up to 16,
+# level at 17-20 and slower from 21 on (BENCH_epskron.json,
+# sparse_ring_route).
+_SPARSE = 16
+
+
+def _slot_bytes(d: int, tops: Sequence[int], A: int) -> int:
+    """The slot width W of :func:`bezout_pform`, in bytes: the least W with
+    2^(8W-1) > 2 d prod(D_i + 1) A^2, for forms of degree d whose scaled
     coefficients have degree D_i = tops[i] in variable i and absolute
     values at most A."""
-    return (2 * d * math.prod(t + 1 for t in tops) * A * A).bit_length() + 1
+    return (2 * d * math.prod(t + 1 for t in tops) * A * A).bit_length() // 8 + 1
 
 
 def _scaled(c: ScalarLike, lam: int) -> int:

@@ -16,8 +16,10 @@ of degree d1+d2, and for a valid join the limit factors into the two
 component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
 The join writes each coefficient's eps terms directly, and
-:func:`~chowforms.chow.bezout_pform` takes the Bezoutians on ints, so no
-MPoly is multiplied or added from the join to the determinant.
+:func:`~chowforms.chow.bezout_pform` takes the Bezoutians on ints (always
+for eps-degree at most 7, whose 2 D + 1 <= 15 slots never count as
+sparse), so no MPoly is multiplied or added from the join to the
+determinant.
 
 :func:`family_limit` computes that limit modulo eps^K with
 ``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
@@ -228,10 +230,11 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     The p-form of eps-free components is lifted to a constant family over
     Q[eps] and takes the same route: every entry has eps-degree 0, so one
     expansion modulo eps gives their normalized Chow form.  The tuple is
-    checked once, by :func:`~chowforms.chow.bezout_pform`.  Raises
-    ValueError where :func:`~chowforms.polynomial.form_ring` does, for
-    coefficients outside Q and Q[eps], and when the family biform is
-    identically zero.
+    checked once, by :func:`~chowforms.chow.bezout_pform`, after a
+    coefficient ring other than Q or Q[eps] is rejected.  Raises
+    ValueError for such a ring, where
+    :func:`~chowforms.polynomial.form_ring` does, and when the family
+    biform is identically zero.
     """
     matrix = _eps_pform(components)
     n, d = len(components) - 1, components[0].degree
@@ -251,16 +254,17 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
 
 def _eps_pform(components: Sequence[BinaryForm]) -> list[list[MPoly]]:
     """The Bezout p-form of the components over Q[eps]; an eps-free one is
-    lifted to a constant family, every term at eps^0.  Raises ValueError
-    where :func:`~chowforms.chow.bezout_pform` does, the only check of the
-    tuple, and for a coefficient ring other than Q or Q[eps]."""
+    lifted to a constant family, every term at eps^0.  A single ring other
+    than Q or Q[eps] raises ValueError before any arithmetic; otherwise
+    ValueError is raised where :func:`~chowforms.chow.bezout_pform` does,
+    the only check of the tuple (mixed rings among them)."""
+    rings = {c.names for h in components for c in h.coeffs if isinstance(c, MPoly)}
+    if len(rings) == 1:
+        _check_ring(*rings)
     matrix = bezout_pform(components)
-    names = matrix[0][0].names
-    ring = names[len(components) * (len(components) - 1) // 2 :]
-    _check_ring(ring)
-    if ring:
+    if (EPS,) in rings:
         return matrix
-    names += (EPS,)
+    names = matrix[0][0].names + (EPS,)
     return [[MPoly._trusted(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
 
 

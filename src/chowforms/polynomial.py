@@ -91,12 +91,18 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
 
 
+def _mixed_degrees(keys) -> bool:
+    """True when the exponent tuples have more than one total degree.
+    Among tuples of one total degree lex order is graded-lex order, so a
+    homogeneous polynomial needs no total-degree key to sort or to find
+    its lead."""
+    return len(set(map(sum, keys))) > 1
+
+
 def _grlex_max(keys) -> tuple[int, ...]:
     """The greatest of a nonempty collection of exponent tuples in
-    graded-lex order.  Among tuples of one total degree lex order is
-    graded-lex order, so a homogeneous polynomial's lead is the plain max,
-    found with no Python key function."""
-    return max(keys) if len(set(map(sum, keys))) == 1 else max(keys, key=_grlex_key)
+    graded-lex order."""
+    return max(keys, key=_grlex_key) if _mixed_degrees(keys) else max(keys)
 
 
 class MPoly:
@@ -210,7 +216,7 @@ class MPoly:
         term has one total degree, lex order already is graded-lex order
         and the second sort is skipped."""
         keys = sorted(self.terms, reverse=True)
-        if len(set(map(sum, keys))) > 1:
+        if _mixed_degrees(keys):
             keys.sort(key=sum, reverse=True)
         terms = self.terms
         return [(e, terms[e]) for e in keys]

@@ -370,23 +370,64 @@ def test_bezout_pform_equals_the_pairwise_route_on_line_families_and_mixed_rings
         assert bezout_pform(forms) == ref_pform(forms)
 
 
+def test_bezout_pform_keeps_sparse_rings_on_mpolys_and_dense_ones_on_ints(monkeypatch):
+    # Sparse: each coefficient is a few terms c * x_k^e over Q[x0..x5], in a
+    # box of 5^6 slots.  Dense: every monomial of degree <= 6 in each of
+    # x, y (169 slots, read back in one pass).  Both match the pairwise
+    # route, and each runs the recurrence on the coefficients it should.
+    import chowforms.chow as chow
+
+    rng = random.Random("kronecker-sparse")
+    kinds, bezoutian = [], chow.bezoutian
+
+    def spy(a, b):
+        kinds.append({type(c) for c in a + b})
+        return bezoutian(a, b)
+
+    monkeypatch.setattr(chow, "bezoutian", spy)
+    six = tuple(f"x{i}" for i in range(6))
+
+    def sparse():
+        k = rng.randrange(6)
+        return MPoly(six, {tuple(rng.randint(1, 2) if j in (k, (k + 1) % 6) else 0 for j in range(6)): rng.randint(-3, 3), (0,) * 6: 1})
+
+    def dense():
+        return MPoly(("x", "y"), {(i, j): rng.randint(1, 9) for i in range(7) for j in range(7)})
+
+    for coeff, kind in [(sparse, MPoly), (dense, int)]:
+        forms = [BinaryForm([coeff() for _ in range(4)]) for _ in range(4)]
+        kinds.clear()
+        assert bezout_pform(forms) == ref_pform(forms)
+        assert kinds and all(k == {kind} for k in kinds)
+
+
 def test_slot_width_is_the_least_that_holds_an_entry_at_the_bound(monkeypatch):
     # a = (-A P, A P) and b = (A P, A P) with P = 1 + eps + ... + eps^D give
     # Bez(a, b) = a_1 b_0 - a_0 b_1 = 2 A^2 P^2: every coefficient positive,
-    # the middle one 2 (D + 1) A^2, the bound for d = 1.  One bit less and
-    # that digit no longer fits its slot.
+    # the middle one 2 (D + 1) A^2, the bound for d = 1.  One byte less and
+    # that digit no longer fits its slot: the entry reads wrong, or the
+    # read-back overflows.  100 and 128 sit on both sides of a byte; a
+    # one-byte width has no narrower one to try.
     import chowforms.chow as chow
 
-    width = chow._slot_bits
-    for D, A in [(1, 1), (1, 3), (2, 5), (3, 1000), (4, 7)]:
+    width = chow._slot_bytes
+    for D, A in [(1, 1), (1, 5), (3, 4), (2, 5), (3, 1000), (4, 7)]:
         P = MPoly((EPS,), {(k,): A for k in range(D + 1)})
         forms = [BinaryForm([-P, P]), BinaryForm([P, P])]
         expected = ref_pform(forms)
-        assert max(expected[0][0].terms.values()) == 2 * (D + 1) * A * A
+        bound = 2 * (D + 1) * A * A
+        assert max(expected[0][0].terms.values()) == bound
+        W = width(1, [D], A)
+        assert 2 ** (8 * W - 9) <= bound < 2 ** (8 * W - 1)
         assert bezout_pform(forms) == expected
-        monkeypatch.setattr(chow, "_slot_bits", lambda *args: width(*args) - 1)
-        assert bezout_pform(forms) != expected
-        monkeypatch.setattr(chow, "_slot_bits", width)
+        if W == 1:
+            continue
+        monkeypatch.setattr(chow, "_slot_bytes", lambda *args: width(*args) - 1)
+        try:
+            assert bezout_pform(forms) != expected
+        except OverflowError:
+            pass
+        monkeypatch.setattr(chow, "_slot_bytes", width)
 
 
 # -- independent oracle: sympy ---------------------------------------------------------
