@@ -18,6 +18,7 @@ from .chow import (
     contraction_resultant,
     implicitize_plane_curve,
     incident,
+    plucker_form,
     plucker_rewrite,
     proportional,
     uv_names,
@@ -94,6 +95,7 @@ __all__ = [
     "map_degree",
     "normalize_attachment",
     "parse_terms",
+    "plucker_form",
     "plucker_rewrite",
     "poly_divides",
     "proportional",

@@ -21,8 +21,14 @@ On P^2 the determinant itself is the Chow form in Plucker coordinates, and
 Biform coefficient tables are a faithful, canonical encoding: two curves
 have the same image exactly when their normalized biforms agree.  The
 Plucker representative is unique too, for every (n, d): the standard-monomial
-normal form.  Both directions between p and (u, v) work on monomials packed
-into one int each (:func:`wedge_expand`, :func:`plucker_rewrite`).
+normal form.  :func:`plucker_form` reaches it from the determinant of the
+Bezout p-form by the straightening law of Gr(2, n+1), which rewrites each
+nested pair p_ad p_bc (a < b < c < d) as p_ac p_bd - p_ab p_cd, with no
+(u, v) biform built; its exact check expands only the rewritten part and
+its image, which must agree in (u, v).  :func:`plucker_rewrite` peels the
+normal form off a given biform instead, and proves it by a round trip.
+Both directions between p and (u, v) work on monomials packed into one int
+each (:func:`wedge_expand`, :func:`plucker_rewrite`, :func:`plucker_form`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .curves import CurveMap, Plane
 from .oracle import check_curve
@@ -62,6 +68,7 @@ __all__ = [
     "wedge_expand",
     "incident",
     "plucker_rewrite",
+    "plucker_form",
     "implicitize_plane_curve",
     "NotBirational",
     "proportional",
@@ -411,10 +418,13 @@ class PluckerRep:
     """Degree-d polynomial in p_ij with p_ij -> u_i v_j - u_j v_i expanding
     back to the source biform exactly.
 
-    :func:`plucker_rewrite` returns the standard-monomial normal form, the
-    unique representative without a nested pair p_ad p_bc (a < b < c < d),
-    for every (n, d).  ``canonical`` is True when n <= 2 or d = 1: then no
-    Plucker relation of degree d exists, so no other representative does.
+    Both producers return the standard-monomial normal form, the unique
+    representative without a nested pair p_ad p_bc (a < b < c < d), for
+    every (n, d): :func:`plucker_form` straightens the Bezout p-form of a
+    curve and checks its rewrites exactly in (u, v), and
+    :func:`plucker_rewrite` peels a given biform and checks the round trip.
+    ``canonical`` is True when n <= 2 or d = 1: then no Plucker relation of
+    degree d exists, so no other representative does.
     """
 
     n: int
@@ -517,6 +527,137 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
     if out.expand().poly != ca.poly:
         raise RuntimeError("plucker rewrite failed to round-trip")
     return out
+
+
+def plucker_form(f: CurveMap) -> Optional[PluckerRep]:
+    """The Plucker form of the normalized Chow form of f, straightened from
+    det :func:`bezout_pform` without building the (u, v) biform; None when
+    f has a base point, since its Chow form is zero.  It equals
+    ``plucker_rewrite(cayley_biform(f).normalized())`` term for term.
+
+    :func:`_straighten` gives the standard-monomial normal form of the
+    determinant.  Standard monomials map to their (u, v) expansions by a
+    unitriangular matrix over Z, prod p_{i_s j_s} leading with u_I v_J, so
+    the content is divided out as it stands, and the sign makes positive
+    the coefficient of the monomial with the greatest u_I v_J, the biform's
+    graded-lex leading term (:meth:`CayleyBiform.normalized`).
+
+    The exact check: the determinant and its normal form must have one
+    expansion into (u, v).  Their difference is the part R that was
+    rewritten less its image S(R), whose supports are disjoint, and
+    wedge_expand(R - S(R)) == 0 is tested; a failure raises RuntimeError.
+    Standard monomials that pass through unchanged cancel and are not
+    expanded, so on P^2, where no pair is nested, the check costs nothing.
+    Raises ValueError for n > 9 (:func:`plucker_names`), after the base
+    point test.
+    """
+    m = f.n + 1
+    raw = det_expand(bezout_pform(f.components))
+    std = _straighten(raw.terms, m)
+    diff = dict(raw.terms)
+    for exps, c in std.items():
+        c = diff.pop(exps, 0) - c
+        if c:
+            diff[exps] = c
+    if diff and not wedge_expand(MPoly._trusted(raw.names, diff), m).is_zero:
+        raise RuntimeError("Plucker straightening failed its exact check")
+    if not std:
+        return None
+    names = plucker_names(f.n)
+    # The leading term u_I v_J of a standard monomial, packed: it is linear
+    # in the exponents, and packed ints compare in lex order.
+    w = field_bytes(f.d)
+    uv_lead = [pack([i in (k, m + l) for i in range(2 * m)], w) for (k, l), _ in _pair_vars(m)]
+    lead = max(std, key=lambda exps: sum(map(mul, exps, uv_lead)))
+    g = math.gcd(*std.values())
+    g = g if std[lead] > 0 else -g
+    return PluckerRep(f.n, f.d, MPoly._trusted(names, {e: c // g for e, c in std.items()}))
+
+
+def _plucker_relation(a: int, b: int, c: int, d: int) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
+    """p_ad p_bc as a sum of sign * p_kl p_ij, for a < b < c < d."""
+    return [((a, c), (b, d), 1), ((a, b), (c, d), -1)]
+
+
+def _straighten(terms: dict, m: int) -> dict:
+    """The standard-monomial normal form of a p-form with int coefficients,
+    as a dict of its nonzero terms.  ``terms`` maps exponent vectors over
+    the pairs of m points, in :func:`bezout_pform` order, to ints.
+
+    Each nested pair p_ad p_bc (a < b < c < d) is rewritten by
+    :func:`_plucker_relation` (Sturmfels, Algorithms in Invariant Theory,
+    1993, section 3.1) until none is left.  A rewrite lowers
+    Phi = sum e_kl (l - k)^2 by at least 2 (by 2 (b - a)(d - c) for
+    p_ac p_bd), so a worklist of buckets by Phi, taken from the top, pops
+    each monomial once, after every monomial that feeds it; nothing
+    recurses.  Monomials are packed (:func:`~chowforms.polynomial.pack`), so
+    a rewrite adds one int; standard ones in ``terms`` pass through as they
+    are.
+    """
+    pairs = [kl for kl, _ in _pair_vars(m)]
+    npairs = len(pairs)
+    w = field_bytes(max(map(sum, terms), default=0))
+    index = {kl: t for t, kl in enumerate(pairs)}
+    unit = [1 << 8 * w * (npairs - 1 - t) for t in range(npairs)]  # pack() of pair t
+    field = [u * ((1 << 8 * w) - 1) for u in unit]  # the bits of pair t's exponent
+    phi = [(l - k) ** 2 for k, l in pairs]
+
+    def steps(outer: int, inner: int) -> list[tuple[int, int, int]]:
+        """(key delta, Phi delta, sign) of each term of the relation."""
+        (a, d), (b, c) = pairs[outer], pairs[inner]
+        out = []
+        for kl, ij, sign in _plucker_relation(a, b, c, d):
+            s, t = index[kl], index[ij]
+            key = unit[s] + unit[t] - unit[outer] - unit[inner]
+            out.append((key, phi[s] + phi[t] - phi[outer] - phi[inner], sign))
+        return out
+
+    # Each pair (a, d) with the pairs (b, c) nested strictly inside it.
+    nests = []
+    for t, (a, d) in enumerate(pairs):
+        inside = [(field[s], steps(t, s)) for s, (b, c) in enumerate(pairs) if a < b and c < d]
+        if inside:
+            nests.append((field[t], inside))
+
+    def relation(key: int) -> Optional[list[tuple[int, int, int]]]:
+        """The steps of the first nested pair of a packed monomial."""
+        for outer, inside in nests:
+            if key & outer:
+                for inner, out in inside:
+                    if key & inner:
+                        return out
+        return None
+
+    std: dict[tuple[int, ...], int] = {}
+    coef: dict[int, int] = {}
+    todo: list[list[int]] = []
+    for exps, c in terms.items():
+        key = pack(exps, w)
+        if relation(key) is None:
+            std[exps] = c
+            continue
+        level = sum(map(mul, exps, phi))
+        todo.extend([] for _ in range(level + 1 - len(todo)))
+        coef[key] = c
+        todo[level].append(key)
+    for level in range(len(todo) - 1, -1, -1):
+        for key in todo[level]:
+            c = coef.pop(key)
+            if not c:
+                continue
+            rule = relation(key)
+            if rule is None:
+                exps = unpack(key, npairs, w)
+                std[exps] = std.get(exps, 0) + c
+                continue
+            for delta, drop, sign in rule:
+                k = key + delta
+                if k in coef:
+                    coef[k] += sign * c
+                else:
+                    coef[k] = sign * c
+                    todo[level + drop].append(k)
+    return {exps: c for exps, c in std.items() if c}
 
 
 # -- plane-curve implicitization ---------------------------------------------

@@ -43,7 +43,7 @@ from .chow import (
     implicitize_plane_curve,
     incident,
     pform_scale,
-    plucker_rewrite,
+    plucker_form,
     uv_names,
 )
 from .curves import CurveMap, Plane
@@ -73,6 +73,7 @@ class DegenerateInput(Exception):
 
 
 _ZERO_FAMILY = "family biform is identically zero"
+_BASE_LOCUS = "zero Cayley biform (base locus)"
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -195,15 +196,29 @@ def _chow_form(f: CurveMap) -> CayleyBiform:
     """The normalized Chow biform of f; a base point makes it zero (exit 3)."""
     ca = cayley_biform(f)
     if ca.is_zero:
-        raise DegenerateInput("zero Cayley biform (base locus)")
+        raise DegenerateInput(_BASE_LOCUS)
     return ca.normalized()
+
+
+def _plucker_form(f: CurveMap):
+    """The Plucker form of the normalized Chow form of f.  A base point
+    exits 3 before the p_ij naming error of n > 9 exits 2."""
+    try:
+        rep = plucker_form(f)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    if rep is None:
+        raise DegenerateInput(_BASE_LOCUS)
+    return rep
 
 
 def cmd_compute(args) -> int:
     f = load_curve(args.curve)
     _warn_if_degenerate(f, args.seed)
-    ca = _chow_form(f)
-    rep = _plucker(ca) if args.plucker else None
+    # The biform printed with a Plucker form is that form's expansion: the
+    # normalized biform, term for term.
+    rep = _plucker_form(f) if args.plucker else None
+    ca = _chow_form(f) if rep is None else rep.expand()
     if args.json:
         print(_compute_json(ca, rep))
     else:
@@ -211,13 +226,6 @@ def cmd_compute(args) -> int:
         if rep is not None:
             _print_plucker(rep)
     return 0
-
-
-def _plucker(ca: CayleyBiform):
-    try:
-        return plucker_rewrite(ca)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _print_plucker(rep) -> None:
@@ -354,7 +362,7 @@ def cmd_implicitize(args) -> int:
 def cmd_plucker(args) -> int:
     f = load_curve(args.curve)
     _warn_if_degenerate(f, args.seed)
-    _print_plucker(_plucker(_chow_form(f)))
+    _print_plucker(_plucker_form(f))
     return 0
 
 

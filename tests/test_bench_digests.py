@@ -3,8 +3,9 @@
 The benchmark gates each run's outputs against the per-kind digests in
 ``perfbench/baseline/digests.json``.  These tests load the benchmark's own
 workload and harness modules from the checkout, read-only, run every
-operation of each workload once for seed 1, and compare the digests, so a
-change to any printed byte fails here as well as in the benchmark.  They
+operation of each workload once for seed 1 (``build_grid`` also for seeds
+2 and 3), and compare the digests, so a change to any printed byte fails
+here as well as in the benchmark.  They
 skip when the checkout has no benchmark.
 """
 
@@ -17,6 +18,9 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("build_grid", "query_planes", "degen_joins")
 SEED = 1
+# build_grid prints every Chow form and Plucker form the benchmark checks,
+# so two more of its seeds guard their content and sign on more curves.
+MORE_GRID_SEEDS = (2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +47,12 @@ def test_seed_one_outputs_match_the_baseline_digests(bench, workload, tmp_path):
     prepared = setup(SEED, tmp_path)
     outputs = {op.key: op.call() for op in prepared.ops}
     assert harness.kind_digests(prepared.ops, outputs) == baseline[workload][str(SEED)]
+
+
+@pytest.mark.parametrize("seed", MORE_GRID_SEEDS)
+def test_build_grid_outputs_match_the_baseline_digests(bench, seed, tmp_path):
+    harness, workloads, baseline = bench
+    setup, _ = workloads.SETUPS["build_grid"]
+    prepared = setup(seed, tmp_path)
+    outputs = {op.key: op.call() for op in prepared.ops}
+    assert harness.kind_digests(prepared.ops, outputs) == baseline["build_grid"][str(seed)]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from chowforms import (
     implicitize_plane_curve,
     incident,
     incident_oracle,
+    plucker_form,
     plucker_rewrite,
     proportional,
     uv_names,
@@ -384,6 +387,104 @@ def test_plucker_rejects_non_wedge_biform():
     bad = CayleyBiform(1, 1, MPoly.var(names, "u0") * MPoly.var(names, "v0"))
     with pytest.raises(ValueError, match="wedge"):
         plucker_rewrite(bad)
+
+
+# -- Plucker form by straightening ------------------------------------------------------
+
+
+def has_nested_pair(rep: PluckerRep) -> bool:
+    pairs = [(int(p[1]), int(p[2])) for p in rep.poly.names]
+    return any(
+        a < b < c < d
+        for exps in rep.poly.terms
+        for (a, d), e in zip(pairs, exps)
+        if e
+        for (b, c), e2 in zip(pairs, exps)
+        if e2
+    )
+
+
+def rand_rational_curve(rng, n, d):
+    """A birational curve with Fraction coefficients of mixed denominators."""
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)] for _ in range(n + 1)]
+        if any(any(r) for r in rows):
+            f = CurveMap.from_coeffs(rows)
+            if check_curve(f, rng=rng).birational:
+                return f
+
+
+def straighten_cases():
+    rng = random.Random(2101)
+    grid = [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (3, 5), (4, 4), (5, 4)]
+    cases = [(f"{n},{d}", rand_curve_birational(rng, n, d)) for n, d in grid]
+    cases += [(f"Q {n},{d}", rand_rational_curve(rng, n, d)) for n, d in [(3, 2), (3, 3), (4, 3)]]
+    phi0, phi1 = rand_base_free_pair(rng, 2)
+    cases.append(("cover 3,4", compose_curve(rand_curve_birational(rng, 3, 2), phi0, phi1)))
+    return cases
+
+
+@pytest.mark.parametrize("f", [f for _, f in straighten_cases()], ids=[t for t, _ in straighten_cases()])
+def test_plucker_form_equals_the_peel_of_the_normalized_biform(f):
+    rep = plucker_form(f)
+    ref = plucker_rewrite(cayley_biform(f).normalized())
+    assert rep.poly.names == ref.poly.names
+    assert rep.poly.terms == ref.poly.terms
+    assert type(rep) is PluckerRep and (rep.n, rep.d) == (f.n, f.d)
+    assert not has_nested_pair(rep)
+
+
+def test_plucker_form_on_p2_is_the_raw_determinant_up_to_content_and_sign(monkeypatch):
+    # No pair of P^2 is nested, so nothing is rewritten or expanded.  After
+    # the P^2 duality the p-form is implicitize_plane_curve's equation.
+    from chowforms.chow import bezout_pform, det_expand
+
+    rng = random.Random(2102)
+    curves = [rand_curve_birational(rng, 2, d) for d in (1, 2, 3, 4)] + [rand_rational_curve(rng, 2, 3)]
+    expected = {}
+    for f in curves:
+        raw = det_expand(bezout_pform(f.components)).terms
+        _, q = content_primitive(MPoly(plucker_names(2), raw))
+        expected[f] = q, implicitize_plane_curve(f)
+    monkeypatch.setattr("chowforms.chow.wedge_expand", lambda *a: pytest.fail("wedge_expand on P^2"))
+    for f in curves:
+        rep = plucker_form(f)
+        q, implicit = expected[f]
+        assert rep.poly.terms in (q.terms, (-q).terms)
+        dual = {(c, b, a): -x if b % 2 else x for (a, b, c), x in rep.poly.terms.items()}
+        assert dual in (implicit.terms, (-implicit).terms)
+
+
+@pytest.mark.parametrize("a, b, c, d", list(itertools.combinations(range(6), 4)))
+def test_each_plucker_relation_of_p5_agrees_with_wedge_expand(a, b, c, d):
+    from chowforms.chow import _plucker_relation, wedge_expand
+
+    names = plucker_names(5)
+    p = {(int(k[1]), int(k[2])): MPoly.var(names, k) for k in names}
+    rewritten = MPoly.zero(names)
+    for kl, ij, sign in _plucker_relation(a, b, c, d):
+        rewritten = rewritten + sign * p[kl] * p[ij]
+    assert wedge_expand(p[a, d] * p[b, c], 6) == wedge_expand(rewritten, 6)
+    assert not has_nested_pair(PluckerRep(5, 2, rewritten))
+
+
+def test_straightening_a_high_power_needs_no_recursion():
+    # p03^k p12^k = (p02 p13 - p01 p23)^k; a recursive straightener would
+    # pass Python's recursion limit well before k = 1200.
+    from chowforms.chow import _straighten
+
+    k = 1200
+    out = _straighten({(0, 0, k, k, 0, 0): 1}, 4)
+    assert out == {(k - i, i, 0, 0, i, k - i): (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)}
+
+
+def test_plucker_form_of_a_base_pointed_curve_is_none():
+    for f in (
+        CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 1, 0]]),
+        CurveMap.from_coeffs([[1, 1, 0], [0, 1, 1], [2, 2, 0], [0, 3, 3]]),  # common factor z0 + z1
+    ):
+        assert cayley_biform(f).is_zero
+        assert plucker_form(f) is None
 
 
 # -- implicitization ----------------------------------------------------------------------

@@ -82,8 +82,13 @@ def test_compute_json(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["compute"], ["plucker"], ["incident", "--method", "chow", "--plane", "1,0,0;0,1,0"]],
-    ids=["compute", "plucker", "incident"],
+    [
+        ["compute"],
+        ["plucker"],
+        ["incident", "--method", "chow", "--plane", "1,0,0;0,1,0"],
+        ["compute", "--plucker"],
+    ],
+    ids=["compute", "plucker", "incident", "compute-plucker"],
 )
 def test_compute_zero_biform_exits_3(tmp_path, capsys, argv):
     # Every command that builds the Chow form of a base-pointed curve exits
@@ -385,17 +390,76 @@ def test_plucker_beyond_naming_range_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error:") and "n <= 9" in err
 
 
+@pytest.mark.parametrize("argv", [["compute", "--plucker"], ["plucker"]])
+def test_base_point_beyond_naming_range_exits_3(tmp_path, capsys, argv):
+    # The zero Chow form is reported before the p_ij naming range.
+    based = {"n": 10, "d": 2, "coeffs": [["1", "0", "0"], ["0", "1", "0"]] + [["0", "0", "0"]] * 9}
+    path = write(tmp_path, "p10.json", based)
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == "error: zero Cayley biform (base locus)"
+
+
+@pytest.mark.parametrize("argv", [["plucker"], ["compute", "--plucker"], ["compute", "--json", "--plucker"]])
+def test_plucker_output_skips_the_uv_biform(tmp_path, capsys, monkeypatch, argv):
+    # The Plucker form is straightened from the Bezout p-form: no biform is
+    # built and peeled, and `plucker` expands nothing back into (u, v).
+    import chowforms.chow as chow
+    import chowforms.cli as cli
+    from chowforms.cli import _compute_json
+    from helpers import rand_curve_birational
+
+    f = rand_curve_birational(random.Random(31), 3, 3)
+    rows = [[str(c) for c in comp.coeffs] for comp in f.components]
+    path = write(tmp_path, "twisted.json", {"n": 3, "d": 3, "coeffs": rows})
+    ca = cayley_biform(f).normalized()
+    rep = plucker_rewrite(ca)
+    if "--json" in argv:
+        expected = _compute_json(ca, rep) + "\n"
+    else:
+        expected = f"plucker canonical=false\n{format_terms(rep.poly)}\n"
+        if argv[0] == "compute":
+            expected = f"biform n=3 d=3\n{format_terms(ca.poly)}\n" + expected
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Plucker route built or peeled the (u, v) biform")
+
+    for module in (chow, cli):
+        monkeypatch.setattr(module, "cayley_biform", forbidden)
+    monkeypatch.setattr(chow, "plucker_rewrite", forbidden)
+    if argv[0] == "plucker":
+        monkeypatch.setattr(chow.PluckerRep, "expand", forbidden)
+    assert run(capsys, [argv[0], path] + argv[1:]) == (0, expected, "")
+
+
 def test_internal_runtime_error_exits_4(tmp_path, capsys, monkeypatch):
     import chowforms.cli as cli
 
-    def fail(ca):
+    def fail(f):
         raise RuntimeError("plucker rewrite failed to round-trip")
 
     path = write(tmp_path, "conic.json", CONIC)
-    monkeypatch.setattr(cli, "plucker_rewrite", fail)
+    monkeypatch.setattr(cli, "plucker_form", fail)
     code, out, err = run(capsys, ["plucker", path])
     assert (code, out) == (4, "")
     assert err == "error: plucker rewrite failed to round-trip\n"
+
+
+@pytest.mark.parametrize("argv", [["plucker"], ["compute", "--plucker"]])
+def test_corrupted_straightening_step_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # A Plucker relation that drops its p_ab p_cd term still ends the
+    # straightening, but the exact check catches the wrong image.
+    import chowforms.chow as chow
+    from helpers import rand_curve_birational
+
+    f = rand_curve_birational(random.Random(7), 3, 3)
+    rows = [[str(c) for c in comp.coeffs] for comp in f.components]
+    path = write(tmp_path, "twisted.json", {"n": 3, "d": 3, "coeffs": rows})
+    assert run(capsys, [argv[0], path] + argv[1:])[0] == 0
+    monkeypatch.setattr(chow, "_plucker_relation", lambda a, b, c, d: [((a, c), (b, d), 1)])
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (4, "")
+    assert err == "error: Plucker straightening failed its exact check\n"
 
 
 def test_attachment_postcondition_exits_4(tmp_path, capsys, monkeypatch):
