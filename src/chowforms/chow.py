@@ -9,11 +9,12 @@ also admits a rewrite into Plucker coordinates p_ij = u_i v_j - u_j v_i.
 
 The production route uses that dependence directly.  The Bezout matrix is
 bilinear and alternating, so Bez(h1, h2) = sum_{k<l} p_kl Bez(f_k, f_l), a
-d x d matrix whose entries are linear in the p_kl with numeric (or Q[eps])
-coefficients.  The forms' MPoly coefficients fix that coefficient ring
-(such as Q[eps]); each stage reads its ring off its input.  The determinant,
-expanded back into (u, v), is the resultant up to a sign fixed by d; the
-2d x 2d Sylvester determinant over the u- and v-variables is never formed.
+d x d matrix whose entries are linear in the p_kl with coefficients in Q,
+or in Q[eps] for a family: the only two coefficient rings of this route,
+which :func:`bezout_pform` checks and each later stage reads off its
+input.  The determinant, expanded back into (u, v), is the resultant up to
+a sign fixed by d; the 2d x 2d Sylvester determinant over the u- and
+v-variables is never formed.
 The Sylvester backends in :mod:`chowforms.resultant` remain as cross-checks.
 On P^2 the determinant itself is the Chow form in Plucker coordinates, and
 :func:`implicitize_plane_curve` reads the implicit equation off it.
@@ -159,12 +160,13 @@ class CayleyBiform:
 
 def contraction_resultant(forms: Sequence[BinaryForm]) -> MPoly:
     """Resultant of sum_i u_i f_i against sum_i v_i f_i, in the ring of
-    :func:`wedge_expand`: the u-block, the v-block, then the variables of
-    the forms' MPoly coefficients (such as eps).  It equals the Sylvester
-    resultant exactly, sign included: the determinant of
-    :func:`bezout_pform`, with p_kl -> u_k v_l - u_l v_k substituted at the
-    end, divided by :func:`pform_scale`.  Raises ValueError where
-    :func:`bezout_pform` or :func:`wedge_expand` does.
+    :func:`wedge_expand`: the u-block, the v-block, then eps when the
+    forms' coefficients lie in Q[eps].  It equals the Sylvester resultant
+    exactly, sign included: the determinant of :func:`bezout_pform`, with
+    p_kl -> u_k v_l - u_l v_k substituted at the end, divided by
+    :func:`pform_scale`.  Raises ValueError where :func:`bezout_pform`
+    does, for a coefficient ring other than Q or Q[eps] among others;
+    :func:`~chowforms.resultant.resultant` takes any one ring.
 
     The determinant runs over Z, so each integer coefficient c is divided
     once by q = |pform_scale(forms)|, with its sign carried separately:
@@ -210,100 +212,83 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     """The d x d matrix sum_{k<l} p_kl Bez(lam f_k, lam f_l).
 
     lam is the lcm of every coefficient denominator, so the entries have
-    integer coefficients.  Their ring is the pair variables p_kl, then the
-    variables of the forms' MPoly coefficients (none for numeric forms).
-    Terms of different pairs never meet, so each entry's term dict is
-    filled directly.  The determinant, with p_kl -> u_k v_l - u_l v_k
-    substituted by :func:`wedge_expand`, is
+    integer coefficients.  The coefficients are numbers or MPolys over
+    Q[eps]; the entries' ring is the pair variables p_kl, then eps when any
+    coefficient is an MPoly.  Terms of different pairs never meet, so each
+    entry's term dict is filled directly.  The determinant, with
+    p_kl -> u_k v_l - u_l v_k substituted by :func:`wedge_expand`, is
     (-1)^(d(d+1)/2) * lam^(2d) * Res(sum_i u_i f_i, sum_i v_i f_i).
     Raises ValueError unless the forms pass
-    :func:`~chowforms.polynomial.form_ring`, which runs once.
+    :func:`~chowforms.polynomial.form_ring`, which runs once, and then,
+    before any arithmetic, unless their ring is Q or Q[eps].  This is the
+    ring check of every production route.
 
     Each Bez(f_k, f_l) is taken on ints, by Kronecker substitution: a
-    scaled coefficient c, a polynomial in the r coefficient variables (a
-    number is a constant one), becomes the one int c(2^B), its monomials
-    in slots of B = 8 W bits.  A monomial's slot index is its exponent
-    vector in mixed radix 2 D_i + 1, the first variable most significant,
-    with D_i the largest degree of variable i in any coefficient.  A
-    product of two coefficients has degree at most 2 D_i in variable i, so
-    its monomials keep distinct slots and slot indices add without carry.
-    The unchecked :func:`~chowforms.resultant.bezoutian` runs on those
-    ints.  An entry is a sum of at most d minors a_p b_q - a_q b_p; a
-    coefficient of a product sums at most prod(D_i + 1) products of two
-    scaled coefficients, each at most A^2 in absolute value, with A the
-    largest scaled coefficient.  So no entry coefficient exceeds
-    2 d prod(D_i + 1) A^2, and W (:func:`_slot_bytes`) is the least byte
+    scaled coefficient c(eps) (a number is a constant one) becomes the one
+    int c(2^B), its eps^s term in slot s of B = 8 W bits.  With D the
+    largest eps-degree of any coefficient, a product of two coefficients
+    has eps-degree at most 2 D, so the radix 2 D + 1 keeps its terms in
+    distinct slots.  The unchecked :func:`~chowforms.resultant.bezoutian`
+    runs on those ints.  An entry is a sum of at most d minors
+    a_p b_q - a_q b_p; a coefficient of a product sums at most D + 1
+    products of two scaled coefficients, each at most A^2 in absolute
+    value, with A the largest scaled coefficient.  So no entry coefficient
+    exceeds 2 d (D + 1) A^2, and W (:func:`_slot_bytes`) is the least byte
     count with 2^(8W-1) above that.  Each entry is read back from its
     balanced base-2^B digits through one byte string, in time linear in
     its length.
-
-    The ints hold the whole box of n = prod(2 D_i + 1) slots, however few
-    the terms: a sparse ring of several variables makes them long.  A
-    product of two coefficients of t terms costs about t^2 term products
-    on MPolys and about n slots on ints, so when n exceeds :data:`_SPARSE`
-    times the square of the mean term count of the nonzero coefficients,
-    the recurrence runs on the scaled coefficients as MPolys instead.
     """
-    d, coeff_vars = form_ring(forms)
-    lam, const = _denominator_lcm(forms), (0,) * len(coeff_vars)
+    d, ring = form_ring(forms)
+    _require_q_or_eps(ring)
+    lam = _denominator_lcm(forms)
 
     def scaled(c) -> dict:
+        """eps-degree -> scaled coefficient; a number sits at degree 0."""
         if isinstance(c, MPoly):
-            return {e: _scaled(x, lam) for e, x in c.terms.items()}
-        return {const: _scaled(c, lam)} if c else {}
+            return {s: _scaled(x, lam) for (s,), x in c.terms.items()}
+        return {0: _scaled(c, lam)} if c else {}
 
     coeffs = [[scaled(c) for c in h.coeffs] for h in forms]
     nonzero = [c for h in coeffs for c in h if c]
-    tops = [max((e[i] for c in nonzero for e in c), default=0) for i in range(len(coeff_vars))]
-    radix = [2 * t + 1 for t in tops]
-    n, nterms = math.prod(radix), sum(map(len, nonzero))
-    keys: list[tuple[slice, tuple[int, ...]]] = []
-    if n * len(nonzero) ** 2 > _SPARSE * nterms**2:
-        coded = [[MPoly._trusted(coeff_vars, c) for c in h] for h in coeffs]
-    else:
-        strides = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
-        W = _slot_bytes(d, tops, max((abs(x) for c in nonzero for x in c.values()), default=0))
-        B, half = 8 * W, 1 << (8 * W - 1)
-        shift = {e: B * sum(map(mul, e, strides)) for c in nonzero for e in c}
-        coded = [[sum(x << shift[e] for e, x in c.items()) for c in h] for h in coeffs]
-        keys = [(slice(W * s, W * s + W), tuple(s // st % q for st, q in zip(strides, radix))) for s in range(n)]
-        # half in every slot makes each digit x + half, in [0, 2^B).
-        offset = int.from_bytes((bytes(W - 1) + b"\x80") * n, "little")
+    D = max((s for c in nonzero for s in c), default=0)
+    W = _slot_bytes(d, D, max((abs(x) for c in nonzero for x in c.values()), default=0))
+    B, half, n = 8 * W, 1 << (8 * W - 1), 2 * D + 1
+    coded = [[sum(x << B * s for s, x in c.items()) for c in h] for h in coeffs]
+    # Slot s holds the eps^s term, or over Q the one constant term.
+    slots = [(slice(W * s, W * s + W), (s,) if ring else ()) for s in range(n)]
+    # half in every slot makes each digit x + half, in [0, 2^B).
+    offset = int.from_bytes((bytes(W - 1) + b"\x80") * n, "little")
     from_bytes = int.from_bytes
     pairs = _pair_vars(len(forms))
     npairs = len(pairs)
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
     for t, ((k, l), _) in enumerate(pairs):
         unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
-        slots = [(cut, unit + key) for cut, key in keys]
+        keys = [(cut, unit + e) for cut, e in slots]
         for row, bez_row in zip(terms, bezoutian(coded[k], coded[l])):
             for entry, v in zip(row, bez_row):
-                if isinstance(v, MPoly):
-                    entry.update((unit + e, x) for e, x in v.terms.items())
-                elif v:
+                if v:
                     raw = (v + offset).to_bytes(W * n, "little")
-                    for cut, key in slots:
+                    for cut, key in keys:
                         x = from_bytes(raw[cut], "little")
                         if x != half:
                             entry[key] = x - half
-    ring = tuple(p for _, p in pairs) + coeff_vars
-    return [[MPoly._trusted(ring, entry) for entry in row] for row in terms]
+    names = tuple(p for _, p in pairs) + ring
+    return [[MPoly._trusted(names, entry) for entry in row] for row in terms]
 
 
-# The slots per squared mean term count above which bezout_pform keeps a
-# ring's coefficients as MPolys: on random rings of one to six variables
-# (up to 4 forms of degree 3) ints were 1.4-5x faster at ratios up to 16,
-# level at 17-20 and slower from 21 on (BENCH_epskron.json,
-# sparse_ring_route).
-_SPARSE = 16
+def _require_q_or_eps(ring: tuple[str, ...]) -> None:
+    """Raise ValueError unless a coefficient ring is Q or Q[eps]."""
+    if ring not in ((), (EPS,)):
+        raise ValueError(f"coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
 
 
-def _slot_bytes(d: int, tops: Sequence[int], A: int) -> int:
+def _slot_bytes(d: int, D: int, A: int) -> int:
     """The slot width W of :func:`bezout_pform`, in bytes: the least W with
-    2^(8W-1) > 2 d prod(D_i + 1) A^2, for forms of degree d whose scaled
-    coefficients have degree D_i = tops[i] in variable i and absolute
-    values at most A."""
-    return (2 * d * math.prod(t + 1 for t in tops) * A * A).bit_length() // 8 + 1
+    2^(8W-1) > 2 d (D + 1) A^2, for forms of degree d whose scaled
+    coefficients have eps-degree at most D and absolute values at most
+    A."""
+    return (2 * d * (D + 1) * A * A).bit_length() // 8 + 1
 
 
 def _scaled(c: ScalarLike, lam: int) -> int:
@@ -338,18 +323,19 @@ def _expand_monomial(pexps, table, base: int, c) -> list:
 def wedge_expand(pform: MPoly, m: int) -> MPoly:
     """Substitute p_kl -> u_k v_l - u_l v_k into ``pform``, whose ring is
     the pair variables of m forms in :func:`bezout_pform` order (names
-    aside), then coefficient variables such as eps.  The result's ring is
-    ``uv_names(m - 1)`` and then those coefficient variables.  Terms are
-    expanded and summed packed, and unpacked once.  Raises ValueError when
-    the ring has fewer variables than pairs, or a coefficient variable has
-    a u- or v-name."""
+    aside), then eps or nothing.  The result's ring is
+    ``uv_names(m - 1, eps=...)``, with eps when ``pform`` has it.  Terms
+    are expanded and summed packed, and unpacked once.  Raises ValueError
+    when the ring has fewer variables than pairs, or when the variables
+    after the pairs are not () or (eps,), with the message of
+    :func:`bezout_pform`."""
     npairs = m * (m - 1) // 2
     if len(pform.names) < npairs:
         raise ValueError(f"p-form ring has fewer variables than the {npairs} pairs of {m} forms")
-    names = uv_names(m - 1) + pform.names[npairs:]
+    ring = pform.names[npairs:]
+    _require_q_or_eps(ring)
+    names = uv_names(m - 1, eps=bool(ring))
     nv = len(names)
-    if len(set(names)) < nv:
-        raise ValueError("coefficient variables reuse a u- or v-name")
     cols = list(zip(*pform.terms))  # empty for the zero p-form
     # A u- or v-exponent is at most the p-degree of its term.
     top = max([0, *map(sum, zip(*cols[:npairs])), *map(max, cols[npairs:])])

@@ -16,10 +16,10 @@ of degree d1+d2, and for a valid join the limit factors into the two
 component Chow forms.  This realizes, in exact arithmetic, the
 degeneration of a rational curve onto a connected two-component curve.
 The join writes each coefficient's eps terms directly, and
-:func:`~chowforms.chow.bezout_pform` takes the Bezoutians on ints (always
-for eps-degree at most 7, whose 2 D + 1 <= 15 slots never count as
-sparse), so no MPoly is multiplied or added from the join to the
-determinant.
+:func:`~chowforms.chow.bezout_pform` takes the Bezoutians on ints, so no
+MPoly is multiplied or added from the join to the determinant.  Every
+family route reaches :func:`~chowforms.chow.bezout_pform`, which rejects
+coefficient rings other than Q and Q[eps].
 
 :func:`family_limit` computes that limit modulo eps^K with
 ``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
@@ -51,7 +51,7 @@ from .chow import (
     wedge_expand,
 )
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, form_ring, rational
+from .polynomial import BinaryForm, MPoly, rational
 from .resultant import det_expand
 
 __all__ = [
@@ -152,18 +152,12 @@ def _find_nonvanishing_parameter(f: CurveMap) -> tuple[int, int]:
             raise RuntimeError("no parameter avoids all coordinate zeros")
 
 
-def _check_ring(ring: tuple[str, ...]) -> None:
-    """Raise ValueError unless a family's coefficient ring is Q or Q[eps]."""
-    if ring not in ((), (EPS,)):
-        raise ValueError(f"family coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
-
-
 def family_biform(components: Sequence[BinaryForm]) -> CayleyBiform:
     """Chow biform of the family with the given components, eps carried as
     a ring variable.  The forms share one degree d, and there are n+1 of
-    them for a family in P^n.  Raises ValueError when their coefficients
-    lie in a ring other than Q or Q[eps]."""
-    _check_ring(form_ring(components)[1])
+    them for a family in P^n.  Raises ValueError where
+    :func:`~chowforms.chow.contraction_resultant` does, for a coefficient
+    ring other than Q or Q[eps] among others."""
     poly = contraction_resultant(components)
     return CayleyBiform(len(components) - 1, components[0].degree, poly)
 
@@ -230,11 +224,9 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     The p-form of eps-free components is lifted to a constant family over
     Q[eps] and takes the same route: every entry has eps-degree 0, so one
     expansion modulo eps gives their normalized Chow form.  The tuple is
-    checked once, by :func:`~chowforms.chow.bezout_pform`, after a
-    coefficient ring other than Q or Q[eps] is rejected.  Raises
-    ValueError for such a ring, where
-    :func:`~chowforms.polynomial.form_ring` does, and when the family
-    biform is identically zero.
+    checked once, by :func:`~chowforms.chow.bezout_pform`.  Raises
+    ValueError where that does, for a coefficient ring other than Q or
+    Q[eps] among others, and when the family biform is identically zero.
     """
     matrix = _eps_pform(components)
     n, d = len(components) - 1, components[0].degree
@@ -254,15 +246,11 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
 
 def _eps_pform(components: Sequence[BinaryForm]) -> list[list[MPoly]]:
     """The Bezout p-form of the components over Q[eps]; an eps-free one is
-    lifted to a constant family, every term at eps^0.  A single ring other
-    than Q or Q[eps] raises ValueError before any arithmetic; otherwise
-    ValueError is raised where :func:`~chowforms.chow.bezout_pform` does,
-    the only check of the tuple (mixed rings among them)."""
-    rings = {c.names for h in components for c in h.coeffs if isinstance(c, MPoly)}
-    if len(rings) == 1:
-        _check_ring(*rings)
+    lifted to a constant family, every term at eps^0.  Raises ValueError
+    where :func:`~chowforms.chow.bezout_pform` does, the only check of the
+    tuple and of its ring."""
     matrix = bezout_pform(components)
-    if (EPS,) in rings:
+    if matrix[0][0].names[-1] == EPS:
         return matrix
     names = matrix[0][0].names + (EPS,)
     return [[MPoly._trusted(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]

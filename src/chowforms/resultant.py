@@ -7,10 +7,9 @@ takes the determinant of a weighted sum of the d x d Bezout matrices from
 minors, division-free, so it needs only ring operations on the entries.
 :func:`bezoutian` is the one Bezoutian recurrence.  On that route it runs
 on Python ints: :func:`~chowforms.chow.bezout_pform` hands it each
-coefficient as one int, a polynomial coefficient by Kronecker
-substitution, and reads the entries back into term dicts (a sparse ring
-of several variables keeps its MPolys); :func:`bezout` runs it on the
-coefficients as given.
+coefficient, in Q or Q[eps], as one int, a polynomial in eps by Kronecker
+substitution, and reads the entries back into term dicts; :func:`bezout`
+runs it on the coefficients as given, over any one ring.
 The minors run on packed monomials: each entry becomes, once, a map from
 the degree of the ring's last variable (eps in the family rings) to a map
 from packed exponents of the other variables (:func:`~chowforms.polynomial.pack`)

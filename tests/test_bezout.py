@@ -23,6 +23,7 @@ from chowforms import (
     det_expand,
     family_biform,
     family_limit,
+    family_orders,
     join_family,
     normalize_attachment,
     proportional,
@@ -30,8 +31,8 @@ from chowforms import (
     sylvester,
     uv_names,
 )
-from chowforms.chow import EPS, bezout_pform
-from chowforms.polynomial import poly_divides
+from chowforms.chow import EPS, bezout_pform, wedge_expand
+from chowforms.polynomial import form_ring, poly_divides
 from helpers import naive_det, rand_curve, rand_form, ref_embed, seeded_joins
 
 
@@ -255,12 +256,35 @@ def test_every_entry_point_rejects_a_malformed_tuple_with_one_message(forms, mes
             route(tuple(forms))
 
 
+def ring_error(ring):
+    """The one message of every production route for a ring other than Q
+    or Q[eps]."""
+    return f"^{re.escape(f'coefficients must lie in Q or Q[eps], not Q[{ring}]')}$"
+
+
+def test_every_production_route_rejects_a_ring_other_than_q_or_q_eps():
+    # bezout_pform holds the check, before any arithmetic; every other
+    # route reaches it.  The Sylvester cross-check takes any one ring.
+    forms = (BinaryForm([X, 1]), BinaryForm([1, X * X]), BinaryForm([2, 3]))
+    routes = [bezout_pform, contraction_resultant, family_biform, family_limit, family_orders]
+    for route in routes:
+        with pytest.raises(ValueError, match=ring_error("x")):
+            route(forms)
+    p01 = MPoly.var(("p01", "x"), "p01")
+    with pytest.raises(ValueError, match=ring_error("x")):
+        wedge_expand(p01 * MPoly.var(("p01", "x"), "x"), 2)
+    assert form_ring(forms) == (1, ("x",))
+    h1, h2 = forms[:2]
+    assert resultant(h1, h2) == naive_det(sylvester(h1, h2).entries) == X**3 - 1
+    assert bezout(h1, h2) == ((1 - X**3,),)
+
+
 def test_bezout_pform_rejects_uv_named_and_mixed_coefficient_rings():
     fam = join_family(CONIC_F, CONIC_G)
     forms, _ = eps_forms(fam)  # eps coefficients embedded into Q[u, v, eps]
-    assert bezout_pform(forms) == ref_pform(forms)
-    with pytest.raises(ValueError, match="u- or v-name"):
-        contraction_resultant(forms)
+    for route in (bezout_pform, contraction_resultant):
+        with pytest.raises(ValueError, match=ring_error("u0, u1, u2, v0, v1, v2, eps")):
+            route(forms)
     x = MPoly.var(("x",), "x")
     mixed = [fam[0], BinaryForm([x, 0, 0, 0, 0]), *fam[2:]]
     with pytest.raises(ValueError, match="different coefficient rings"):
@@ -363,28 +387,30 @@ def test_bezout_pform_equals_the_pairwise_route_on_line_families_and_mixed_rings
             return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         return MPoly(ring, {tuple(rng.randint(0, 2) for _ in ring): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)})
 
-    for ring in [(EPS,), ("x", EPS)]:
-        for m, d in [(2, 1), (3, 2), (4, 3)]:
-            families.append(tuple(BinaryForm([coeff(ring) for _ in range(d + 1)]) for _ in range(m)))
+    for m, d in [(2, 1), (3, 2), (4, 3)]:
+        families.append(tuple(BinaryForm([coeff((EPS,)) for _ in range(d + 1)]) for _ in range(m)))
     for forms in families:
         assert bezout_pform(forms) == ref_pform(forms)
+    # Q[x, eps] holds no family: the same draws over it are rejected.
+    for m, d in [(2, 1), (3, 2), (4, 3)]:
+        forms = tuple(BinaryForm([coeff(("x", EPS)) for _ in range(d + 1)]) for _ in range(m))
+        assert form_ring(forms)[1] == ("x", EPS)
+        with pytest.raises(ValueError, match=ring_error("x, eps")):
+            bezout_pform(forms)
 
 
-def test_bezout_pform_keeps_sparse_rings_on_mpolys_and_dense_ones_on_ints(monkeypatch):
-    # Sparse: each coefficient is a few terms c * x_k^e over Q[x0..x5], in a
-    # box of 5^6 slots.  Dense: every monomial of degree <= 6 in each of
-    # x, y (169 slots, read back in one pass).  Both match the pairwise
-    # route, and each runs the recurrence on the coefficients it should.
+def test_bezout_pform_rejects_sparse_and_dense_rings_of_other_variables(monkeypatch):
+    # Sparse: a few terms c * x_k^e per coefficient over Q[x0..x5].  Dense:
+    # every monomial of degree <= 6 in each of x, y.  Neither is Q or
+    # Q[eps], so both are rejected before the Bezoutian runs; the
+    # Sylvester cross-check still takes them.
     import chowforms.chow as chow
 
+    def forbidden(*args):
+        raise AssertionError("a Bezoutian was taken")
+
+    monkeypatch.setattr(chow, "bezoutian", forbidden)
     rng = random.Random("kronecker-sparse")
-    kinds, bezoutian = [], chow.bezoutian
-
-    def spy(a, b):
-        kinds.append({type(c) for c in a + b})
-        return bezoutian(a, b)
-
-    monkeypatch.setattr(chow, "bezoutian", spy)
     six = tuple(f"x{i}" for i in range(6))
 
     def sparse():
@@ -394,11 +420,11 @@ def test_bezout_pform_keeps_sparse_rings_on_mpolys_and_dense_ones_on_ints(monkey
     def dense():
         return MPoly(("x", "y"), {(i, j): rng.randint(1, 9) for i in range(7) for j in range(7)})
 
-    for coeff, kind in [(sparse, MPoly), (dense, int)]:
+    for coeff, ring in [(sparse, ", ".join(six)), (dense, "x, y")]:
         forms = [BinaryForm([coeff() for _ in range(4)]) for _ in range(4)]
-        kinds.clear()
-        assert bezout_pform(forms) == ref_pform(forms)
-        assert kinds and all(k == {kind} for k in kinds)
+        with pytest.raises(ValueError, match=ring_error(ring)):
+            bezout_pform(forms)
+        assert form_ring(forms)[1] and len(bezout(forms[0], forms[1])) == 3
 
 
 def test_slot_width_is_the_least_that_holds_an_entry_at_the_bound(monkeypatch):
@@ -417,7 +443,7 @@ def test_slot_width_is_the_least_that_holds_an_entry_at_the_bound(monkeypatch):
         expected = ref_pform(forms)
         bound = 2 * (D + 1) * A * A
         assert max(expected[0][0].terms.values()) == bound
-        W = width(1, [D], A)
+        W = width(1, D, A)
         assert 2 ** (8 * W - 9) <= bound < 2 ** (8 * W - 1)
         assert bezout_pform(forms) == expected
         if W == 1:

@@ -341,21 +341,21 @@ def test_family_routes_reject_other_rings_before_any_determinant(monkeypatch):
     import chowforms.chow as chow
     import chowforms.degeneration as degeneration
 
-    # The ring is read off the coefficients before the p-form is built too:
-    # on a sparse ring of many variables that build is the costly step.
+    # bezout_pform reads the ring off the coefficients before any Bezoutian
+    # or determinant is taken, and every route reaches it.
     def forbidden(*args, **kwargs):
-        raise AssertionError("a p-form or determinant was built")
+        raise AssertionError("a Bezoutian or determinant was built")
 
-    for name in ("det_expand", "bezout_pform"):
-        monkeypatch.setattr(chow, name, forbidden)
-        monkeypatch.setattr(degeneration, name, forbidden)
+    monkeypatch.setattr(chow, "bezoutian", forbidden)
+    monkeypatch.setattr(chow, "det_expand", forbidden)
+    monkeypatch.setattr(degeneration, "det_expand", forbidden)
     t = MPoly.var(("t",), "t")
     x, e = (MPoly.var(("x", "eps"), v) for v in ("x", "eps"))
     over_t = (BinaryForm([1, 0, 0]), BinaryForm([0, t, 0]), BinaryForm([0, 0, 1]))
     over_x_eps = (BinaryForm([1, 0, 0]), BinaryForm([0, x * e, 0]), BinaryForm([0, 0, 1]))
-    for route in (family_biform, family_limit, family_orders):
+    for route in (bezout_pform, contraction_resultant, family_biform, family_limit, family_orders):
         for fam, ring in [(over_t, "Q[t]"), (over_x_eps, "Q[x, eps]")]:
-            with pytest.raises(ValueError, match=re.escape(ring)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'coefficients must lie in Q or Q[eps], not {ring}')}$"):
                 route(fam)
 
 
@@ -468,7 +468,6 @@ def test_family_routes_check_their_tuple_once(monkeypatch):
     import importlib
 
     import chowforms.chow as chow
-    import chowforms.degeneration as degeneration
 
     resultant_module = importlib.import_module("chowforms.resultant")
     form_ring = chow.form_ring
@@ -478,7 +477,7 @@ def test_family_routes_check_their_tuple_once(monkeypatch):
         calls.append(len(forms))
         return form_ring(forms)
 
-    for module in (chow, degeneration, resultant_module):
+    for module in (chow, resultant_module):
         monkeypatch.setattr(module, "form_ring", counted)
     conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     families = [join_family(f, g) for *_, f, g in seeded_joins("one-check")[::2]]
@@ -507,3 +506,33 @@ def test_family_routes_do_no_polynomial_arithmetic(monkeypatch):
     for fam in families:
         family_limit(fam)
         family_orders(fam)
+
+
+def test_a_sparse_join_takes_its_bezoutians_on_ints(monkeypatch, tmp_path, capsys):
+    # The line (z0, z0 + z1, z0 + 2 z1) joined to the birational nonic
+    # g = (z0^9 + z1^9, z0^5 z1^4 + z1^9, z1^9): few eps terms spread over
+    # eps-degree 0..9.  Its p-form still takes every Bezoutian on ints.
+    import json
+
+    import chowforms.chow as chow
+    from chowforms.cli import main
+
+    line = CurveMap.from_coeffs([[1, 0], [1, 1], [1, 2]])
+    g = CurveMap.from_coeffs([[1] + [0] * 8 + [1], [0] * 4 + [1] + [0] * 4 + [1], [0] * 9 + [1]])
+    fam = join_family(line, g)
+    kinds, bezoutian = [], chow.bezoutian
+
+    def spy(a, b):
+        kinds.append({type(c) for c in a + b})
+        return bezoutian(a, b)
+
+    monkeypatch.setattr(chow, "bezoutian", spy)
+    assert family_limit(fam) == limit_direction(family_biform(fam))
+    assert kinds and all(k == {int} for k in kinds)
+    paths = []
+    for name, f in [("line.json", line), ("sparse9.json", g)]:
+        doc = {"n": f.n, "d": f.d, "coeffs": [[str(c) for c in h.coeffs] for h in f.components]}
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    assert main(["degenerate", *paths]) == 0
+    assert capsys.readouterr().out.endswith("\nFACTORS:yes\n")
