@@ -141,10 +141,6 @@ def parse_plane(spec: str, n: int) -> Plane:
         raise InputError(str(exc)) from None
 
 
-def _biform_lines(ca: CayleyBiform, label: str = "biform") -> str:
-    return f"{label} n={ca.n} d={ca.d}\n" + format_terms(ca.poly)
-
-
 def _terms_json(poly, pad: str) -> str:
     """``json.dumps(..., indent=2)`` text of the list of
     ``{"coeff": str(c), "exps": [...]}`` objects of a polynomial's terms,
@@ -222,7 +218,7 @@ def cmd_compute(args) -> int:
     if args.json:
         print(_compute_json(ca, rep))
     else:
-        print(_biform_lines(ca))
+        print(f"biform n={ca.n} d={ca.d}\n{format_terms(ca.poly)}")
         if rep is not None:
             _print_plucker(rep)
     return 0
@@ -316,7 +312,7 @@ def cmd_degenerate(args) -> int:
     # term for term and its text is written once.
     body = format_terms(limit.poly)
     print(f"limit n={limit.n} d={limit.d}\n{body}")
-    if product.poly != limit.poly:
+    if not factors:
         body = format_terms(product.poly)
     print(f"product n={product.n} d={product.d}\n{body}")
     print(f"FACTORS:{'yes' if factors else 'no'}")

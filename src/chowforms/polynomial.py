@@ -87,6 +87,19 @@ def _normal_terms(terms: dict) -> dict:
     }
 
 
+def _power(x, k: int, one):
+    """x**k by repeated squaring, with ``one`` the identity of x's ring."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x if k > 1 else x
+        k >>= 1
+    return result
+
+
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
 
@@ -281,16 +294,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MPoly.const(self.names, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, MPoly.const(self.names, 1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,23 +326,7 @@ class MPoly:
         return bool(self.terms)
 
     def __repr__(self):
-        if self.is_zero:
-            return "MPoly(0)"
-        parts = []
-        for exps, c in self.sorted_terms():
-            mono = " ".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(self.names, exps) if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c} {mono}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        return f"MPoly({s})"
+        return f"MPoly({self.names!r}, {format_terms(self)})"
 
     # -- substitution and ring changes ------------------------------------
 
@@ -627,9 +615,7 @@ class BinaryForm:
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("cannot subtract forms of different degrees")
-        return BinaryForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __neg__(self):
         return BinaryForm([-c for c in self.coeffs])
@@ -647,18 +633,11 @@ class BinaryForm:
             return BinaryForm([c * other for c in self.coeffs])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            return BinaryForm([other * c for c in self.coeffs])
-        return NotImplemented
+    # The coefficient rings are commutative, so c * h is h * c.
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = BinaryForm([1])
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k, BinaryForm([1]))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -669,19 +648,7 @@ class BinaryForm:
         return hash(self.coeffs)
 
     def __repr__(self):
-        d = self.degree
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in (("z0", d - j), ("z1", j))
-                if e
-            )
-            cs = f"({c!r})" if isinstance(c, MPoly) else str(c)
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return f"BinaryForm({' + '.join(parts) or '0'}, degree={d})"
+        return f"BinaryForm({list(self.coeffs)!r})"
 
     def compose(self, p: "BinaryForm", q: "BinaryForm") -> "BinaryForm":
         """Substitute z0 -> p, z1 -> q for forms p, q of one common degree.

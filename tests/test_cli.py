@@ -249,6 +249,25 @@ def test_degenerate_two_lines(tmp_path, capsys):
     assert limit_terms == product_terms
 
 
+def test_degenerate_prints_both_blocks_when_the_factors_differ(tmp_path, capsys, monkeypatch):
+    # A wrong limit of the same (n, d), the conic's normalized Chow form,
+    # must fail the factor check and print the true product beside it.
+    import chowforms.cli as cli
+
+    pf = write(tmp_path, "f.json", LINE_F)
+    pg = write(tmp_path, "g.json", LINE_G)
+    wrong = cayley_biform(load_curve(write(tmp_path, "conic.json", CONIC))).normalized()
+    monkeypatch.setattr(cli, "family_limit", lambda family: wrong)
+    product = cayley_biform(load_curve(pf)).normalized() * cayley_biform(load_curve(pg)).normalized()
+    assert (wrong.n, wrong.d) == (product.n, product.d) and wrong.poly != product.poly
+    code, out, _ = run(capsys, ["degenerate", pf, pg])
+    assert code == 4
+    assert out.splitlines()[-1] == "FACTORS:no"
+    limit_block, product_block = out.rsplit("\nFACTORS:no", 1)[0].split("\nproduct n=2 d=2\n")
+    assert limit_block == "limit n=2 d=2\n" + format_terms(wrong.poly)
+    assert product_block == format_terms(product.poly)
+
+
 def test_degenerate_attachment_violation(tmp_path, capsys):
     bad = {"n": 2, "d": 1, "coeffs": [["1", "0"], ["0", "1"], ["1", "0"]]}
     pf = write(tmp_path, "bad.json", bad)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowforms import (
+    BinaryForm,
     CayleyBiform,
     CurveMap,
     MPoly,
@@ -76,6 +77,14 @@ def test_ring_laws_keep_coefficient_normal_form(a, b, c, q):
     assert (a * b).terms == ref_mul(a, b)
     if q:
         assert (a * q) / q == a
+    # Subtraction is adding the negative, and scalars commute with forms,
+    # numeric or with MPoly coefficients.
+    h, g, numeric = BinaryForm([a, q, b]), BinaryForm([c, a, 1]), BinaryForm([q, 1, -q])
+    for x, y in ((a, b), (h, g), (numeric, BinaryForm([1, q, 2]))):
+        assert x - y == x + (-y)
+    for s in (3, q, Fraction(-2, 5), c):
+        assert s * h == h * s and s * numeric == numeric * s
+    assert q * numeric == BinaryForm([q * x for x in numeric.coeffs])
 
 
 @settings(max_examples=100, deadline=None)

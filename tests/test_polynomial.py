@@ -67,13 +67,28 @@ def test_ring_laws(a, b, c):
     assert a - a == MPoly.zero(UV)
 
 
+_numeric_forms = st.lists(
+    st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)), min_size=1, max_size=4
+).map(BinaryForm)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_polys, st.integers(0, 4))
-def test_pow_matches_repeated_product(a, k):
-    expect = MPoly.const(UV, 1)
-    for _ in range(k):
-        expect = expect * a
-    assert a**k == expect
+@given(_polys, _polys, _numeric_forms, st.integers(0, 5))
+def test_pow_matches_repeated_product(a, b, h, k):
+    # One squaring routine serves an MPoly, a numeric form and a form with
+    # MPoly coefficients.
+    for x, one in ((a, MPoly.const(UV, 1)), (h, BinaryForm([1])), (BinaryForm([a, 2, b]), BinaryForm([1]))):
+        expect = one
+        for _ in range(k):
+            expect = expect * x
+        assert x**k == expect
+
+
+@pytest.mark.parametrize("k", [-1, -3, 2.0, Fraction(2), "2", None])
+def test_pow_rejects_negative_and_non_int_exponents(k):
+    for x in (V("u0") + 1, BinaryForm([1, 2]), BinaryForm([V("u0"), 1])):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            x**k
 
 
 def test_evaluate_full_and_partial():
@@ -176,6 +191,17 @@ def test_format_terms_exact():
     assert format_terms(MPoly.zero(UV)) == "0"
     q = MPoly.const(UV, Fraction(-3, 4)) + 2 * V("u0") ** 2
     assert format_terms(q) == "+2 * u0^2\n-3/4"
+
+
+def test_reprs_show_the_wire_format_and_the_coefficients():
+    p = V("u0") * V("v1") - V("u1") * V("v0")
+    q = MPoly.const(UV, Fraction(-3, 4)) + 2 * V("u0") ** 2
+    for x in (p, q, MPoly.zero(UV)):
+        assert format_terms(x) in repr(x) and repr(UV) in repr(x)
+    env = {"BinaryForm": BinaryForm, "Fraction": Fraction}
+    for h in (BinaryForm([1, Fraction(-2, 3), 0, 5]), BinaryForm.zero(2), BinaryForm([Fraction(1, 2)])):
+        assert eval(repr(h), env) == h
+    assert repr(p) in repr(BinaryForm([p, 1]))
 
 
 def test_parse_round_trip():
