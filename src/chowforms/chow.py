@@ -325,7 +325,13 @@ def wedge_expand(pform: MPoly, m: int) -> MPoly:
     the pair variables of m forms in :func:`bezout_pform` order (names
     aside), then eps or nothing.  The result's ring is
     ``uv_names(m - 1, eps=...)``, with eps when ``pform`` has it.  Terms
-    are expanded and summed packed, and unpacked once.  Raises ValueError
+    are expanded and summed packed, and unpacked once in descending order
+    of their packed keys, which is descending lex order.  So an eps-free
+    result whose terms share one total degree, as every biform's do,
+    holds its terms in the graded-lex order of
+    :meth:`~chowforms.polynomial.MPoly.sorted_terms`, and a writer's sort
+    of them is one linear run; with eps, total degrees mix and only lex
+    order holds.  Raises ValueError
     when the ring has fewer variables than pairs, or when the variables
     after the pairs are not () or (eps,), with the message of
     :func:`bezout_pform`."""
@@ -347,7 +353,8 @@ def wedge_expand(pform: MPoly, m: int) -> MPoly:
         base = pack(exps[npairs:], w)  # the coefficient variables come last
         for key, x in _expand_monomial(exps[:npairs], table, base, c):
             out[key] = get(key, 0) + x
-    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k, c in out.items() if c}
+    keys = sorted(out, reverse=True)
+    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k in keys if (c := out[k])}
     return MPoly._trusted(names, terms)
 
 

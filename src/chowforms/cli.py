@@ -146,17 +146,15 @@ def _terms_json(poly, pad: str) -> str:
     ``{"coeff": str(c), "exps": [...]}`` objects of a polynomial's terms,
     placed at indentation ``pad``.  Written out directly: with an indent,
     ``json.dumps`` runs the pure-Python encoder, and a coefficient string
-    (digits, "-" and "/") and the exponents need no escaping."""
+    (digits, "-" and "/") and the exponents need no escaping.  Every term
+    fills one ``%`` template, built once for the ring."""
     if not poly.terms:
         return "[]"
     inner = pad + "  "
     field = inner + "  "
-    sep = ",\n" + field + "  "
-    items = ",\n".join(
-        f'{inner}{{\n{field}"coeff": "{c}",\n{field}"exps": [\n{field}  '
-        f"{sep.join(map(str, exps))}\n{field}]\n{inner}}}"
-        for exps, c in poly.sorted_terms()
-    )
+    slots = (",\n" + field + "  ").join(["%d"] * len(poly.names))
+    term = f'{inner}{{\n{field}"coeff": "%s",\n{field}"exps": [\n{field}  {slots}\n{field}]\n{inner}}}'
+    items = ",\n".join([term % ((c,) + e) for e, c in poly.sorted_terms()])
     return f"[\n{items}\n{pad}]"
 
 
@@ -324,17 +322,20 @@ def _write_eps_table(path: str, family, orders: dict) -> None:
     coefficient of eps^k is W_k / q for the integer orders W_k of
     :func:`~chowforms.degeneration.family_orders` and q =
     :func:`~chowforms.chow.pform_scale`.  Each quotient is written in
-    lowest terms from one gcd, the text of ``str(Fraction(c, q))``."""
+    lowest terms from one gcd, the text of ``str(Fraction(c, q))``.  A
+    monomial's text is written once and reused across the orders."""
     q = pform_scale(family)
     negate, q = q < 0, abs(q)
     write = monomial_writer(uv_names(len(family) - 1))
+    text: dict[tuple[int, ...], str] = {}
     lines = ["# eps_order\tmonomial\tcoeff"]
     for k, w in orders.items():
         for exps, c in w.sorted_terms():
+            mono = text.get(exps) or text.setdefault(exps, write(exps) or "1")
             g = math.gcd(c, q)
-            num, den = (-c if negate else c) // g, q // g
-            coeff = num if den == 1 else f"{num}/{den}"
-            lines.append(f"{k}\t{write(exps) or '1'}\t{coeff}")
+            num = (-c if negate else c) // g
+            coeff = num if g == q else f"{num}/{q // g}"
+            lines.append(f"{k}\t{mono}\t{coeff}")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -386,8 +386,10 @@ class MPoly:
 # -- packed monomials ----------------------------------------------------------
 # A monomial in nv variables is one int whose w-byte fields hold the exponents,
 # the first variable most significant.  Monomials multiply by adding ints; no
-# field carries while every exponent is below 256**w.  Among monomials of one
-# total degree, integer order is graded-lex order.
+# field carries while every exponent is below 256**w.  The fields are
+# fixed-width and big-endian, so at any width w descending integer order is
+# descending lex order, and among monomials of one total degree it is
+# descending graded-lex order.
 
 
 def field_bytes(top: int) -> int:
@@ -481,7 +483,7 @@ def format_terms(p: MPoly) -> str:
     write = monomial_writer(p.names)
     lines = []
     for exps, c in p.sorted_terms():
-        coeff = f"+{c}" if c > 0 else str(c)
+        coeff = f"{c:+d}" if type(c) is int else f"+{c}" if c > 0 else str(c)
         factors = write(exps)
         lines.append(f"{coeff} * {factors}" if factors else coeff)
     return "\n".join(lines)

@@ -9,6 +9,7 @@ the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
 MPoly ``one``: ring changes the package itself never needs.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -311,3 +312,19 @@ def ref_eps_table(fam) -> str:
             mono = " ".join(f"{name}^{e}" for name, e in zip(parts[k].names, exps) if e)
             lines.append(f"{k}\t{mono or '1'}\t{c}")
     return "\n".join(lines) + "\n"
+
+
+def _terms_doc(poly):
+    return [{"coeff": str(c), "exps": list(exps)} for exps, c in ref_sorted_terms(poly)]
+
+
+def reference_compute_json(ca, rep):
+    """The ``compute --json`` document as ``json.dumps(doc, indent=2)``."""
+    doc = {"n": ca.n, "d": ca.d, "variables": list(ca.poly.names), "terms": _terms_doc(ca.poly)}
+    if rep is not None:
+        doc["plucker"] = {
+            "variables": list(rep.poly.names),
+            "canonical": rep.canonical,
+            "terms": _terms_doc(rep.poly),
+        }
+    return json.dumps(doc, indent=2)

@@ -12,6 +12,7 @@ import pytest
 from chowforms import CurveMap, cayley_biform, implicitize_plane_curve, plucker_rewrite
 from chowforms.cli import load_curve, main, parse_plane
 from chowforms.polynomial import format_terms
+from helpers import reference_compute_json
 
 CONIC = {"n": 2, "d": 2, "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 LINE = {"n": 2, "d": 1, "coeffs": [["1", "0"], ["0", "1"], ["0", "0"]]}
@@ -545,22 +546,6 @@ def test_degenerate_eps_table_write_failure_exits_2(tmp_path, capsys):
 
 
 # -- compute --json without the indenting encoder -------------------------------
-
-
-def _terms_doc(poly):
-    return [{"coeff": str(c), "exps": list(exps)} for exps, c in poly.sorted_terms()]
-
-
-def reference_compute_json(ca, rep):
-    """The ``compute --json`` document as ``json.dumps(doc, indent=2)``."""
-    doc = {"n": ca.n, "d": ca.d, "variables": list(ca.poly.names), "terms": _terms_doc(ca.poly)}
-    if rep is not None:
-        doc["plucker"] = {
-            "variables": list(rep.poly.names),
-            "canonical": rep.canonical,
-            "terms": _terms_doc(rep.poly),
-        }
-    return json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (3, 3), (4, 3)])

@@ -12,19 +12,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowforms import (
     CayleyBiform,
     MPoly,
     cayley_biform,
+    family_biform,
+    family_limit,
+    family_orders,
     join_family,
     normalize_attachment,
+    plucker_form,
     plucker_rewrite,
     uv_names,
 )
 from chowforms.chow import EPS, bezout_pform, plucker_names, wedge_expand
 from chowforms.resultant import det_expand
-from helpers import rand_curve, rand_curve_birational, wedge
+from helpers import rand_curve, rand_curve_birational, ref_sorted_terms, seeded_joins, wedge
 
 
 def evaluate_route(pform, m, names):
@@ -125,6 +131,60 @@ def test_wedge_expand_of_zero_and_constants():
     assert wedge_expand(MPoly.const(ring, 7), 3) == MPoly.const(names, 7)
     with pytest.raises(ValueError, match="fewer variables than the 6 pairs"):
         wedge_expand(MPoly.zero(ring), 4)
+
+
+# -- terms in output order ----------------------------------------------------------
+# wedge_expand unpacks its terms in descending packed order.  Every eps-free
+# biform built on it then holds them in the order the writers print.
+
+
+def in_output_order(p):
+    return list(p.terms) == [e for e, _ in ref_sorted_terms(p)]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (5, 4)])
+def test_chow_forms_come_in_output_order(n, d):
+    f = rand_curve_birational(random.Random(f"order-{n}-{d}"), n, d)
+    ca = cayley_biform(f)
+    assert ca.poly and in_output_order(ca.poly)
+    assert in_output_order(ca.normalized().poly)
+    assert in_output_order(plucker_form(f).expand().poly)
+
+
+@pytest.mark.parametrize("n, d_f, d_g, f, g", seeded_joins("order"))
+def test_family_limits_and_orders_come_in_output_order(n, d_f, d_g, f, g):
+    fam = join_family(f, g)
+    assert in_output_order(family_limit(fam).poly)
+    orders = family_orders(fam)
+    assert orders and all(in_output_order(w) for w in orders.values())
+    # With eps the total degrees mix: the terms are in lex order only, and
+    # sorting them still gives graded-lex order.
+    poly = family_biform(fam).poly
+    assert list(poly.terms) == sorted(poly.terms, reverse=True)
+    assert poly.sorted_terms() == ref_sorted_terms(poly)
+
+
+@st.composite
+def wide_pforms(draw):
+    """A homogeneous p-form on m points whose p-degree is at least 256, so
+    some u- and v-exponents need two-byte fields."""
+    m = draw(st.integers(2, 4))
+    npairs = m * (m - 1) // 2
+    degree = draw(st.integers(260, 300))
+    small = st.lists(st.integers(0, 1), min_size=npairs - 1, max_size=npairs - 1)
+    tails = draw(st.lists(small, min_size=1, max_size=4))
+    coeff = st.integers(-9, -1) | st.integers(1, 9) | st.fractions(max_denominator=7).filter(bool)
+    terms = {(degree - sum(t), *t): draw(coeff) for t in tails}
+    return m, MPoly(pair_ring(m), terms)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(wide_pforms())
+def test_wedge_expand_keeps_output_order_in_two_byte_fields(case):
+    m, pform = case
+    got = wedge_expand(pform, m)
+    assert max(max(e) for e in got.terms) >= 256
+    assert in_output_order(got)
 
 
 # -- the Plucker rewrite against the dense solve ----------------------------------

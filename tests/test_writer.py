@@ -1,6 +1,6 @@
 """The term writer against the plain references of ``helpers``: the same
 graded-lex order, the same text of every monomial, and the same eps table,
-byte for byte."""
+byte for byte, whatever order a polynomial's terms are stored in."""
 
 import json
 import random
@@ -10,10 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowforms import MPoly, content_primitive, family_biform, join_family, normalize_attachment, uv_names
-from chowforms.cli import load_curve, main
+from chowforms import (
+    CayleyBiform,
+    MPoly,
+    PluckerRep,
+    content_primitive,
+    family_biform,
+    family_orders,
+    join_family,
+    normalize_attachment,
+    uv_names,
+)
+from chowforms.chow import pform_scale, plucker_names
+from chowforms.cli import _compute_json, _write_eps_table, load_curve, main
 from chowforms.polynomial import _grlex_key, format_terms, monomial_writer
-from helpers import rand_curve_birational, ref_eps_table, ref_format_terms, ref_sorted_terms
+from helpers import (
+    rand_curve_birational,
+    reference_compute_json,
+    ref_eps_table,
+    ref_format_terms,
+    ref_sorted_terms,
+    seeded_joins,
+)
 
 RINGS = [(), ("x",), ("x0", "x1", "x2"), uv_names(1), uv_names(2), uv_names(2, eps=True)]
 
@@ -174,3 +192,77 @@ def test_eps_table_run_sends_no_eps_form_through_contraction_resultant(tmp_path,
     monkeypatch.setattr(degeneration, "contraction_resultant", spy)
     run_eps_table(tmp_path, capsys)
     assert seen == [False, False]
+
+
+# -- the writers do not lean on the stored order ----------------------------------
+# The production route stores biform terms in output order already; each
+# writer still sorts, so reversed and shuffled term dicts give the same bytes.
+
+
+def reorderings(p):
+    """p with its term dict rebuilt in reversed and in shuffled order."""
+    items = list(p.terms.items())
+    shuffled = items[:]
+    random.Random(len(items)).shuffle(shuffled)
+    return [MPoly(p.names, dict(order)) for order in (items[::-1], shuffled)]
+
+
+def rand_part(rng, size, d):
+    """A random exponent vector of ``size`` entries summing to d."""
+    cuts = sorted(rng.randint(0, d) for _ in range(size - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+def rand_bihomogeneous(rng, names, d, coeff=rand_coeff, terms=40):
+    """A (d, d) form in u-block and v-block ``names``; the term
+    u0^d v_n^d is always among them, so d >= 10 gives exponents of 10."""
+    h = len(names) // 2
+    exps = [rand_part(rng, h, d) + rand_part(rng, h, d) for _ in range(terms)]
+    exps.append((d,) + (0,) * (2 * h - 2) + (d,))
+    return MPoly(names, {e: coeff(rng) for e in exps})
+
+
+def rand_homogeneous(rng, names, d, terms=40):
+    """A degree-d form in ``names``, with the term names[0]^d among them."""
+    exps = [rand_part(rng, len(names), d) for _ in range(terms)] + [(d,) + (0,) * (len(names) - 1)]
+    return MPoly(names, {e: rand_coeff(rng) for e in exps})
+
+
+def rand_int(rng):
+    return rng.choice([-1, 1]) * rng.randint(1, 10**6)
+
+
+@pytest.mark.parametrize("n, d", [(1, 11), (2, 10), (3, 12)])
+def test_writers_ignore_the_stored_order_of_wide_biforms(n, d):
+    rng = random.Random(f"stored-order-{n}-{d}")
+    ca = CayleyBiform(n, d, rand_bihomogeneous(rng, uv_names(n), d))
+    rep = PluckerRep(n, d, rand_homogeneous(rng, plucker_names(n), d))
+    values = [*ca.poly.terms.values(), *rep.poly.terms.values()]
+    assert max(max(e) for e in ca.poly.terms) >= 10
+    assert any(type(c) is Fraction for c in values) and any(c < 0 for c in values)
+    text, doc = ref_format_terms(ca.poly), reference_compute_json(ca, rep)
+    for poly, prep in zip(reorderings(ca.poly), reorderings(rep.poly)):
+        assert format_terms(poly) == text
+        assert _compute_json(CayleyBiform(n, d, poly), PluckerRep(n, d, prep)) == doc
+
+
+@pytest.mark.parametrize("n, d_f, d_g, f, g", seeded_joins("stored-order")[1::2])
+def test_eps_table_ignores_the_stored_order(n, d_f, d_g, f, g, tmp_path):
+    fam = join_family(f, g)
+    orders = family_orders(fam)
+    # Integer orders with exponents of 10 and more, against the same scale.
+    rng = random.Random(f"stored-eps-{n}")
+    wide = {k: rand_bihomogeneous(rng, uv_names(n), 10, rand_int, terms=15) for k in (0, 2, 3)}
+    q = pform_scale(fam)
+    eps_poly = MPoly(
+        uv_names(n, eps=True),
+        {e + (k,): Fraction(c, q) for k, w in wide.items() for e, c in w.terms.items()},
+    )
+    cases = [(orders, family_biform(fam)), (wide, CayleyBiform(n, 10, eps_poly))]
+    path = tmp_path / "eps.tsv"
+    for table, biform in cases:
+        expected = ref_eps_table(biform)
+        assert "/" in expected and "\t-" in expected
+        for i in range(2):
+            _write_eps_table(str(path), fam, {k: reorderings(w)[i] for k, w in table.items()})
+            assert path.read_text(encoding="utf-8") == expected
