@@ -27,11 +27,14 @@ from .curves import CurveMap, Plane, act_gl2, act_gln
 from .degeneration import (
     boundary_factor_check,
     family_biform,
+    family_det,
     family_limit,
     family_orders,
     join_family,
     limit_direction,
+    limit_pform,
     normalize_attachment,
+    pform_factor_check,
 )
 from .oracle import CurveCheck, base_locus_free, check_curve, incident_oracle, map_degree
 from .polynomial import (
@@ -82,6 +85,7 @@ __all__ = [
     "det_laplace_split",
     "distinct_root_count",
     "family_biform",
+    "family_det",
     "family_limit",
     "family_orders",
     "form_gcd",
@@ -92,9 +96,11 @@ __all__ = [
     "incident_oracle",
     "join_family",
     "limit_direction",
+    "limit_pform",
     "map_degree",
     "normalize_attachment",
     "parse_terms",
+    "pform_factor_check",
     "plucker_form",
     "plucker_rewrite",
     "poly_divides",

@@ -22,14 +22,17 @@ On P^2 the determinant itself is the Chow form in Plucker coordinates, and
 Biform coefficient tables are a faithful, canonical encoding: two curves
 have the same image exactly when their normalized biforms agree.  The
 Plucker representative is unique too, for every (n, d): the standard-monomial
-normal form.  :func:`plucker_form` reaches it from the determinant of the
-Bezout p-form by the straightening law of Gr(2, n+1), which rewrites each
-nested pair p_ad p_bc (a < b < c < d) as p_ac p_bd - p_ab p_cd, with no
-(u, v) biform built; its exact check expands only the rewritten part and
-its image, which must agree in (u, v).  :func:`plucker_rewrite` peels the
-normal form off a given biform instead, and proves it by a round trip.
-Both directions between p and (u, v) work on monomials packed into one int
-each (:func:`wedge_expand`, :func:`plucker_rewrite`, :func:`plucker_form`).
+normal form.  :func:`plucker_normal_form` reaches it from any integer
+p-form by the straightening law of Gr(2, n+1), which rewrites each nested
+pair p_ad p_bc (a < b < c < d) as p_ac p_bd - p_ab p_cd, with no (u, v)
+biform built; its exact check expands only the rewritten part and its
+image, which must agree in (u, v).  :func:`plucker_form` applies it to the
+determinant of the Bezout p-form, and ``degenerate`` compares limits with
+products of Chow forms on it.  :func:`plucker_rewrite` peels the normal
+form off a given biform instead, and proves it by a round trip.  Both
+directions between p and (u, v) work on monomials packed into one int each
+(:func:`wedge_expand`, :func:`wedge_orders`, :func:`plucker_rewrite`,
+:func:`plucker_normal_form`).
 """
 
 from __future__ import annotations
@@ -67,9 +70,11 @@ __all__ = [
     "bezout_pform",
     "pform_scale",
     "wedge_expand",
+    "wedge_orders",
     "incident",
     "plucker_rewrite",
     "plucker_form",
+    "plucker_normal_form",
     "implicitize_plane_curve",
     "NotBirational",
     "proportional",
@@ -233,10 +238,8 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     a_p b_q - a_q b_p; a coefficient of a product sums at most D + 1
     products of two scaled coefficients, each at most A^2 in absolute
     value, with A the largest scaled coefficient.  So no entry coefficient
-    exceeds 2 d (D + 1) A^2, and W (:func:`_slot_bytes`) is the least byte
-    count with 2^(8W-1) above that.  Each entry is read back from its
-    balanced base-2^B digits through one byte string, in time linear in
-    its length.
+    exceeds 2 d (D + 1) A^2, the bound of the slots (:func:`_kronecker`)
+    that encode the coefficients and read each entry back.
     """
     d, ring = form_ring(forms)
     _require_q_or_eps(ring)
@@ -251,28 +254,22 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     coeffs = [[scaled(c) for c in h.coeffs] for h in forms]
     nonzero = [c for h in coeffs for c in h if c]
     D = max((s for c in nonzero for s in c), default=0)
-    W = _slot_bytes(d, D, max((abs(x) for c in nonzero for x in c.values()), default=0))
-    B, half, n = 8 * W, 1 << (8 * W - 1), 2 * D + 1
-    coded = [[sum(x << B * s for s, x in c.items()) for c in h] for h in coeffs]
-    # Slot s holds the eps^s term, or over Q the one constant term.
-    slots = [(slice(W * s, W * s + W), (s,) if ring else ()) for s in range(n)]
-    # half in every slot makes each digit x + half, in [0, 2^B).
-    offset = int.from_bytes((bytes(W - 1) + b"\x80") * n, "little")
-    from_bytes = int.from_bytes
+    A = max((abs(x) for c in nonzero for x in c.values()), default=0)
+    encode, digits = _kronecker(2 * d * (D + 1) * A * A, 2 * D + 1)
+    coded = [[encode(c) for c in h] for h in coeffs]
     pairs = _pair_vars(len(forms))
     npairs = len(pairs)
     terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
     for t, ((k, l), _) in enumerate(pairs):
         unit = (0,) * t + (1,) + (0,) * (npairs - t - 1)
-        keys = [(cut, unit + e) for cut, e in slots]
+        # Slot s holds the eps^s term, or over Q the one constant term.
+        keys = [unit + (s,) if ring else unit for s in range(2 * D + 1)]
         for row, bez_row in zip(terms, bezoutian(coded[k], coded[l])):
             for entry, v in zip(row, bez_row):
                 if v:
-                    raw = (v + offset).to_bytes(W * n, "little")
-                    for cut, key in keys:
-                        x = from_bytes(raw[cut], "little")
-                        if x != half:
-                            entry[key] = x - half
+                    for key, x in zip(keys, digits(v)):
+                        if x:
+                            entry[key] = x
     names = tuple(p for _, p in pairs) + ring
     return [[MPoly._trusted(names, entry) for entry in row] for row in terms]
 
@@ -283,12 +280,36 @@ def _require_q_or_eps(ring: tuple[str, ...]) -> None:
         raise ValueError(f"coefficients must lie in Q or Q[eps], not Q[{', '.join(ring)}]")
 
 
-def _slot_bytes(d: int, D: int, A: int) -> int:
-    """The slot width W of :func:`bezout_pform`, in bytes: the least W with
-    2^(8W-1) > 2 d (D + 1) A^2, for forms of degree d whose scaled
-    coefficients have eps-degree at most D and absolute values at most
-    A."""
-    return (2 * d * (D + 1) * A * A).bit_length() // 8 + 1
+def _slot_bytes(bound: int) -> int:
+    """The least slot width W, in bytes, with 2^(8W-1) > bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _kronecker(bound: int, n: int):
+    """Kronecker substitution of n balanced slots, each wide enough for an
+    int of absolute value at most ``bound``: (encode, digits).
+
+    With W = :func:`_slot_bytes` (bound) and B = 8 W, ``encode`` maps
+    {s: x_s} to sum_s x_s 2^(B s), and ``digits`` reads such an int back as
+    the list [x_0, ..., x_(n-1)], zeros included.  Every |x_s| < 2^(B-1),
+    so adding 2^(B-1) to each slot leaves digits in [0, 2^B) with no
+    carry, and each is a shift and a mask.  One slot holds the int itself,
+    as for numeric forms."""
+    if n == 1:  # one slot holds the int itself
+        return (lambda c: c.get(0, 0)), (lambda v: [v])
+    B = 8 * _slot_bytes(bound)
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    shifts = [B * s for s in range(n)]
+    offset = sum(half << s for s in shifts)
+
+    def encode(c: dict) -> int:
+        return sum(x << B * s for s, x in c.items())
+
+    def digits(v: int) -> list[int]:
+        v += offset
+        return [(v >> s & mask) - half for s in shifts]
+
+    return encode, digits
 
 
 def _scaled(c: ScalarLike, lam: int) -> int:
@@ -353,9 +374,48 @@ def wedge_expand(pform: MPoly, m: int) -> MPoly:
         base = pack(exps[npairs:], w)  # the coefficient variables come last
         for key, x in _expand_monomial(exps[:npairs], table, base, c):
             out[key] = get(key, 0) + x
-    keys = sorted(out, reverse=True)
-    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k in keys if (c := out[k])}
+    # Sums that cancel, as in every exact straightening check, are dropped
+    # before the sort.
+    keys = sorted([k for k, c in out.items() if c], reverse=True)
+    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k in keys for c in (out[k],)}
     return MPoly._trusted(names, terms)
+
+
+def wedge_orders(pform: MPoly, m: int) -> dict[int, MPoly]:
+    """The nonzero eps-orders of ``wedge_expand(pform, m)``, k ascending,
+    each in the ring ``uv_names(m - 1)`` and in :func:`wedge_expand`'s term
+    order.  ``pform`` has int coefficients in the pair variables of m forms,
+    then eps, such as the determinant of :func:`bezout_pform` over Q[eps].
+
+    Every order comes from one expansion, by Kronecker substitution
+    (:func:`_kronecker`): the terms are grouped by p-monomial mu, each
+    group's coefficient eps^-lo c_mu(eps) is encoded as one int at
+    eps = 2^B, lo the least order present, the eps-free p-form of those
+    ints is expanded once, and every (u, v) coefficient is read back as
+    its balanced base-2^B digits, digit k being the coefficient in order
+    lo + k.  The expansion of a p-monomial of degree e has absolute
+    coefficient sum at most 2^e (e factors of two terms, each +-1), so no
+    coefficient of any order exceeds the sum over mu of max_k |c_mu,k|,
+    times 2^d for the largest p-degree d: that is the slots' bound.
+    Raises ValueError unless the last variable is eps, and where
+    :func:`wedge_expand` does."""
+    if pform.names[-1:] != (EPS,):
+        raise ValueError("the p-form ring must end in eps")
+    lo = min((exps[-1] for exps in pform.terms), default=0)
+    top = max((exps[-1] for exps in pform.terms), default=0)
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for exps, c in pform.terms.items():
+        groups.setdefault(exps[:-1], {})[exps[-1] - lo] = c
+    d = max(map(sum, groups), default=0)
+    encode, digits = _kronecker(sum(max(map(abs, c.values())) for c in groups.values()) << d, top - lo + 1)
+    coded = wedge_expand(MPoly._trusted(pform.names[:-1], {mu: encode(c) for mu, c in groups.items()}), m)
+    # Slot k holds order lo + k.
+    orders: list[dict] = [{} for _ in range(top - lo + 1)]
+    for exps, y in coded.terms.items():
+        for order, x in zip(orders, digits(y)):
+            if x:
+                order[exps] = x
+    return {lo + k: MPoly._trusted(coded.names, order) for k, order in enumerate(orders) if order}
 
 
 def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:
@@ -528,32 +588,18 @@ def plucker_form(f: CurveMap) -> Optional[PluckerRep]:
     f has a base point, since its Chow form is zero.  It equals
     ``plucker_rewrite(cayley_biform(f).normalized())`` term for term.
 
-    :func:`_straighten` gives the standard-monomial normal form of the
-    determinant.  Standard monomials map to their (u, v) expansions by a
-    unitriangular matrix over Z, prod p_{i_s j_s} leading with u_I v_J, so
-    the content is divided out as it stands, and the sign makes positive
-    the coefficient of the monomial with the greatest u_I v_J, the biform's
-    graded-lex leading term (:meth:`CayleyBiform.normalized`).
-
-    The exact check: the determinant and its normal form must have one
-    expansion into (u, v).  Their difference is the part R that was
-    rewritten less its image S(R), whose supports are disjoint, and
-    wedge_expand(R - S(R)) == 0 is tested; a failure raises RuntimeError.
-    Standard monomials that pass through unchanged cancel and are not
-    expanded, so on P^2, where no pair is nested, the check costs nothing.
-    Raises ValueError for n > 9 (:func:`plucker_names`), after the base
-    point test.
+    :func:`plucker_normal_form` gives the standard-monomial normal form of
+    the determinant, checked exactly.  Standard monomials map to their
+    (u, v) expansions by a unitriangular matrix over Z, prod p_{i_s j_s}
+    leading with u_I v_J, so the content is divided out as it stands, and
+    the sign makes positive the coefficient of the monomial with the
+    greatest u_I v_J, the biform's graded-lex leading term
+    (:meth:`CayleyBiform.normalized`).  A failed exact check raises
+    RuntimeError.  Raises ValueError for n > 9 (:func:`plucker_names`),
+    after the base point test.
     """
     m = f.n + 1
-    raw = det_expand(bezout_pform(f.components))
-    std = _straighten(raw.terms, m)
-    diff = dict(raw.terms)
-    for exps, c in std.items():
-        c = diff.pop(exps, 0) - c
-        if c:
-            diff[exps] = c
-    if diff and not wedge_expand(MPoly._trusted(raw.names, diff), m).is_zero:
-        raise RuntimeError("Plucker straightening failed its exact check")
+    std = plucker_normal_form(det_expand(bezout_pform(f.components)), m).terms
     if not std:
         return None
     names = plucker_names(f.n)
@@ -565,6 +611,32 @@ def plucker_form(f: CurveMap) -> Optional[PluckerRep]:
     g = math.gcd(*std.values())
     g = g if std[lead] > 0 else -g
     return PluckerRep(f.n, f.d, MPoly._trusted(names, {e: c // g for e, c in std.items()}))
+
+
+def plucker_normal_form(pform: MPoly, m: int) -> MPoly:
+    """The standard-monomial normal form of a p-form with int coefficients
+    in the pair variables of m forms, in :func:`bezout_pform` order (names
+    aside, no eps), in the same ring.  Straightened by :func:`_straighten`
+    and checked exactly: the p-form and its normal form must have one
+    expansion into (u, v).  Their difference is the part R that was
+    rewritten less its image S(R), whose supports are disjoint, and
+    wedge_expand(R - S(R)) == 0 is tested; a failure raises RuntimeError.
+    Standard monomials that pass through unchanged cancel and are not
+    expanded, so on P^2, where no pair is nested, the check costs nothing.
+    The normal form is zero exactly when the p-form vanishes on the
+    Grassmannian: standard monomials expand to independent (u, v)
+    polynomials.  Raises ValueError when the ring is not the pairs'."""
+    if len(pform.names) != m * (m - 1) // 2:
+        raise ValueError(f"p-form ring must be the {m * (m - 1) // 2} pairs of {m} forms")
+    std = _straighten(pform.terms, m)
+    diff = dict(pform.terms)
+    for exps, c in std.items():
+        c = diff.pop(exps, 0) - c
+        if c:
+            diff[exps] = c
+    if diff and not wedge_expand(MPoly._trusted(pform.names, diff), m).is_zero:
+        raise RuntimeError("Plucker straightening failed its exact check")
+    return MPoly._trusted(pform.names, std)
 
 
 def _plucker_relation(a: int, b: int, c: int, d: int) -> list[tuple[tuple[int, int], tuple[int, int], int]]:

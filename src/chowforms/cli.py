@@ -37,6 +37,7 @@ import sys
 from fractions import Fraction
 
 from .chow import (
+    EPS,
     CayleyBiform,
     NotBirational,
     cayley_biform,
@@ -45,14 +46,16 @@ from .chow import (
     pform_scale,
     plucker_form,
     uv_names,
+    wedge_expand,
+    wedge_orders,
 )
 from .curves import CurveMap, Plane
 from .degeneration import (
-    boundary_factor_check,
-    family_limit,
-    family_orders,
+    family_det,
     join_family,
+    limit_pform,
     normalize_attachment,
+    pform_factor_check,
 )
 from .oracle import check_curve, incident_oracle
 from .polynomial import format_terms, monomial_writer
@@ -286,33 +289,38 @@ def cmd_degenerate(args) -> int:
         family = join_family(f, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    # The table lists every eps order, so only that path expands them all;
-    # its limit is the lowest order, and normalization removes the scale.
+    # The table lists every eps order, so only that path expands the whole
+    # determinant; its limit is the lowest order, and its p-coefficient is
+    # read off the same determinant.  Normalization removes the scale.
+    m, d = f.n + 1, family[0].degree
     if args.emit_eps_table:
-        orders = family_orders(family)
+        det = family_det(family)
+        orders = wedge_orders(det, m)
         if not orders:
             raise DegenerateInput(_ZERO_FAMILY)
-        limit = CayleyBiform._trusted(f.n, family[0].degree, orders[min(orders)]).normalized()
+        low = min(orders)
+        pform, w = det.decompose(EPS)[low], orders[low]
         _write_eps_table(args.emit_eps_table, family, orders)
     else:
         try:
-            limit = family_limit(family)
+            pform, w = limit_pform(family)
         except ValueError:
             raise DegenerateInput(_ZERO_FAMILY) from None
-    # A base point in f or g already makes the family zero.  Primitive
-    # integer components keep the product over Z; it is formed once and
-    # serves both the factor check and the printed line.
-    product = _chow_form(f) * _chow_form(g)
-    factors = boundary_factor_check(limit, [product])
-    # By Gauss's lemma the product of primitive biforms is primitive, and its
-    # leading term is the product of two positive leading terms, so it is
-    # already normalized: where the factors check holds, it equals the limit
-    # term for term and its text is written once.
+    limit = CayleyBiform._trusted(f.n, d, w).normalized()
+    # A base point in f or g already makes the family zero.  The check runs
+    # on Plucker normal forms, so no component biform is built.
+    try:
+        factors, product = pform_factor_check(pform, [f, g])
+    except ValueError:
+        raise DegenerateInput(_BASE_LOCUS) from None
+    # By Gauss's lemma the normalized expansion of the product is the product
+    # of the normalized component Chow forms.  Where the factors check holds,
+    # it equals the limit term for term and its text is written once.
     body = format_terms(limit.poly)
-    print(f"limit n={limit.n} d={limit.d}\n{body}")
+    print(f"limit n={f.n} d={d}\n{body}")
     if not factors:
-        body = format_terms(product.poly)
-    print(f"product n={product.n} d={product.d}\n{body}")
+        body = format_terms(CayleyBiform._trusted(f.n, d, wedge_expand(product, m)).normalized().poly)
+    print(f"product n={f.n} d={d}\n{body}")
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4
 

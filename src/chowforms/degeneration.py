@@ -21,15 +21,21 @@ MPoly is multiplied or added from the join to the determinant.  Every
 family route reaches :func:`~chowforms.chow.bezout_pform`, which rejects
 coefficient rings other than Q and Q[eps].
 
-:func:`family_limit` computes that limit modulo eps^K with
+:func:`limit_pform` computes that limit modulo eps^K with
 ``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
 the Bezout p-form's ring: the packed minor kernel skips every product of
 eps-blocks whose orders sum to K or more, so no term of eps-degree >= K is
 ever formed.  K starts from the min-plus bound on the valuation of the
 determinant, and only the lowest surviving order is substituted into
-(u, v) and normalized.  :func:`family_orders` takes the same route with
-no truncation and returns every nonzero order W_k as an integer (u, v)
-polynomial; the eps table (``--emit-eps-table``) is written from those.
+(u, v).  It returns that order's p-coefficient L with its expansion, and
+:func:`family_limit` is the normalized expansion.  :func:`family_det` is
+the same determinant with no truncation, and :func:`family_orders`
+expands all its orders W_k at once, as integer (u, v) polynomials, by one
+Kronecker-substituted :func:`~chowforms.chow.wedge_orders`; the eps table
+(``--emit-eps-table``) is written from those, and its L is read off the
+same determinant.  :func:`pform_factor_check` tests that L factors into
+the component Chow forms on Plucker normal forms, where
+:func:`boundary_factor_check` multiplies (u, v) biforms.
 :func:`family_biform` is the reference route: it also expands every
 order, but divides each term by the scale
 :func:`~chowforms.chow.pform_scale` to give the exact family biform, and
@@ -40,18 +46,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chow import (
     EPS,
     CayleyBiform,
     bezout_pform,
     contraction_resultant,
+    plucker_normal_form,
     proportional,
     wedge_expand,
+    wedge_orders,
 )
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, rational
+from .polynomial import BinaryForm, MPoly, content_primitive, rational
 from .resultant import det_expand
 
 __all__ = [
@@ -60,8 +68,11 @@ __all__ = [
     "family_biform",
     "limit_direction",
     "family_limit",
+    "limit_pform",
+    "family_det",
     "family_orders",
     "boundary_factor_check",
+    "pform_factor_check",
 ]
 
 def _attachment_errors(f: CurveMap, param: tuple[int, int]) -> list[str]:
@@ -183,31 +194,52 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
     return CayleyBiform(ca.n, ca.d, MPoly(ca.poly.names[:-1], low)).normalized()
 
 
+def family_det(components: Sequence[BinaryForm]) -> MPoly:
+    """The determinant of the Bezout p-form of the components over Z[eps],
+    untruncated, in the pair variables then eps.  The p-form of eps-free
+    components is lifted to a constant family over Q[eps].  Raises
+    ValueError where :func:`~chowforms.chow.bezout_pform` does."""
+    return det_expand(_eps_pform(components))
+
+
 def family_orders(components: Sequence[BinaryForm]) -> dict[int, MPoly]:
     """The nonzero eps-orders W_k of the family determinant, k ascending.
 
-    W_k is the eps^k coefficient of det :func:`~chowforms.chow.bezout_pform`
-    with p_kl -> u_k v_l - u_l v_k substituted, an integer (d, d) biform
+    W_k is the eps^k coefficient of :func:`family_det` with
+    p_kl -> u_k v_l - u_l v_k substituted, an integer (d, d) biform
     polynomial in ``uv_names(n)``.  The family biform is their sum
     sum_k eps^k W_k / q, q = :func:`~chowforms.chow.pform_scale`, so its
     eps^k coefficient is W_k / q and its limit is W_k normalized for the
-    least k.  The whole determinant is expanded, every order on the same
-    route as :func:`family_limit`; a zero family has no orders.  The p-form
-    of eps-free components is lifted to a constant family over Q[eps], as
-    there.  Raises ValueError where :func:`family_limit` does, except for a
-    zero family.
+    least k.  The whole determinant is expanded, every order at once
+    (:func:`~chowforms.chow.wedge_orders`); a zero family has no orders.
+    Raises ValueError where :func:`family_det` does.
     """
-    return dict(_orders(_eps_pform(components), len(components), None))
+    return wedge_orders(family_det(components), len(components))
 
 
 def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     """``limit_direction(family_biform(components))``, term for term, without
-    forming the family biform.
+    forming the family biform: the normalized expansion of
+    :func:`limit_pform`.
 
     The components are n+1 binary forms of one degree d over Q[eps], such
     as the tuple :func:`join_family` returns or the components of a
     :class:`~chowforms.curves.CurveMap`, whose limit is its normalized
-    Chow form.  The determinant D of the Bezout p-form
+    Chow form.  The scale :func:`~chowforms.chow.pform_scale` is skipped:
+    normalization removes it.  Raises ValueError where :func:`limit_pform`
+    does.
+    """
+    _, w = limit_pform(components)
+    return CayleyBiform._trusted(len(components) - 1, components[0].degree, w).normalized()
+
+
+def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
+    """(L, W) for the limit of the family: L is the p-coefficient of the
+    family determinant at the least eps-order whose expansion into (u, v)
+    is nonzero, in the pair variables, and W that expansion, an integer
+    (d, d) biform polynomial in ``uv_names(n)``.
+
+    The determinant D of the Bezout p-form
     (:func:`~chowforms.chow.bezout_pform`) is expanded modulo eps^K only.
     Reduction modulo eps^K is a ring homomorphism, so the orders below K
     are exact.  K starts one above the min-plus assignment value of the
@@ -218,18 +250,16 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     Grassmannian).  Without a survivor K doubles, up to one past the
     eps-degree of D.  For a join of f and g of degree d_g the family has
     degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
-    and the cap is at most 2*d*d_g + 1.  The scale
-    :func:`~chowforms.chow.pform_scale` is skipped: normalization removes
-    it.  :func:`family_orders` walks the same orders with no truncation.
-    The p-form of eps-free components is lifted to a constant family over
-    Q[eps] and takes the same route: every entry has eps-degree 0, so one
-    expansion modulo eps gives their normalized Chow form.  The tuple is
-    checked once, by :func:`~chowforms.chow.bezout_pform`.  Raises
-    ValueError where that does, for a coefficient ring other than Q or
-    Q[eps] among others, and when the family biform is identically zero.
+    and the cap is at most 2*d*d_g + 1.  :func:`family_orders` expands the
+    same determinant with no truncation.  The p-form of eps-free
+    components is lifted to a constant family over Q[eps] and takes the
+    same route: every entry has eps-degree 0, so one expansion modulo eps
+    gives L = their Bezout determinant.  The tuple is checked once, by
+    :func:`~chowforms.chow.bezout_pform`.  Raises ValueError where that
+    does, for a coefficient ring other than Q or Q[eps] among others, and
+    when the family biform is identically zero.
     """
     matrix = _eps_pform(components)
-    n, d = len(components) - 1, components[0].degree
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
@@ -237,8 +267,11 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
-        for _, c in _orders(matrix, n + 1, K):
-            return CayleyBiform._trusted(n, d, c).normalized()
+        parts = det_expand(matrix, trunc=K).decompose(EPS)
+        for k in sorted(parts):
+            w = wedge_expand(parts[k], len(components))
+            if w:
+                return parts[k], w
         if K == top:
             raise ValueError("zero family biform has no limit")
         K = min(2 * K, top)
@@ -254,17 +287,6 @@ def _eps_pform(components: Sequence[BinaryForm]) -> list[list[MPoly]]:
         return matrix
     names = matrix[0][0].names + (EPS,)
     return [[MPoly._trusted(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
-
-
-def _orders(matrix: list[list[MPoly]], m: int, K: Optional[int]) -> Iterator[tuple[int, MPoly]]:
-    """(k, W_k) for the nonzero orders k < K of the determinant of a Bezout
-    p-form over Q[eps] of m forms, k ascending, each substituted into
-    (u, v) only when it is reached; K = None expands every order."""
-    parts = det_expand(matrix, trunc=K).decompose(EPS)
-    for k in sorted(parts):
-        c = wedge_expand(parts[k], m)
-        if c:
-            yield k, c
 
 
 def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:
@@ -290,7 +312,8 @@ def boundary_factor_check(limit: CayleyBiform, parts: Iterable[CayleyBiform]) ->
     """Does the limit biform equal the product of the given component biforms
     up to scalar?  The Chow form of a union of curves is the product of the
     component Chow forms, so this is the factorization test for boundary
-    limits.
+    limits.  This is the library's (u, v) route, and the reference for
+    :func:`pform_factor_check`, which ``degenerate`` runs instead.
     """
     parts = list(parts)
     if not parts:
@@ -302,3 +325,35 @@ def boundary_factor_check(limit: CayleyBiform, parts: Iterable[CayleyBiform]) ->
         )
     product = reduce(lambda a, b: a * b, parts)
     return proportional(limit, product)
+
+
+def pform_factor_check(limit: MPoly, curves: Sequence[CurveMap]) -> tuple[bool, MPoly]:
+    """:func:`boundary_factor_check` in Plucker coordinates: does the limit
+    p-coefficient L (:func:`limit_pform`) expand to the product of the
+    curves' Chow forms, up to scalar?  Returns the verdict and the product
+    p-form P, the product of the determinants of the curves' Bezout
+    p-forms.  L lives in the pair variables of the curves' P^n and has a
+    nonzero expansion, as that of :func:`limit_pform` has.
+
+    p -> u ^ v is a ring homomorphism, so P expands to the product of the
+    component Chow forms up to scale.  The verdict is std(L) proportional
+    to std(P), std being :func:`~chowforms.chow.plucker_normal_form` with
+    its exact checks: standard monomials expand unitriangularly over Z, so
+    two p-forms have proportional expansions exactly when their normal
+    forms are proportional, and the verdict is that of
+    :func:`boundary_factor_check` on the expansions, with no (u, v) biform
+    built.  Where L and P are proportional as they stand, as on every join
+    probed, the verdict is yes with nothing straightened.  The normalized
+    expansion of P is the product of the normalized component Chow forms,
+    by Gauss's lemma.  Raises ValueError when std(P) is zero, that is, when
+    a curve has a base point.
+    """
+    m = curves[0].n + 1
+    product = reduce(lambda a, b: a * b, (det_expand(bezout_pform(c.components)) for c in curves))
+    if product and content_primitive(limit)[1] == content_primitive(product)[1]:
+        return True, product
+    std = plucker_normal_form(product, m)
+    if std.is_zero:
+        raise ValueError("zero Chow form: a curve has a base point")
+    _, low = content_primitive(plucker_normal_form(limit, m))
+    return low == content_primitive(std)[1], product

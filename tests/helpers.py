@@ -7,6 +7,7 @@ imports from chowforms.resultant internals.  ``ref_format_terms`` and
 the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
 ``ref_depends_only_on_wedge`` substitute through ``MPoly.evaluate`` with an
 MPoly ``one``: ring changes the package itself never needs.
+``ref_family_orders`` expands the eps-orders of a family one at a time.
 """
 
 import json
@@ -14,7 +15,8 @@ import math
 import random
 from fractions import Fraction
 
-from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, normalize_attachment, uv_names
+from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, det_expand, normalize_attachment, uv_names
+from chowforms.chow import bezout_pform, wedge_expand
 from chowforms.polynomial import distinct_root_count, form_gcd_all
 
 
@@ -122,7 +124,10 @@ def rand_curve(rng, n, d, lo=-5, hi=5):
 
 
 def rand_curve_birational(rng, n, d, lo=-5, hi=5):
-    """Random curve that is base-point-free and one-to-one onto its image."""
+    """Random curve that is base-point-free and one-to-one onto its image.
+    A degree-d map P^1 -> P^1 has map degree d, so n = 1 allows d = 1 only."""
+    if n == 1 and d >= 2:
+        raise ValueError(f"no degree-{d} map onto P^1 is birational")
     while True:
         f = rand_curve(rng, n, d, lo, hi)
         if check_curve(f, rng=rng).birational:
@@ -206,6 +211,18 @@ def ref_at_eps(components, value):
     return CurveMap.from_coeffs(
         [[c.evaluate(env) if isinstance(c, MPoly) else c for c in comp.coeffs] for comp in components]
     )
+
+
+def ref_family_orders(components):
+    """The nonzero eps-orders of the family determinant, one ``wedge_expand``
+    per order: the route that ``wedge_orders`` replaced."""
+    matrix = bezout_pform(components)
+    if matrix[0][0].names[-1] != "eps":
+        names = matrix[0][0].names + ("eps",)
+        matrix = [[MPoly(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
+    parts = det_expand(matrix).decompose("eps")
+    orders = {k: wedge_expand(parts[k], len(components)) for k in sorted(parts)}
+    return {k: w for k, w in orders.items() if w}
 
 
 def ref_embed(p, names):

@@ -443,7 +443,7 @@ def test_slot_width_is_the_least_that_holds_an_entry_at_the_bound(monkeypatch):
         expected = ref_pform(forms)
         bound = 2 * (D + 1) * A * A
         assert max(expected[0][0].terms.values()) == bound
-        W = width(1, D, A)
+        W = width(bound)
         assert 2 ** (8 * W - 9) <= bound < 2 ** (8 * W - 1)
         assert bezout_pform(forms) == expected
         if W == 1:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from chowforms import CurveMap, cayley_biform, implicitize_plane_curve, plucker_rewrite
+from chowforms import CurveMap, cayley_biform, det_expand, implicitize_plane_curve, plucker_rewrite
+from chowforms.chow import bezout_pform, wedge_expand
 from chowforms.cli import load_curve, main, parse_plane
 from chowforms.polynomial import format_terms
 from helpers import reference_compute_json
@@ -257,8 +258,12 @@ def test_degenerate_prints_both_blocks_when_the_factors_differ(tmp_path, capsys,
 
     pf = write(tmp_path, "f.json", LINE_F)
     pg = write(tmp_path, "g.json", LINE_G)
-    wrong = cayley_biform(load_curve(write(tmp_path, "conic.json", CONIC))).normalized()
-    monkeypatch.setattr(cli, "family_limit", lambda family: wrong)
+    conic = load_curve(write(tmp_path, "conic.json", CONIC))
+    wrong = cayley_biform(conic).normalized()
+    # The conic's Bezout determinant as the limit p-coefficient, with its
+    # expansion, whose normalized form is ``wrong``.
+    pform = det_expand(bezout_pform(conic.components))
+    monkeypatch.setattr(cli, "limit_pform", lambda family: (pform, wedge_expand(pform, 3)))
     product = cayley_biform(load_curve(pf)).normalized() * cayley_biform(load_curve(pg)).normalized()
     assert (wrong.n, wrong.d) == (product.n, product.d) and wrong.poly != product.poly
     code, out, _ = run(capsys, ["degenerate", pf, pg])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,23 @@ def test_bools_are_not_coefficients():
     assert all(type(c) is int for c in BinaryForm([1, 0, 1]).coeffs)
     g = act_gln(f, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     assert all(type(c) is int for c in g.components[1].coeffs)
+
+
+def test_rand_curve_birational_refuses_maps_onto_the_line_at_once(monkeypatch):
+    # A degree-d map P^1 -> P^1 has map degree d, so no d >= 2 draw is ever
+    # birational: the helper refuses before drawing or checking anything.
+    import helpers
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a curve was checked")
+
+    monkeypatch.setattr(helpers, "check_curve", forbidden)
+    rng = random.Random(3)
+    state = rng.getstate()
+    for d in (2, 3, 7):
+        with pytest.raises(ValueError, match=f"degree-{d} map onto P\\^1"):
+            helpers.rand_curve_birational(rng, 1, d)
+    assert rng.getstate() == state
+    monkeypatch.undo()
+    f = helpers.rand_curve_birational(rng, 1, 1)
+    assert (f.n, f.d) == (1, 1)

@@ -133,6 +133,26 @@ def test_wedge_expand_of_zero_and_constants():
         wedge_expand(MPoly.zero(ring), 4)
 
 
+def test_wedge_expand_sorts_no_cancelled_sum(monkeypatch):
+    # The Plucker relation p01 p23 - p02 p13 + p03 p12 expands to sums that
+    # all cancel: the result is the zero MPoly, and no zero key is sorted.
+    import chowforms.chow as chow
+
+    seen = []
+
+    def spy(keys, reverse=False):
+        seen.append(len(keys))
+        return sorted(keys, reverse=reverse)
+
+    monkeypatch.setattr(chow, "sorted", spy, raising=False)
+    ring = pair_ring(4)
+    p = [MPoly.var(ring, x) for x in ring]
+    relation = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
+    assert wedge_expand(relation, 4) == MPoly.zero(uv_names(3))
+    assert wedge_expand(relation * relation + p[0], 4) == wedge(uv_names(3), 0, 1)
+    assert seen == [0, 2]
+
+
 # -- terms in output order ----------------------------------------------------------
 # wedge_expand unpacks its terms in descending packed order.  Every eps-free
 # biform built on it then holds them in the order the writers print.

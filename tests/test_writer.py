@@ -176,8 +176,8 @@ def test_eps_table_run_splits_the_family_determinant_by_eps_once(tmp_path, monke
 
 def test_eps_table_run_sends_no_eps_form_through_contraction_resultant(tmp_path, monkeypatch, capsys):
     # The table is written from the integer orders of the family
-    # determinant: only the two eps-free component Chow forms take the
-    # route that divides by the scale.
+    # determinant, and the factor check runs on Plucker normal forms: no
+    # form takes the route that divides by the scale.
     import chowforms.chow as chow
     import chowforms.degeneration as degeneration
 
@@ -191,7 +191,7 @@ def test_eps_table_run_sends_no_eps_form_through_contraction_resultant(tmp_path,
     monkeypatch.setattr(chow, "contraction_resultant", spy)
     monkeypatch.setattr(degeneration, "contraction_resultant", spy)
     run_eps_table(tmp_path, capsys)
-    assert seen == [False, False]
+    assert seen == []
 
 
 # -- the writers do not lean on the stored order ----------------------------------
