@@ -42,7 +42,6 @@ from .polynomial import (
     MPoly,
     content_primitive,
     contract,
-    distinct_root_count,
     form_gcd,
     form_gcd_all,
     format_terms,
@@ -83,7 +82,6 @@ __all__ = [
     "det_bareiss",
     "det_expand",
     "det_laplace_split",
-    "distinct_root_count",
     "family_biform",
     "family_det",
     "family_limit",

@@ -740,7 +740,7 @@ class NotBirational(ValueError):
         self.report = report
 
 
-def implicitize_plane_curve(f: CurveMap, rng=None) -> MPoly:
+def implicitize_plane_curve(f: CurveMap) -> MPoly:
     """Implicit equation of a birationally parametrized plane curve.
 
     Takes the determinant of the Bezout p-form (:func:`bezout_pform`), the
@@ -755,7 +755,7 @@ def implicitize_plane_curve(f: CurveMap, rng=None) -> MPoly:
     """
     if f.n != 2:
         raise ValueError("implicitization needs a plane curve (n = 2)")
-    report = check_curve(f, rng=rng)
+    report = check_curve(f)
     if not report.birational:
         raise NotBirational(report)
     pform = det_expand(bezout_pform(f.components))

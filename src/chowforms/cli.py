@@ -13,16 +13,15 @@ surrounding whitespace aside.
 Exit codes: 0 success, 2 invalid input (a curve file that is not UTF-8 or
 nests JSON too deeply included), 3 mathematical degeneracy (zero biform,
 parametrization not birational), 4 internal cross-check failure
-(including a failed internal postcondition, raised as RuntimeError).  A
-map-degree sampling failure (no unramified sample points, or a sampled
-degree that does not divide d) is a RuntimeError too, and exits 4.  Every
+(including a failed internal postcondition, raised as RuntimeError).  Every
 failure raised inside a command prints one ``error:`` line to stderr; only
 ``incident`` (DISAGREE), ``degenerate`` (FACTORS:no) and ``implicitize``
 (not birational) report theirs on stdout instead.
 
 ``--plane X`` is read as ``--plane=X``, so a plane whose first entry is
-negative needs no ``=``.  Output is deterministic: fixed term order, fixed
-normalization, and the sampling seed is printed whenever sampling is used.
+negative needs no ``=``.  Output is deterministic: fixed term order and
+fixed normalization.  ``--seed`` has no effect on any result; ``check`` and
+``implicitize`` echo it in their JSON reports.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import re
 import sys
 from fractions import Fraction
@@ -178,8 +176,8 @@ def _compute_json(ca: CayleyBiform, rep) -> str:
     return text
 
 
-def _warn_if_degenerate(f: CurveMap, seed: int) -> None:
-    report = check_curve(f, rng=random.Random(seed))
+def _warn_if_degenerate(f: CurveMap) -> None:
+    report = check_curve(f)
     if not report.base_free:
         print("warning: parametrization has a base point", file=sys.stderr)
     elif not report.birational:
@@ -211,7 +209,7 @@ def _plucker_form(f: CurveMap):
 
 def cmd_compute(args) -> int:
     f = load_curve(args.curve)
-    _warn_if_degenerate(f, args.seed)
+    _warn_if_degenerate(f)
     # The biform printed with a Plucker form is that form's expansion: the
     # normalized biform, term for term.
     rep = _plucker_form(f) if args.plucker else None
@@ -259,7 +257,7 @@ def _verdict(b: bool) -> str:
 
 def cmd_check(args) -> int:
     f = load_curve(args.curve)
-    report = check_curve(f, rng=random.Random(args.seed))
+    report = check_curve(f)
     print(json.dumps(_report_doc(report, args.seed)))
     return 0
 
@@ -283,8 +281,8 @@ def cmd_degenerate(args) -> int:
             g = normalize_attachment(g, at=(0, 1))
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    _warn_if_degenerate(f, args.seed)
-    _warn_if_degenerate(g, args.seed)
+    _warn_if_degenerate(f)
+    _warn_if_degenerate(g)
     try:
         family = join_family(f, g)
     except ValueError as exc:
@@ -356,7 +354,7 @@ def cmd_implicitize(args) -> int:
     if f.n != 2:
         raise InputError("implicitize needs a plane curve (n = 2)")
     try:
-        poly = implicitize_plane_curve(f, rng=random.Random(args.seed))
+        poly = implicitize_plane_curve(f)
     except NotBirational as exc:
         print(json.dumps(_report_doc(exc.report, args.seed)))
         return 3
@@ -366,7 +364,7 @@ def cmd_implicitize(args) -> int:
 
 def cmd_plucker(args) -> int:
     f = load_curve(args.curve)
-    _warn_if_degenerate(f, args.seed)
+    _warn_if_degenerate(f)
     _print_plucker(_plucker_form(f))
     return 0
 

@@ -24,7 +24,7 @@ two parameters ``(z0, z1)``, stored densely: ``coeffs[j]`` multiplies
 form as :class:`MPoly` coefficients, an ``int`` when integral and a
 ``Fraction`` otherwise (numeric forms), or :class:`MPoly` values (forms
 whose coefficients carry covector variables); one code path serves both.
-Numeric forms over Z, the gcd oracle's and the map-degree sampler's, thus
+Numeric forms over Z, the gcd oracle's and the map-degree certificate's, thus
 run in integer arithmetic.
 
 Values are immutable after construction and all operations are pure, so
@@ -50,7 +50,6 @@ __all__ = [
     "poly_divides",
     "form_gcd",
     "form_gcd_all",
-    "distinct_root_count",
     "format_terms",
     "monomial_writer",
     "parse_terms",
@@ -826,13 +825,3 @@ def form_gcd_all(forms: Iterable[BinaryForm]) -> BinaryForm:
         raise ValueError("gcd of zero forms")
     return BinaryForm([0] * p1 + g[::-1] + [0] * p0)
 
-
-def distinct_root_count(h: BinaryForm) -> tuple[int, bool]:
-    """Number of distinct projective roots of a nonzero numeric form, plus a
-    squarefree flag; ValueError for any other form."""
-    p0, p1, u = _core(h)
-    g = [1]
-    if len(u) > 1:
-        g = _int_poly_gcd(u, _primitive([k * c for k, c in enumerate(u)][1:]))
-    count = (1 if p0 else 0) + (1 if p1 else 0) + len(u) - len(g)
-    return count, p0 <= 1 and p1 <= 1 and len(g) == 1

@@ -8,6 +8,9 @@ the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
 ``ref_depends_only_on_wedge`` substitute through ``MPoly.evaluate`` with an
 MPoly ``one``: ring changes the package itself never needs.
 ``ref_family_orders`` expands the eps-orders of a family one at a time.
+``ref_check_curve`` is the retired Monte-Carlo map-degree report: seeded
+tests call it wherever they passed their generator to ``check_curve`` or
+``map_degree``, so their later draws stay those of the original inputs.
 """
 
 import json
@@ -15,9 +18,21 @@ import math
 import random
 from fractions import Fraction
 
-from chowforms import BinaryForm, CayleyBiform, CurveMap, MPoly, Plane, check_curve, det_expand, normalize_attachment, uv_names
+from chowforms import (
+    BinaryForm,
+    CayleyBiform,
+    CurveCheck,
+    CurveMap,
+    MPoly,
+    Plane,
+    base_locus_free,
+    check_curve,
+    det_expand,
+    normalize_attachment,
+    uv_names,
+)
 from chowforms.chow import bezout_pform, wedge_expand
-from chowforms.polynomial import distinct_root_count, form_gcd_all
+from chowforms.polynomial import form_gcd_all
 
 
 def naive_det(M):
@@ -130,8 +145,16 @@ def rand_curve_birational(rng, n, d, lo=-5, hi=5):
         raise ValueError(f"no degree-{d} map onto P^1 is birational")
     while True:
         f = rand_curve(rng, n, d, lo, hi)
-        if check_curve(f, rng=rng).birational:
+        if checked_with(f, rng).birational:
             return f
+
+
+def checked_with(f, rng):
+    """``check_curve(f)``, asserted equal to :func:`ref_check_curve` on rng,
+    which advances rng as the retired sampler did."""
+    report = check_curve(f)
+    assert ref_check_curve(f, rng) == report
+    return report
 
 
 # The (n, d_f, d_g) join shapes of the benchmark corpus: lines_P2,
@@ -278,10 +301,24 @@ def all_minors(f, P):
     return minors
 
 
+def ref_root_count(h: BinaryForm) -> tuple[int, bool]:
+    """Distinct roots over Q-bar: the degree of the squarefree part of the
+    core by Euclid over Q, plus the roots at (1:0) and (0:1)."""
+    nz = [j for j, c in enumerate(h.coeffs) if c]
+    p1, p0 = nz[0], h.degree - nz[-1]
+    core = [Fraction(c) for c in h.coeffs[nz[0] : nz[-1] + 1]]
+    e = 0
+    if len(core) > 1:
+        e = len(ref_gcd(core, [k * c for k, c in enumerate(core)][1:])) - 1
+    count = len(core) - 1 - e + (p0 > 0) + (p1 > 0)
+    return count, p0 <= 1 and p1 <= 1 and e == 0
+
+
 def allpairs_sample_map_degree(f, rng, trials=3):
-    """Reference for ``oracle._sample_map_degree``: the fiber polynomial of
-    each sample is the gcd of all C(n+1, 2) minors.  Same draws, same
-    rejections, same attempt limit."""
+    """The retired Monte-Carlo map degree: the least distinct-root count of
+    the fiber polynomials over ``trials`` accepted samples, each the gcd of
+    all C(n+1, 2) minors.  Samples with no fiber polynomial or a repeated
+    root are rejected; past 100 draws per trial it raises RuntimeError."""
     counts = []
     attempts = 0
     while len(counts) < trials:
@@ -295,11 +332,25 @@ def allpairs_sample_map_degree(f, rng, trials=3):
         G = form_gcd_all(minors)
         if G.degree == 0:
             continue
-        count, squarefree = distinct_root_count(G)
+        count, squarefree = ref_root_count(G)
         if not squarefree:
             continue
         counts.append(count)
     return min(counts)
+
+
+def ref_check_curve(f, rng):
+    """The retired ``check_curve`` on :func:`allpairs_sample_map_degree`:
+    up to five sampled degrees, the first that divides d is reported."""
+    if any(type(x) is not int for c in f.components for x in c.coeffs):
+        f = CurveMap(tuple(c if c.is_zero else c.normalized() for c in f.components))
+    if not base_locus_free(f):
+        return CurveCheck(False, None, None, False)
+    for _ in range(5):
+        e = allpairs_sample_map_degree(f, rng)
+        if f.d % e == 0:
+            return CurveCheck(True, e, f.d // e, e == 1)
+    raise RuntimeError("map degree sampling failed to divide the curve degree")
 
 
 def ref_sorted_terms(p):

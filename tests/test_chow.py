@@ -14,7 +14,6 @@ from chowforms import (
     act_gl2,
     act_gln,
     cayley_biform,
-    check_curve,
     content_primitive,
     format_terms,
     implicitize_plane_curve,
@@ -27,6 +26,7 @@ from chowforms import (
 )
 from chowforms.chow import PluckerRep, depends_only_on_wedge, plucker_names
 from helpers import (
+    checked_with,
     compose_curve,
     rand_base_free_pair,
     rand_curve,
@@ -410,7 +410,7 @@ def rand_rational_curve(rng, n, d):
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)] for _ in range(n + 1)]
         if any(any(r) for r in rows):
             f = CurveMap.from_coeffs(rows)
-            if check_curve(f, rng=rng).birational:
+            if checked_with(f, rng).birational:
                 return f
 
 
@@ -559,7 +559,7 @@ def rand_rational_plane_curve(rng, d):
         ]
         if any(any(r) for r in rows):
             f = CurveMap.from_coeffs(rows)
-            if check_curve(f, rng=rng).birational:
+            if checked_with(f, rng).birational:
                 return f
 
 

@@ -615,26 +615,47 @@ def test_plane_value_before_the_curve_and_a_missing_value(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
-# -- map-degree sampling failures -----------------------------------------------------
+# -- the map-degree certificate ----------------------------------------------------
 
+# Birational plane quartic with a node at z1/z0 = +-1.  The retired sampler
+# drew three parameters on the node's lines at seeds 22358 and 22938 and
+# reported map degree 2.
+NODAL_QUARTIC = {
+    "n": 2,
+    "d": 4,
+    "coeffs": [["1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "-1", "0", "1", "1"]],
+}
 
-@pytest.mark.parametrize(
-    "roots, message",
-    [
-        # Never squarefree: no sample point is accepted.
-        ((1, False), "could not find enough unramified sample points"),
-        # Three points per fiber of a conic: 3 does not divide d = 2.
-        ((3, True), "map degree sampling failed to divide the curve degree"),
-    ],
+NODAL_QUARTIC_EQUATION = (
+    "+1 * x0^3 x1^1\n-2 * x0^2 x1^2\n-1 * x0^2 x2^2\n+1 * x0^1 x1^3\n+2 * x0^1 x1^2 x2^1\n-1 * x1^4\n"
 )
-def test_map_degree_sampling_failures_exit_4(tmp_path, capsys, monkeypatch, roots, message):
+
+
+@pytest.mark.parametrize("seed", ["22358", "22938"])
+def test_nodal_quartic_is_birational_at_every_seed(tmp_path, capsys, seed):
+    path = write(tmp_path, "nodal4.json", NODAL_QUARTIC)
+    code, out, err = run(capsys, ["check", path, "--seed", seed])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "base_free": True,
+        "map_degree": 1,
+        "image_degree": 4,
+        "in_U": True,
+        "seed": int(seed),
+    }
+    assert run(capsys, ["implicitize", path, "--seed", seed]) == (0, NODAL_QUARTIC_EQUATION, "")
+    assert run(capsys, ["implicitize", path]) == (0, NODAL_QUARTIC_EQUATION, "")
+
+
+def test_map_degree_certificate_fall_through_exits_4(tmp_path, capsys, monkeypatch):
     import chowforms.oracle as oracle
 
-    monkeypatch.setattr(oracle, "distinct_root_count", lambda G: roots)
+    # Every fiber gcd the same quadric: no pair certifies, and the loop ends.
+    monkeypatch.setattr(oracle, "_fiber_gcd", lambda f, z: oracle.BinaryForm([1, 0, 1]))
     path = write(tmp_path, "conic.json", CONIC)
     code, out, err = run(capsys, ["check", path, "--seed", "5"])
     assert (code, out) == (4, "")
-    assert err == f"error: {message}\n"
+    assert err == "error: no two fiber gcds certify the map degree\n"
     assert "Traceback" not in err
 
 
@@ -671,7 +692,7 @@ def test_coefficients_past_the_digit_limit_print_exactly(tmp_path, capsys):
         ca = cayley_biform(f).normalized()
         biform = f"biform n=2 d=2\n{format_terms(ca.poly)}\n"
         plucker = format_terms(plucker_rewrite(ca).poly)
-        implicit = format_terms(implicitize_plane_curve(f, rng=random.Random(0)))
+        implicit = format_terms(implicitize_plane_curve(f))
     assert max(abs(c) for c in ca.poly.terms.values()) > 10**4300
     assert run(capsys, ["compute", path]) == (0, biform, "")
     code, out, err = run(capsys, ["compute", path, "--json"])

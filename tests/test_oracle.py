@@ -17,10 +17,12 @@ from chowforms import (
     incident_oracle,
     map_degree,
 )
+import chowforms.oracle as oracle
 from chowforms.polynomial import form_gcd_all
 from helpers import (
     all_minors,
     allpairs_sample_map_degree,
+    checked_with,
     compose_curve,
     plane_through,
     rand_base_free_pair,
@@ -29,6 +31,7 @@ from helpers import (
     rand_form,
     rand_invertible,
     rand_plane,
+    ref_check_curve,
 )
 
 LINE = CurveMap.from_coeffs([[1, 0], [0, 1], [0, 0]])
@@ -61,13 +64,13 @@ def test_curve_inside_plane_is_incident():
 
 
 def test_map_degree_examples():
-    assert map_degree(CONIC, rng=random.Random(1)) == 1
-    assert map_degree(DOUBLE, rng=random.Random(1)) == 2
-    assert map_degree(LINE, rng=random.Random(1)) == 1
+    assert map_degree(CONIC) == 1
+    assert map_degree(DOUBLE) == 2
+    assert map_degree(LINE) == 1
 
 
 def test_map_degree_deterministic_with_seed():
-    runs = {map_degree(DOUBLE, rng=random.Random(9)) for _ in range(3)}
+    runs = {map_degree(DOUBLE) for _ in range(3)}
     assert runs == {2}
 
 
@@ -77,11 +80,11 @@ def test_map_degree_rejects_base_locus():
 
 
 def test_check_curve_examples():
-    r = check_curve(CONIC, rng=random.Random(1))
+    r = check_curve(CONIC)
     assert (r.base_free, r.map_degree, r.image_degree, r.birational) == (True, 1, 2, True)
-    r = check_curve(DOUBLE, rng=random.Random(1))
+    r = check_curve(DOUBLE)
     assert (r.base_free, r.map_degree, r.image_degree, r.birational) == (True, 2, 1, False)
-    r = check_curve(BASED, rng=random.Random(1))
+    r = check_curve(BASED)
     assert (r.base_free, r.map_degree, r.image_degree, r.birational) == (
         False,
         None,
@@ -91,8 +94,6 @@ def test_check_curve_examples():
 
 
 def test_check_curve_tests_the_base_locus_once(monkeypatch):
-    import chowforms.oracle as oracle
-
     calls = []
     original = oracle.base_locus_free
 
@@ -103,7 +104,7 @@ def test_check_curve_tests_the_base_locus_once(monkeypatch):
     monkeypatch.setattr(oracle, "base_locus_free", counting)
     for f in (CONIC, DOUBLE, BASED):
         calls.clear()
-        check_curve(f, rng=random.Random(1))
+        check_curve(f)
         assert len(calls) == 1
     calls.clear()
     with pytest.raises(ValueError):
@@ -118,9 +119,7 @@ def test_map_degree_reparametrization_invariant():
         if not base_locus_free(f):
             continue
         A = rand_invertible(rng, 2)
-        assert map_degree(f, rng=random.Random(0)) == map_degree(
-            act_gl2(f, A), rng=random.Random(0)
-        )
+        assert map_degree(f) == map_degree(act_gl2(f, A))
 
 
 def test_map_degree_multiplies_under_covers():
@@ -129,12 +128,68 @@ def test_map_degree_multiplies_under_covers():
         g = rand_curve_birational(rng, 2, rng.randint(1, 2))
         phi0, phi1 = rand_base_free_pair(rng, 2)
         f = compose_curve(g, phi0, phi1)
-        assert map_degree(f, rng=rng) == 2 * map_degree(g, rng=rng)
+        kf, kg = map_degree(f), map_degree(g)
+        assert (allpairs_sample_map_degree(f, rng), allpairs_sample_map_degree(g, rng)) == (kf, kg)
+        assert kf == 2 * kg
+
+
+# Birational plane quartic with a node at z1/z0 = +-1 and a singular point
+# over (0:1).
+NODAL_QUARTIC = CurveMap.from_coeffs([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, -1, 0, 1, 1]])
+
+
+def _fiber_gcds_taken(monkeypatch):
+    """The fixed parameters at which the certificate forms fiber gcds."""
+    taken = []
+    original = oracle._fiber_gcd
+
+    def recording(f, z):
+        taken.append(z)
+        return original(f, z)
+
+    monkeypatch.setattr(oracle, "_fiber_gcd", recording)
+    return taken
+
+
+def test_nodal_quartic_and_its_covers():
+    phi = (BinaryForm([1, 0, 1]), BinaryForm([0, 1, -1]))
+    psi = (BinaryForm([1, 0, 0, 1]), BinaryForm([0, 1, 2, 0]))
+    assert check_curve(NODAL_QUARTIC) == CurveCheck(True, 1, 4, True)
+    assert check_curve(compose_curve(NODAL_QUARTIC, *phi)) == CurveCheck(True, 2, 4, False)
+    assert check_curve(compose_curve(NODAL_QUARTIC, *psi)) == CurveCheck(True, 3, 4, False)
+
+
+def test_early_parameters_over_singular_points(monkeypatch):
+    # (1, 0) and (1, 2) lie over the node and (1, 1) over the singular point
+    # at (0:1) of the quartic: two different quadric fiber gcds with 2 | d,
+    # on a birational curve, so the span test must refuse them.
+    f = act_gl2(NODAL_QUARTIC, [[1, -1], [1, 0]])
+    G, H = oracle._fiber_gcd(f, (1, 0)), oracle._fiber_gcd(f, (1, 1))
+    assert G.degree == H.degree == 2 and G != H
+    assert not oracle._spans(G, H, 2, f.components)
+    taken = _fiber_gcds_taken(monkeypatch)
+    assert check_curve(f) == CurveCheck(True, 1, 4, True)
+    assert taken == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    # Its double cover meets the node and the singular point first too.
+    phi = (BinaryForm([1, 0, 0]), BinaryForm([1, 0, 1]))
+    taken.clear()
+    assert map_degree(compose_curve(f, *phi)) == 2
+    assert len(taken) > 2
+
+
+def test_a_cover_whose_first_fixed_parameters_share_a_fiber(monkeypatch):
+    # phi(1, 0) = phi(1, 1) = (1:0): the first two fiber gcds are equal, and
+    # only the third, within the bound of (d-1)(d-2) + d + 1 = 3, certifies.
+    phi = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, -1]))
+    f = compose_curve(LINE, *phi)
+    taken = _fiber_gcds_taken(monkeypatch)
+    assert map_degree(f) == 2
+    assert taken == [(1, 0), (1, 1), (1, 2)]
 
 
 def sampler_cases():
-    """Seeded curves for the sampler tests: n = 1..5, integer curves, curves
-    with Fraction coefficients and degree-2 covers."""
+    """Seeded curves for the map-degree tests: n = 1..5, integer curves,
+    curves with Fraction coefficients and degree-2 covers."""
     cases = []
     for n in range(1, 6):
         rng = random.Random(n)
@@ -151,25 +206,12 @@ def sampler_cases():
     return cases
 
 
-def _checked(f, seed):
-    rng = random.Random(seed)
-    try:
-        report = check_curve(f, rng=rng)
-    except RuntimeError as exc:
-        report = str(exc)
-    return report, rng.getstate()
-
-
-def test_pivot_sampler_matches_the_all_pairs_reference(monkeypatch):
-    import chowforms.oracle as oracle
-
+def test_certified_map_degree_matches_the_sampler_reference():
     cases = sampler_cases()
     assert len(cases) >= 100
-    ours = [_checked(f, seed) for seed, f in enumerate(cases)]
-    monkeypatch.setattr(oracle, "_sample_map_degree", allpairs_sample_map_degree)
-    reference = [_checked(f, seed) for seed, f in enumerate(cases)]
-    assert ours == reference
-    reports = [r for r, _ in ours if isinstance(r, CurveCheck) and r.base_free]
+    ours = [check_curve(f) for f in cases]
+    assert ours == [ref_check_curve(f, random.Random(seed)) for seed, f in enumerate(cases)]
+    reports = [r for r in ours if r.base_free]
     assert len(reports) >= 90
     assert {1, 2} <= {r.map_degree for r in reports}
 
@@ -206,7 +248,7 @@ def test_degree_factorization():
     rng = random.Random(7)
     for _ in range(10):
         f = rand_curve(rng, rng.randint(2, 3), rng.randint(1, 3))
-        r = check_curve(f, rng=rng)
+        r = checked_with(f, rng)
         if r.base_free:
             assert r.map_degree * r.image_degree == f.d
 
@@ -222,8 +264,6 @@ def test_oracle_agrees_with_chow_form():
 
 
 def _counting_base_locus_free(monkeypatch):
-    import chowforms.oracle as oracle
-
     calls = []
     original = oracle.base_locus_free
 
@@ -261,19 +301,18 @@ def test_incident_oracle_raises_on_base_points_for_every_plane():
                 incident_oracle(f, plane)
 
 
-# check_curve reports on seeded curves and their degree-2 covers, with the
-# next draw of the shared generator: a printed seed reproduces every sample.
+# check_curve reports on seeded curves and their degree-2 covers.
 CHECK_PINS = {
-    0: ((True, 1, 1, True), (True, 2, 1, False), 279701488),
-    1: ((True, 1, 2, True), (True, 2, 2, False), 593628450),
-    2: ((True, 1, 3, True), (True, 2, 3, False), 189751635),
-    3: ((True, 1, 1, True), (True, 2, 1, False), 45944372),
-    4: ((True, 1, 2, True), (True, 2, 2, False), 508511121),
-    5: ((True, 1, 3, True), (True, 2, 3, False), 310639063),
-    6: ((True, 1, 1, True), (True, 2, 1, False), 864127571),
-    7: ((True, 1, 2, True), (True, 2, 2, False), 450047120),
-    8: ((True, 1, 3, True), (True, 2, 3, False), 115673040),
-    9: ((True, 1, 1, True), (True, 2, 1, False), 220074250),
+    0: ((True, 1, 1, True), (True, 2, 1, False)),
+    1: ((True, 1, 2, True), (True, 2, 2, False)),
+    2: ((True, 1, 3, True), (True, 2, 3, False)),
+    3: ((True, 1, 1, True), (True, 2, 1, False)),
+    4: ((True, 1, 2, True), (True, 2, 2, False)),
+    5: ((True, 1, 3, True), (True, 2, 3, False)),
+    6: ((True, 1, 1, True), (True, 2, 1, False)),
+    7: ((True, 1, 2, True), (True, 2, 2, False)),
+    8: ((True, 1, 3, True), (True, 2, 3, False)),
+    9: ((True, 1, 1, True), (True, 2, 1, False)),
 }
 
 
@@ -283,19 +322,15 @@ def test_check_curve_reports_are_pinned(seed):
     f = rand_curve_birational(rng, 2 + seed % 2, 1 + seed % 3)
     phi0, phi1 = rand_base_free_pair(rng, 2)
     cover = compose_curve(f, phi0, phi1)
-    reports = (astuple(check_curve(f, rng=rng)), astuple(check_curve(cover, rng=rng)))
-    assert reports + (rng.randint(0, 10**9),) == CHECK_PINS[seed]
+    assert (astuple(check_curve(f)), astuple(check_curve(cover))) == CHECK_PINS[seed]
 
 
 def test_check_curve_report_ignores_component_scales():
-    # check_curve samples on the primitive integer components; rescaling
-    # each component by a nonzero rational changes neither the report nor
-    # the draws it takes from the generator.
+    # check_curve certifies on the primitive integer components; rescaling
+    # each component by a nonzero rational does not change the report.
     rng = random.Random(107)
     for seed in range(6):
         f = rand_curve(rng, 2 + seed % 2, 1 + seed % 3)
         scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in f.components]
         g = CurveMap(tuple(c * h for c, h in zip(scales, f.components)))
-        r1, r2 = random.Random(seed), random.Random(seed)
-        assert check_curve(f, rng=r1) == check_curve(g, rng=r2)
-        assert r1.random() == r2.random()
+        assert check_curve(f) == check_curve(g)

@@ -10,7 +10,6 @@ from chowforms import (
     MPoly,
     content_primitive,
     contract,
-    distinct_root_count,
     form_gcd,
     form_gcd_all,
     format_terms,
@@ -345,19 +344,6 @@ def _planted_forms(rng):
     return forms
 
 
-def _ref_root_count(h: BinaryForm) -> tuple[int, bool]:
-    """Distinct roots over Q-bar: the degree of the squarefree part of the
-    core by Euclid over Q, plus the roots at (1:0) and (0:1)."""
-    nz = [j for j, c in enumerate(h.coeffs) if c]
-    p1, p0 = nz[0], h.degree - nz[-1]
-    core = [Fraction(c) for c in h.coeffs[nz[0] : nz[-1] + 1]]
-    e = 0
-    if len(core) > 1:
-        e = len(ref_gcd(core, [k * c for k, c in enumerate(core)][1:])) - 1
-    count = len(core) - 1 - e + (p0 > 0) + (p1 > 0)
-    return count, p0 <= 1 and p1 <= 1 and e == 0
-
-
 def test_gcd_fold_matches_euclid_over_q():
     rng = random.Random(2024)
     for _ in range(300):
@@ -376,18 +362,6 @@ def test_gcd_fold_matches_euclid_over_q():
         a, b = forms[0], forms[-1]
         if not (a.is_zero and b.is_zero):
             assert form_gcd(a, b) == form_gcd_all([a, b])
-        for h in forms:
-            if not h.is_zero:
-                assert distinct_root_count(h) == _ref_root_count(h)
-
-
-def test_distinct_root_count_rejects_zero_and_symbolic_forms():
-    with pytest.raises(ValueError):
-        distinct_root_count(BinaryForm.zero(3))
-    with pytest.raises(ValueError):
-        distinct_root_count(BinaryForm([V("u0"), 1]))
-    with pytest.raises(ValueError):
-        distinct_root_count(BinaryForm([0, V("u0"), 0]))
 
 
 def test_normalized_form():
@@ -397,7 +371,7 @@ def test_normalized_form():
         BinaryForm.zero(1).normalized()
 
 
-# -- contraction and root counts ------------------------------------------------
+# -- contraction ---------------------------------------------------------------
 
 
 def test_contract_numeric_and_symbolic():
@@ -422,15 +396,3 @@ def test_contract_checks_degrees_only_where_the_covector_is_nonzero():
     assert all(type(c) is int for c in contract(forms, [4, 0, 2]).coeffs)
     with pytest.raises(ValueError, match="different degrees"):
         contract(forms, [1, 1, 0])
-
-
-def test_distinct_root_count():
-    # z0^2 z1 (z0 - z1): roots (0:1) twice, (1:0) and (1:1)
-    h = BinaryForm([1, -1]) * BinaryForm([1, 0, 0]) * BinaryForm([0, 1])
-    assert distinct_root_count(h) == (3, False)
-    # z0^2 - z1^2 splits into two simple roots
-    assert distinct_root_count(BinaryForm([1, 0, -1])) == (2, True)
-    # z0^2 + z1^2 has two conjugate roots and (z0 - z1)^2 one double root
-    assert distinct_root_count(BinaryForm([1, 0, 1])) == (2, True)
-    assert distinct_root_count(BinaryForm([1, -2, 1])) == (1, False)
-    assert distinct_root_count(BinaryForm([5])) == (0, True)
