@@ -647,16 +647,37 @@ def test_nodal_quartic_is_birational_at_every_seed(tmp_path, capsys, seed):
     assert run(capsys, ["implicitize", path]) == (0, NODAL_QUARTIC_EQUATION, "")
 
 
-def test_map_degree_certificate_fall_through_exits_4(tmp_path, capsys, monkeypatch):
+# The ids name the two sampling failures of the Monte-Carlo sampler this certificate
+# replaced; each case is the certificate's counterpart, and both end its loop.
+@pytest.mark.parametrize(
+    "fiber_gcd",
+    [
+        # Every fiber gcd the same quadric: no second gcd to test against.
+        pytest.param(
+            lambda z: [1, 0, 1],
+            id="roots0-could not find enough unramified sample points",
+        ),
+        # A different cubic at every parameter: 3 does not divide d = 2.
+        pytest.param(
+            lambda z: [1, z[1], 0, 1],
+            id="roots1-map degree sampling failed to divide the curve degree",
+        ),
+    ],
+)
+def test_map_degree_sampling_failures_exit_4(tmp_path, capsys, monkeypatch, fiber_gcd):
     import chowforms.oracle as oracle
 
-    # Every fiber gcd the same quadric: no pair certifies, and the loop ends.
-    monkeypatch.setattr(oracle, "_fiber_gcd", lambda f, z: oracle.BinaryForm([1, 0, 1]))
+    calls = []
+    monkeypatch.setattr(
+        oracle, "_fiber_gcd", lambda f, z: calls.append(z) or oracle.BinaryForm(fiber_gcd(z))
+    )
     path = write(tmp_path, "conic.json", CONIC)
     code, out, err = run(capsys, ["check", path, "--seed", "5"])
     assert (code, out) == (4, "")
     assert err == "error: no two fiber gcds certify the map degree\n"
     assert "Traceback" not in err
+    # (d-1)(d-2) + d + 1 = 3 parameters for the conic, all of them tried.
+    assert calls == [(1, 0), (1, 1), (1, 2)]
 
 
 # -- values past Python's int <-> str digit limit --------------------------------------
