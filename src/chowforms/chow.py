@@ -18,6 +18,11 @@ v-variables is never formed.
 The Sylvester backends in :mod:`chowforms.resultant` remain as cross-checks.
 On P^2 the determinant itself is the Chow form in Plucker coordinates, and
 :func:`implicitize_plane_curve` reads the implicit equation off it.
+:func:`cayley_biform` is the exact resultant, scale included; the CLI
+prints the normalized Chow form, which :func:`normalized_expansion`
+builds from the determinant with no division by :func:`pform_scale`: the
+p-form loses its content before it is expanded, and the expansion only
+its sign and whatever content the Plucker relations hid.
 
 Biform coefficient tables are a faithful, canonical encoding: two curves
 have the same image exactly when their normalized biforms agree.  The
@@ -71,6 +76,7 @@ __all__ = [
     "pform_scale",
     "wedge_expand",
     "wedge_orders",
+    "normalized_expansion",
     "incident",
     "plucker_rewrite",
     "plucker_form",
@@ -438,6 +444,42 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
     identically zero biform instead of an error.
     """
     return CayleyBiform._trusted(f.n, f.d, contraction_resultant(f.components))
+
+
+def normalized_expansion(pform: MPoly, m: int) -> MPoly:
+    """``wedge_expand(pform, m)`` normalized as :meth:`CayleyBiform.normalized`
+    does: primitive integer coefficients, positive graded-lex leading term,
+    in :func:`wedge_expand`'s term order; zero when the expansion is.
+    ``pform`` has int coefficients in the pair variables of m forms, no eps,
+    such as the determinant of :func:`bezout_pform`, whose normalized
+    expansion is the normalized Chow form with no :func:`pform_scale` division.
+
+    The p-form is divided by its content before it is expanded, so the
+    expansion runs on smaller ints, and the expansion's first term, its
+    graded-lex leading term, fixes the sign.  For n <= 2 every monomial is
+    standard, and standard monomials map to their expansions by a
+    unitriangular matrix over Z (:func:`plucker_form`), so the expansion is
+    primitive already; for n >= 3 a p-form may carry Plucker-relation
+    terms, and the expansion's content can exceed its own.  A gcd pass over
+    the expansion, which stops at the first gcd of 1, finishes the job: the
+    terms are divided only when it ends above 1."""
+    g = math.gcd(*pform.terms.values())
+    if g > 1:
+        pform = MPoly._trusted(pform.names, {e: c // g for e, c in pform.terms.items()})
+    out = wedge_expand(pform, m)
+    if out.is_zero:
+        return out
+    terms = out.terms
+    g = 0
+    for c in terms.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    if next(iter(terms.values())) < 0:
+        g = -g
+    if g == 1:
+        return out
+    return MPoly._trusted(out.names, {e: c // g for e, c in terms.items()})
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:

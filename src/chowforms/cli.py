@@ -38,13 +38,13 @@ from .chow import (
     EPS,
     CayleyBiform,
     NotBirational,
-    cayley_biform,
+    bezout_pform,
     implicitize_plane_curve,
     incident,
+    normalized_expansion,
     pform_scale,
     plucker_form,
     uv_names,
-    wedge_expand,
     wedge_orders,
 )
 from .curves import CurveMap, Plane
@@ -57,6 +57,7 @@ from .degeneration import (
 )
 from .oracle import check_curve, incident_oracle
 from .polynomial import format_terms, monomial_writer
+from .resultant import det_expand
 
 __all__ = ["main", "entry"]
 
@@ -147,16 +148,35 @@ def _terms_json(poly, pad: str) -> str:
     ``{"coeff": str(c), "exps": [...]}`` objects of a polynomial's terms,
     placed at indentation ``pad``.  Written out directly: with an indent,
     ``json.dumps`` runs the pure-Python encoder, and a coefficient string
-    (digits, "-" and "/") and the exponents need no escaping.  Every term
-    fills one ``%`` template, built once for the ring."""
+    (digits, "-" and "/") and the exponents need no escaping.  As in
+    :func:`~chowforms.polynomial.monomial_writer`, each half of an exponent
+    vector is written once and then looked up, since a biform's terms pair
+    few distinct u-halves with few distinct v-halves; the first half ends
+    in the separator, so an empty one (a ring of one variable) adds none."""
     if not poly.terms:
         return "[]"
     inner = pad + "  "
     field = inner + "  "
-    slots = (",\n" + field + "  ").join(["%d"] * len(poly.names))
-    term = f'{inner}{{\n{field}"coeff": "%s",\n{field}"exps": [\n{field}  {slots}\n{field}]\n{inner}}}'
-    items = ",\n".join([term % ((c,) + e) for e, c in poly.sorted_terms()])
-    return f"[\n{items}\n{pad}]"
+    sep = ",\n" + field + "  "
+    head = f'{inner}{{\n{field}"coeff": "'
+    mid = f'",\n{field}"exps": [\n{field}  '
+    tail = f"\n{field}]\n{inner}}}"
+    h = len(poly.names) // 2
+    low_memo: dict[tuple[int, ...], str] = {}
+    high_memo: dict[tuple[int, ...], str] = {}
+    items = []
+    for exps, c in poly.sorted_terms():
+        part = exps[:h]
+        a = low_memo.get(part)
+        if a is None:
+            a = low_memo[part] = "".join([f"{e}{sep}" for e in part])
+        part = exps[h:]
+        b = high_memo.get(part)
+        if b is None:
+            b = high_memo[part] = sep.join(map(str, part))
+        items.append(f"{head}{c!s}{mid}{a}{b}{tail}")
+    body = ",\n".join(items)
+    return f"[\n{body}\n{pad}]"
 
 
 def _compute_json(ca: CayleyBiform, rep) -> str:
@@ -188,11 +208,13 @@ def _warn_if_degenerate(f: CurveMap) -> None:
 
 
 def _chow_form(f: CurveMap) -> CayleyBiform:
-    """The normalized Chow biform of f; a base point makes it zero (exit 3)."""
-    ca = cayley_biform(f)
-    if ca.is_zero:
+    """The normalized Chow biform of f, ``cayley_biform(f).normalized()``,
+    expanded from the Bezout p-form's determinant; a base point makes it
+    zero (exit 3)."""
+    poly = normalized_expansion(det_expand(bezout_pform(f.components)), f.n + 1)
+    if poly.is_zero:
         raise DegenerateInput(_BASE_LOCUS)
-    return ca.normalized()
+    return CayleyBiform._trusted(f.n, f.d, poly)
 
 
 def _plucker_form(f: CurveMap):
@@ -275,14 +297,18 @@ def _report_doc(report, seed: int) -> dict:
 def cmd_degenerate(args) -> int:
     f = load_curve(args.curve_f)
     g = load_curve(args.curve_g)
+    # A reparametrization and a diagonal rescale keep base points and the
+    # map degree, so the curves are checked as loaded, with their smaller
+    # coefficients; after the move, whose input errors exit 2 first.
+    loaded = (f, g)
     if args.normalize_attachment:
         try:
             f = normalize_attachment(f, at=(1, 0))
             g = normalize_attachment(g, at=(0, 1))
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    _warn_if_degenerate(f)
-    _warn_if_degenerate(g)
+    for curve in loaded:
+        _warn_if_degenerate(curve)
     try:
         family = join_family(f, g)
     except ValueError as exc:
@@ -317,7 +343,7 @@ def cmd_degenerate(args) -> int:
     body = format_terms(limit.poly)
     print(f"limit n={f.n} d={d}\n{body}")
     if not factors:
-        body = format_terms(CayleyBiform._trusted(f.n, d, wedge_expand(product, m)).normalized().poly)
+        body = format_terms(normalized_expansion(product, m))
     print(f"product n={f.n} d={d}\n{body}")
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4

@@ -17,6 +17,7 @@ from chowforms import (
     bezout,
     cayley_biform,
     check_curve,
+    content_primitive,
     contract,
     contraction_resultant,
     det_bareiss,
@@ -31,7 +32,7 @@ from chowforms import (
     sylvester,
     uv_names,
 )
-from chowforms.chow import EPS, bezout_pform, wedge_expand
+from chowforms.chow import EPS, bezout_pform, normalized_expansion, wedge_expand
 from chowforms.polynomial import form_ring, poly_divides
 from helpers import naive_det, rand_curve, rand_form, ref_embed, seeded_joins
 
@@ -82,6 +83,72 @@ def test_base_pointed_curve_gives_zero_on_both_routes():
     f = CurveMap(tuple(common * c for c in lines.components))
     assert cayley_biform(f).is_zero
     assert sylvester_route(f.components, uv_names(2), 3).is_zero
+
+
+# -- the normalized expansion of a p-form -----------------------------------------
+
+
+def bezout_det(f):
+    return det_expand(bezout_pform(f.components))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_normalized_expansion_is_the_normalized_chow_form(n):
+    # Term for term and in iteration order, on int and Fraction curves.
+    rng, fraction_rng = random.Random(f"normexp-{n}"), random.Random(f"normexp-fraction-{n}")
+    for d in range(1, 5):
+        for f in (rand_curve(rng, n, d), rand_fraction_curve(fraction_rng, n, d)):
+            got = normalized_expansion(bezout_det(f), n + 1)
+            ca = cayley_biform(f)
+            if ca.is_zero:
+                assert got.is_zero, (n, d)
+                continue
+            assert got.names == uv_names(n)
+            assert list(got.terms.items()) == list(ca.normalized().poly.terms.items()), (n, d)
+
+
+def test_normalized_expansion_makes_a_negative_lead_positive():
+    f = rand_curve(random.Random(71), 3, 2)
+    P = bezout_det(f)
+    expected = cayley_biform(f).normalized().poly
+    leads = set()
+    for scale in (1, -1, 6, -35):
+        pform = P * scale
+        leads.add(next(iter(wedge_expand(pform, 4).terms.values())) < 0)
+        got = normalized_expansion(pform, 4)
+        assert next(iter(got.terms.values())) > 0
+        assert list(got.terms.items()) == list(expected.terms.items())
+    assert leads == {False, True}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_normalized_expansion_of_a_base_pointed_curve_is_zero(n):
+    common = BinaryForm([1, 1])  # z0 + z1 divides every component
+    lines = rand_curve(random.Random(72 + n), n, 1)
+    f = CurveMap(tuple(common * c for c in lines.components))
+    got = normalized_expansion(bezout_det(f), n + 1)
+    assert got.is_zero and got.names == uv_names(n)
+    assert normalized_expansion(MPoly.zero(bezout_det(lines).names), n + 1).is_zero
+
+
+def test_normalized_expansion_divides_a_content_that_only_the_expansion_has():
+    # P = 2 Q + (p01 p23 - p02 p13 + p03 p12): the Plucker relation expands
+    # to 0, so P has content 1 but its expansion has content 2, and the
+    # finishing gcd must divide it out.
+    import math
+
+    Q = bezout_det(rand_curve(random.Random(73), 3, 2))
+    _, Q = content_primitive(Q)
+    names = Q.names  # the pairs 01, 02, 03, 12, 13, 23
+    relation = MPoly(names, {(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1, (0, 0, 1, 1, 0, 0): 1})
+    assert wedge_expand(relation, 4).is_zero
+    P = Q * 2 + relation
+    assert math.gcd(*P.terms.values()) == 1
+    expanded = wedge_expand(P, 4)
+    assert math.gcd(*expanded.terms.values()) == 2
+    got = normalized_expansion(P, 4)
+    assert math.gcd(*got.terms.values()) == 1
+    assert list(got.terms.items()) == list(CayleyBiform(3, 2, expanded).normalized().poly.terms.items())
 
 
 def test_ten_dimensional_conic_has_unambiguous_pair_ring():

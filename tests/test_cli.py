@@ -293,6 +293,54 @@ def test_degenerate_normalize_attachment(tmp_path, capsys):
     assert out.rstrip().endswith("FACTORS:yes")
 
 
+ATTACH_G = {"n": 2, "d": 2, "coeffs": [["1", "0", "1"], ["0", "1", "1"], ["1", "1", "1"]]}
+# z0 (z0 + z1), (z0 + z1)^2, (z0 + z1)(z0 + 2 z1): the base point z0 + z1 = 0.
+BASED_NONZERO = {"n": 2, "d": 2, "coeffs": [["1", "1", "0"], ["1", "2", "1"], ["1", "3", "2"]]}
+# (z0^2, z1^2, z0^2 + z1^2) covers the line x0 + x1 = x2 twice.
+COVER_NONZERO = {"n": 2, "d": 2, "coeffs": [["1", "0", "0"], ["0", "0", "1"], ["1", "0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "f, g, code, out_end, err",
+    [
+        (BASED_NONZERO, ATTACH_G, 3, "",
+         "warning: parametrization has a base point\nerror: family biform is identically zero\n"),
+        (ATTACH_G, BASED_NONZERO, 3, "",
+         "warning: parametrization has a base point\nerror: family biform is identically zero\n"),
+        (COVER_NONZERO, ATTACH_G, 0, "FACTORS:yes\n", "warning: map degree onto image is 2, not 1\n"),
+        (COVER_NONZERO, BASED_NONZERO, 3, "",
+         "warning: map degree onto image is 2, not 1\nwarning: parametrization has a base point\n"
+         "error: family biform is identically zero\n"),
+    ],
+    ids=["based-f", "based-g", "cover-f", "cover-and-based"],
+)
+def test_degenerate_warnings_with_normalize_attachment(tmp_path, capsys, monkeypatch, f, g, code, out_end, err):
+    # The warnings read the curves as loaded, f before g, and say what they
+    # say of the moved curves: the move keeps base points and the map degree.
+    import chowforms.cli as cli
+
+    checked = []
+    check = cli.check_curve
+    monkeypatch.setattr(cli, "check_curve", lambda curve: checked.append(curve) or check(curve))
+    pf = write(tmp_path, "f.json", f)
+    pg = write(tmp_path, "g.json", g)
+    got = run(capsys, ["degenerate", pf, pg, "--normalize-attachment"])
+    assert (got[0], got[2]) == (code, err)
+    assert got[1].endswith(out_end)
+    assert checked == [load_curve(pf), load_curve(pg)]
+
+
+def test_degenerate_attachment_error_precedes_the_warnings(tmp_path, capsys):
+    # A base-pointed curve in the hyperplane x2 = 0 cannot be moved: exit 2,
+    # and no warning is printed before the error.
+    based = {"n": 2, "d": 2, "coeffs": [["1", "1", "0"], ["1", "2", "1"], ["0", "0", "0"]]}
+    pf = write(tmp_path, "f.json", based)
+    pg = write(tmp_path, "g.json", ATTACH_G)
+    code, out, err = run(capsys, ["degenerate", pf, pg, "--normalize-attachment"])
+    assert (code, out) == (2, "")
+    assert err == "error: component 2 vanishes identically: curve lies in the coordinate hyperplane x2 = 0\n"
+
+
 def test_degenerate_eps_table(tmp_path, capsys):
     pf = write(tmp_path, "f.json", LINE_F)
     pg = write(tmp_path, "g.json", LINE_G)
@@ -449,8 +497,8 @@ def test_plucker_output_skips_the_uv_biform(tmp_path, capsys, monkeypatch, argv)
     def forbidden(*args, **kwargs):
         raise AssertionError("the Plucker route built or peeled the (u, v) biform")
 
-    for module in (chow, cli):
-        monkeypatch.setattr(module, "cayley_biform", forbidden)
+    monkeypatch.setattr(chow, "cayley_biform", forbidden)
+    monkeypatch.setattr(cli, "normalized_expansion", forbidden)
     monkeypatch.setattr(chow, "plucker_rewrite", forbidden)
     if argv[0] == "plucker":
         monkeypatch.setattr(chow.PluckerRep, "expand", forbidden)
@@ -553,7 +601,7 @@ def test_degenerate_eps_table_write_failure_exits_2(tmp_path, capsys):
 # -- compute --json without the indenting encoder -------------------------------
 
 
-@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (3, 3), (4, 3)])
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (2, 4), (3, 3), (4, 3)])
 @pytest.mark.parametrize("plucker", [False, True])
 def test_compute_json_bytes_equal_json_dumps(tmp_path, capsys, n, d, plucker):
     import random

@@ -202,7 +202,6 @@ def test_wedge_orders_rejects_a_ring_without_eps():
 @pytest.mark.parametrize("table", [False, True])
 def test_degenerate_that_factors_builds_no_uv_biform(tmp_path, capsys, monkeypatch, table):
     import chowforms.chow as chow
-    import chowforms.cli as cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a component biform was built")
@@ -215,7 +214,6 @@ def test_degenerate_that_factors_builds_no_uv_biform(tmp_path, capsys, monkeypat
         return mul(self, other)
 
     monkeypatch.setattr(chow, "cayley_biform", forbidden)
-    monkeypatch.setattr(cli, "cayley_biform", forbidden)
     monkeypatch.setattr(CayleyBiform, "__mul__", forbidden)
     monkeypatch.setattr(MPoly, "__mul__", spy_mul)
     f, g = rand_join("cli", 3, 1, 2)
