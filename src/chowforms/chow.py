@@ -76,6 +76,7 @@ __all__ = [
     "pform_scale",
     "wedge_expand",
     "wedge_orders",
+    "kronecker",
     "normalized_expansion",
     "incident",
     "plucker_rewrite",
@@ -244,7 +245,7 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     a_p b_q - a_q b_p; a coefficient of a product sums at most D + 1
     products of two scaled coefficients, each at most A^2 in absolute
     value, with A the largest scaled coefficient.  So no entry coefficient
-    exceeds 2 d (D + 1) A^2, the bound of the slots (:func:`_kronecker`)
+    exceeds 2 d (D + 1) A^2, the bound of the slots (:func:`kronecker`)
     that encode the coefficients and read each entry back.
     """
     d, ring = form_ring(forms)
@@ -261,7 +262,7 @@ def bezout_pform(forms: Sequence[BinaryForm]) -> list[list[MPoly]]:
     nonzero = [c for h in coeffs for c in h if c]
     D = max((s for c in nonzero for s in c), default=0)
     A = max((abs(x) for c in nonzero for x in c.values()), default=0)
-    encode, digits = _kronecker(2 * d * (D + 1) * A * A, 2 * D + 1)
+    encode, digits = kronecker(2 * d * (D + 1) * A * A, 2 * D + 1)
     coded = [[encode(c) for c in h] for h in coeffs]
     pairs = _pair_vars(len(forms))
     npairs = len(pairs)
@@ -291,7 +292,7 @@ def _slot_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _kronecker(bound: int, n: int):
+def kronecker(bound: int, n: int):
     """Kronecker substitution of n balanced slots, each wide enough for an
     int of absolute value at most ``bound``: (encode, digits).
 
@@ -394,7 +395,7 @@ def wedge_orders(pform: MPoly, m: int) -> dict[int, MPoly]:
     then eps, such as the determinant of :func:`bezout_pform` over Q[eps].
 
     Every order comes from one expansion, by Kronecker substitution
-    (:func:`_kronecker`): the terms are grouped by p-monomial mu, each
+    (:func:`kronecker`): the terms are grouped by p-monomial mu, each
     group's coefficient eps^-lo c_mu(eps) is encoded as one int at
     eps = 2^B, lo the least order present, the eps-free p-form of those
     ints is expanded once, and every (u, v) coefficient is read back as
@@ -413,7 +414,7 @@ def wedge_orders(pform: MPoly, m: int) -> dict[int, MPoly]:
     for exps, c in pform.terms.items():
         groups.setdefault(exps[:-1], {})[exps[-1] - lo] = c
     d = max(map(sum, groups), default=0)
-    encode, digits = _kronecker(sum(max(map(abs, c.values())) for c in groups.values()) << d, top - lo + 1)
+    encode, digits = kronecker(sum(max(map(abs, c.values())) for c in groups.values()) << d, top - lo + 1)
     coded = wedge_expand(MPoly._trusted(pform.names[:-1], {mu: encode(c) for mu, c in groups.items()}), m)
     # Slot k holds order lo + k.
     orders: list[dict] = [{} for _ in range(top - lo + 1)]

@@ -21,15 +21,21 @@ MPoly is multiplied or added from the join to the determinant.  Every
 family route reaches :func:`~chowforms.chow.bezout_pform`, which rejects
 coefficient rings other than Q and Q[eps].
 
-:func:`limit_pform` computes that limit modulo eps^K with
-``det_expand(M, trunc=K)``, which truncates in eps, the last variable of
-the Bezout p-form's ring: the packed minor kernel skips every product of
+Both family determinants start by taking the eps-valuations out of the
+Bezout p-form M: row i is divided by eps^r_i, r_i its least valuation,
+then column j by eps^c_j, the least valuation left in it, which gives M'
+with det M = eps^s det M', s = sum r + sum c.  :func:`limit_pform`
+computes the limit from det M' modulo eps^K with
+``det_expand(M', trunc=K)``, which truncates in eps, the last variable of
+the p-form's ring: the packed minor kernel skips every product of
 eps-blocks whose orders sum to K or more, so no term of eps-degree >= K is
-ever formed.  K starts from the min-plus bound on the valuation of the
-determinant, and only the lowest surviving order is substituted into
-(u, v).  It returns that order's p-coefficient L with its expansion, and
-:func:`family_limit` is the normalized expansion.  :func:`family_det` is
-the same determinant with no truncation, and :func:`family_orders`
+ever formed.  K starts from the min-plus bound on the valuation of det M',
+0 on every join probed, so the first try is det M' at eps = 0, and only
+the lowest surviving order is substituted into (u, v).  It returns that
+order's p-coefficient L with its expansion, and :func:`family_limit` is
+the normalized expansion.  :func:`family_det` is the same determinant
+with no truncation, taken once on ints that encode the eps polynomials of
+M' (Kronecker substitution) and shifted back by s; :func:`family_orders`
 expands all its orders W_k at once, as integer (u, v) polynomials, by one
 Kronecker-substituted :func:`~chowforms.chow.wedge_orders`; the eps table
 (``--emit-eps-table``) is written from those, and its L is read off the
@@ -53,6 +59,7 @@ from .chow import (
     CayleyBiform,
     bezout_pform,
     contraction_resultant,
+    kronecker,
     plucker_normal_form,
     proportional,
     wedge_expand,
@@ -197,9 +204,40 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
 def family_det(components: Sequence[BinaryForm]) -> MPoly:
     """The determinant of the Bezout p-form of the components over Z[eps],
     untruncated, in the pair variables then eps.  The p-form of eps-free
-    components is lifted to a constant family over Q[eps].  Raises
+    components is lifted to a constant family over Q[eps].
+
+    The p-form M is first scaled by :func:`_valuation_scaled`, so
+    det M = eps^s det M'.  Each entry of M' is written as one int per
+    p-monomial, its eps polynomial at eps = 2^B
+    (:func:`~chowforms.chow.kronecker`), and the eps-free determinant of
+    those ints is taken once.  Each coefficient of det M' is read back as
+    balanced digits, digit k being its eps^k coefficient, which lands at
+    order s + k of det M.  A Leibniz term takes one entry per row, so no
+    coefficient of det M' exceeds the product over the rows of their
+    coefficient 1-norms, the slots' bound; there is one slot per order up
+    to the sum over the rows of their largest eps-degree in M'.  Raises
     ValueError where :func:`~chowforms.chow.bezout_pform` does."""
-    return det_expand(_eps_pform(components))
+    matrix, s = _valuation_scaled(_eps_pform(components))
+    names = matrix[0][0].names
+    norms = (sum(abs(c) for x in row for c in x.terms.values()) for row in matrix)
+    bound = reduce(lambda a, b: a * b, norms)
+    if not bound:  # a zero row
+        return MPoly._trusted(names, {})
+    encode, digits = kronecker(bound, 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix))
+
+    def coded(x: MPoly) -> MPoly:
+        """x in the pair variables, each p-monomial's eps polynomial one int."""
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for e, c in x.terms.items():
+            groups.setdefault(e[:-1], {})[e[-1]] = c
+        return MPoly._trusted(names[:-1], {mu: encode(g) for mu, g in groups.items()})
+
+    terms = {}
+    for mu, v in det_expand([[coded(x) for x in row] for row in matrix]).terms.items():
+        for k, x in enumerate(digits(v), s):
+            if x:
+                terms[mu + (k,)] = x
+    return MPoly._trusted(names, terms)
 
 
 def family_orders(components: Sequence[BinaryForm]) -> dict[int, MPoly]:
@@ -239,18 +277,24 @@ def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
     is nonzero, in the pair variables, and W that expansion, an integer
     (d, d) biform polynomial in ``uv_names(n)``.
 
-    The determinant D of the Bezout p-form
-    (:func:`~chowforms.chow.bezout_pform`) is expanded modulo eps^K only.
+    The determinant D of the Bezout p-form M
+    (:func:`~chowforms.chow.bezout_pform`) is eps^s det M', M' the p-form
+    with the least eps-powers of its rows and then its columns divided out
+    (:func:`_valuation_scaled`), so order k of det M' is order s + k of D
+    with the same p-coefficient.  det M' is expanded modulo eps^K only.
     Reduction modulo eps^K is a ring homomorphism, so the orders below K
     are exact.  K starts one above the min-plus assignment value of the
-    entries' eps-valuations, a lower bound on the order of every Leibniz
-    term.  Orders below K are tried in turn: p_kl -> u_k v_l - u_l v_k is
-    substituted into that one p-coefficient, which survives when the
-    result is nonzero (for n >= 3 a nonzero p-coefficient can vanish on the
-    Grassmannian).  Without a survivor K doubles, up to one past the
-    eps-degree of D.  For a join of f and g of degree d_g the family has
-    degree d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g,
-    and the cap is at most 2*d*d_g + 1.  :func:`family_orders` expands the
+    eps-valuations of M', a lower bound on the order of every Leibniz
+    term.  The row and column minima were tight on every join probed, so
+    that value is 0 and the first try is the eps-free determinant of M'
+    at eps = 0; where they are not, the value is what they left.  Orders
+    below K are tried in turn: p_kl -> u_k v_l - u_l v_k is substituted
+    into that one p-coefficient, which survives when the result is nonzero
+    (for n >= 3 a nonzero p-coefficient can vanish on the Grassmannian).
+    Without a survivor K doubles, up to one past the eps-degree of det M'.
+    For a join of f and g of degree d_g the family has degree
+    d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g, and the
+    cap is at most 2*d*d_g + 1.  :func:`family_orders` expands the
     same determinant with no truncation.  The p-form of eps-free
     components is lifted to a constant family over Q[eps] and takes the
     same route: every entry has eps-degree 0, so one expansion modulo eps
@@ -259,11 +303,11 @@ def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
     does, for a coefficient ring other than Q or Q[eps] among others, and
     when the family biform is identically zero.
     """
-    matrix = _eps_pform(components)
+    matrix, _ = _valuation_scaled(_eps_pform(components))
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
-    # One past the eps-degree of D: each Leibniz term takes one entry per row.
+    # One past the eps-degree of det M': each Leibniz term takes one entry per row.
     top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
     K = bound + 1
     while True:
@@ -287,6 +331,27 @@ def _eps_pform(components: Sequence[BinaryForm]) -> list[list[MPoly]]:
         return matrix
     names = matrix[0][0].names + (EPS,)
     return [[MPoly._trusted(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
+
+
+def _valuation_scaled(matrix: list[list[MPoly]]) -> tuple[list[list[MPoly]], int]:
+    """(M', s) with det M = eps^s det M', for a square matrix M with eps
+    last in its ring.  r_i is the least eps-valuation in row i, c_j the
+    least in column j once each row is shifted down by its r_i, and entry
+    (i, j) of M' is entry (i, j) of M divided by eps^(r_i + c_j), so
+    s = sum r + sum c.  A row or column with no nonzero entry is not
+    shifted.  Every entry of M' has eps-valuation at least 0, and at least
+    one entry in each nonzero row and column has valuation 0."""
+    vals = [[min(e[-1] for e in x.terms) if x else None for x in row] for row in matrix]
+    r = [min((v for v in row if v is not None), default=0) for row in vals]
+    c = [min((v - ri for v, ri in zip(col, r) if v is not None), default=0) for col in zip(*vals)]
+    scaled = [
+        [
+            MPoly._trusted(x.names, {e[:-1] + (e[-1] - ri - cj,): y for e, y in x.terms.items()}) if ri + cj else x
+            for x, cj in zip(row, c)
+        ]
+        for row, ri in zip(matrix, r)
+    ]
+    return scaled, sum(r) + sum(c)
 
 
 def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:

@@ -8,6 +8,9 @@ the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
 ``ref_depends_only_on_wedge`` substitute through ``MPoly.evaluate`` with an
 MPoly ``one``: ring changes the package itself never needs.
 ``ref_family_orders`` expands the eps-orders of a family one at a time.
+``ref_family_det`` and ``ref_limit_pform`` take the family determinant and
+its limit on the p-form as built, with no eps-powers scaled out of its rows
+and columns; ``ref_valuation_bound`` tries every permutation.
 ``ref_check_curve`` is the retired Monte-Carlo map-degree report: seeded
 tests call it wherever they passed their generator to ``check_curve`` or
 ``map_degree``, so their later draws stay those of the original inputs.
@@ -17,6 +20,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from chowforms import (
     BinaryForm,
@@ -236,14 +240,67 @@ def ref_at_eps(components, value):
     )
 
 
-def ref_family_orders(components):
-    """The nonzero eps-orders of the family determinant, one ``wedge_expand``
-    per order: the route that ``wedge_orders`` replaced."""
+def ref_eps_pform(components):
+    """The Bezout p-form of the components over Q[eps]; an eps-free one is
+    lifted to a constant family, every term at eps^0."""
     matrix = bezout_pform(components)
     if matrix[0][0].names[-1] != "eps":
         names = matrix[0][0].names + ("eps",)
         matrix = [[MPoly(names, {e + (0,): c for e, c in x.terms.items()}) for x in row] for row in matrix]
-    parts = det_expand(matrix).decompose("eps")
+    return matrix
+
+
+def ref_family_det(components):
+    """The family determinant by one ``det_expand`` of the unscaled p-form
+    over Q[eps]: the route that the valuation-scaled Kronecker determinant
+    of ``family_det`` replaced."""
+    return det_expand(ref_eps_pform(components))
+
+
+def ref_valuation_bound(matrix):
+    """Least sum of eps-valuations over the permutations of a square matrix
+    with eps last in its ring, by trying every permutation; None when each
+    one meets a zero entry."""
+    vals = [[min(e[-1] for e in x.terms) if x else None for x in row] for row in matrix]
+    sums = [
+        sum(vals[i][j] for i, j in enumerate(perm))
+        for perm in permutations(range(len(matrix)))
+        if all(vals[i][j] is not None for i, j in enumerate(perm))
+    ]
+    return min(sums, default=None)
+
+
+def ref_limit(matrix, m):
+    """(L, W) of ``limit_pform`` for a matrix over the pair variables of m
+    points and eps, by ``det_expand(matrix, trunc=K)`` on the matrix as
+    given: K starts one above the min-plus value of its eps-valuations and
+    doubles up to one past the eps-degree of its determinant.  This is the
+    unscaled route that ``limit_pform`` replaced."""
+    bound = ref_valuation_bound(matrix)
+    if bound is None:
+        raise ValueError("zero family biform has no limit")
+    top = 1 + sum(max(x.degree_in("eps") for x in row) for row in matrix)
+    K = bound + 1
+    while True:
+        parts = det_expand(matrix, trunc=K).decompose("eps")
+        for k in sorted(parts):
+            w = wedge_expand(parts[k], m)
+            if w:
+                return parts[k], w
+        if K == top:
+            raise ValueError("zero family biform has no limit")
+        K = min(2 * K, top)
+
+
+def ref_limit_pform(components):
+    """``ref_limit`` on the unscaled p-form of the components over Q[eps]."""
+    return ref_limit(ref_eps_pform(components), len(components))
+
+
+def ref_family_orders(components):
+    """The nonzero eps-orders of the family determinant, one ``wedge_expand``
+    per order: the route that ``wedge_orders`` replaced."""
+    parts = ref_family_det(components).decompose("eps")
     orders = {k: wedge_expand(parts[k], len(components)) for k in sorted(parts)}
     return {k: w for k, w in orders.items() if w}
 
