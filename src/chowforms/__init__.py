@@ -27,7 +27,6 @@ from .curves import CurveMap, Plane, act_gl2, act_gln
 from .degeneration import (
     boundary_factor_check,
     family_biform,
-    family_det,
     family_limit,
     family_orders,
     join_family,
@@ -83,7 +82,6 @@ __all__ = [
     "det_expand",
     "det_laplace_split",
     "family_biform",
-    "family_det",
     "family_limit",
     "family_orders",
     "form_gcd",

@@ -36,8 +36,9 @@ determinant of the Bezout p-form, and ``degenerate`` compares limits with
 products of Chow forms on it.  :func:`plucker_rewrite` peels the normal
 form off a given biform instead, and proves it by a round trip.  Both
 directions between p and (u, v) work on monomials packed into one int each
-(:func:`wedge_expand`, :func:`wedge_orders`, :func:`plucker_rewrite`,
-:func:`plucker_normal_form`).
+(:func:`wedge_expand`, :func:`plucker_rewrite`, :func:`plucker_normal_form`);
+a family's eps-orders pass through :func:`wedge_expand` as Kronecker slots
+of its coefficients (:func:`kronecker`), all in one expansion.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "bezout_pform",
     "pform_scale",
     "wedge_expand",
-    "wedge_orders",
     "kronecker",
     "normalized_expansion",
     "incident",
@@ -386,43 +386,6 @@ def wedge_expand(pform: MPoly, m: int) -> MPoly:
     keys = sorted([k for k, c in out.items() if c], reverse=True)
     terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k in keys for c in (out[k],)}
     return MPoly._trusted(names, terms)
-
-
-def wedge_orders(pform: MPoly, m: int) -> dict[int, MPoly]:
-    """The nonzero eps-orders of ``wedge_expand(pform, m)``, k ascending,
-    each in the ring ``uv_names(m - 1)`` and in :func:`wedge_expand`'s term
-    order.  ``pform`` has int coefficients in the pair variables of m forms,
-    then eps, such as the determinant of :func:`bezout_pform` over Q[eps].
-
-    Every order comes from one expansion, by Kronecker substitution
-    (:func:`kronecker`): the terms are grouped by p-monomial mu, each
-    group's coefficient eps^-lo c_mu(eps) is encoded as one int at
-    eps = 2^B, lo the least order present, the eps-free p-form of those
-    ints is expanded once, and every (u, v) coefficient is read back as
-    its balanced base-2^B digits, digit k being the coefficient in order
-    lo + k.  The expansion of a p-monomial of degree e has absolute
-    coefficient sum at most 2^e (e factors of two terms, each +-1), so no
-    coefficient of any order exceeds the sum over mu of max_k |c_mu,k|,
-    times 2^d for the largest p-degree d: that is the slots' bound.
-    Raises ValueError unless the last variable is eps, and where
-    :func:`wedge_expand` does."""
-    if pform.names[-1:] != (EPS,):
-        raise ValueError("the p-form ring must end in eps")
-    lo = min((exps[-1] for exps in pform.terms), default=0)
-    top = max((exps[-1] for exps in pform.terms), default=0)
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for exps, c in pform.terms.items():
-        groups.setdefault(exps[:-1], {})[exps[-1] - lo] = c
-    d = max(map(sum, groups), default=0)
-    encode, digits = kronecker(sum(max(map(abs, c.values())) for c in groups.values()) << d, top - lo + 1)
-    coded = wedge_expand(MPoly._trusted(pform.names[:-1], {mu: encode(c) for mu, c in groups.items()}), m)
-    # Slot k holds order lo + k.
-    orders: list[dict] = [{} for _ in range(top - lo + 1)]
-    for exps, y in coded.terms.items():
-        for order, x in zip(orders, digits(y)):
-            if x:
-                order[exps] = x
-    return {lo + k: MPoly._trusted(coded.names, order) for k, order in enumerate(orders) if order}
 
 
 def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:

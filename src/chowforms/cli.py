@@ -35,7 +35,6 @@ import sys
 from fractions import Fraction
 
 from .chow import (
-    EPS,
     CayleyBiform,
     NotBirational,
     bezout_pform,
@@ -45,11 +44,10 @@ from .chow import (
     pform_scale,
     plucker_form,
     uv_names,
-    wedge_orders,
 )
 from .curves import CurveMap, Plane
 from .degeneration import (
-    family_det,
+    family_orders,
     join_family,
     limit_pform,
     normalize_attachment,
@@ -318,12 +316,10 @@ def cmd_degenerate(args) -> int:
     # read off the same determinant.  Normalization removes the scale.
     m, d = f.n + 1, family[0].degree
     if args.emit_eps_table:
-        det = family_det(family)
-        orders = wedge_orders(det, m)
+        pform, orders = family_orders(family)
         if not orders:
             raise DegenerateInput(_ZERO_FAMILY)
-        low = min(orders)
-        pform, w = det.decompose(EPS)[low], orders[low]
+        w = orders[min(orders)]
         _write_eps_table(args.emit_eps_table, family, orders)
     else:
         try:
@@ -351,8 +347,9 @@ def cmd_degenerate(args) -> int:
 
 def _write_eps_table(path: str, family, orders: dict) -> None:
     """One line per term of the family biform, orders ascending: the
-    coefficient of eps^k is W_k / q for the integer orders W_k of
-    :func:`~chowforms.degeneration.family_orders` and q =
+    coefficient of eps^k is W_k / q for the integer orders W_k that
+    :func:`~chowforms.degeneration.family_orders` reads off one expansion
+    of the Kronecker-coded family determinant, and q =
     :func:`~chowforms.chow.pform_scale`.  Each quotient is written in
     lowest terms from one gcd, the text of ``str(Fraction(c, q))``.  A
     monomial's text is written once and reused across the orders."""

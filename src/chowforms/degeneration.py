@@ -24,22 +24,21 @@ coefficient rings other than Q and Q[eps].
 Both family determinants start by taking the eps-valuations out of the
 Bezout p-form M: row i is divided by eps^r_i, r_i its least valuation,
 then column j by eps^c_j, the least valuation left in it, which gives M'
-with det M = eps^s det M', s = sum r + sum c.  :func:`limit_pform`
-computes the limit from det M' modulo eps^K with
-``det_expand(M', trunc=K)``, which truncates in eps, the last variable of
-the p-form's ring: the packed minor kernel skips every product of
-eps-blocks whose orders sum to K or more, so no term of eps-degree >= K is
-ever formed.  K starts from the min-plus bound on the valuation of det M',
-0 on every join probed, so the first try is det M' at eps = 0, and only
-the lowest surviving order is substituted into (u, v).  It returns that
-order's p-coefficient L with its expansion, and :func:`family_limit` is
-the normalized expansion.  :func:`family_det` is the same determinant
-with no truncation, taken once on ints that encode the eps polynomials of
-M' (Kronecker substitution) and shifted back by s; :func:`family_orders`
-expands all its orders W_k at once, as integer (u, v) polynomials, by one
-Kronecker-substituted :func:`~chowforms.chow.wedge_orders`; the eps table
+with det M = eps^s det M', s = sum r + sum c.  eps then reaches a
+determinant one way only, :func:`_coded_det`: each p-monomial's eps
+polynomial in an entry of M' becomes one int (Kronecker substitution),
+its orders below K kept, and the eps-free determinant of those ints
+carries every order below K in slots of its coefficients.
+:func:`limit_pform` starts K from the min-plus bound on the valuation of
+det M', 0 on every join probed, so the first try is det M' at eps = 0,
+and only the lowest surviving order is substituted into (u, v).  It
+returns that order's p-coefficient L with its expansion, and
+:func:`family_limit` is the normalized expansion.  :func:`family_orders`
+keeps every order: the coded determinant goes straight into one
+:func:`~chowforms.chow.wedge_expand`, every order W_k is read back at
+once as an integer (u, v) polynomial, the eps table
 (``--emit-eps-table``) is written from those, and its L is read off the
-same determinant.  :func:`pform_factor_check` tests that L factors into
+same coded determinant.  :func:`pform_factor_check` tests that L factors into
 the component Chow forms on Plucker normal forms, where
 :func:`boundary_factor_check` multiplies (u, v) biforms.
 :func:`family_biform` is the reference route: it also expands every
@@ -50,6 +49,7 @@ order, but divides each term by the scale
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
@@ -63,7 +63,6 @@ from .chow import (
     plucker_normal_form,
     proportional,
     wedge_expand,
-    wedge_orders,
 )
 from .curves import CurveMap, act_gl2
 from .polynomial import BinaryForm, MPoly, content_primitive, rational
@@ -76,7 +75,6 @@ __all__ = [
     "limit_direction",
     "family_limit",
     "limit_pform",
-    "family_det",
     "family_orders",
     "boundary_factor_check",
     "pform_factor_check",
@@ -201,58 +199,34 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
     return CayleyBiform(ca.n, ca.d, MPoly(ca.poly.names[:-1], low)).normalized()
 
 
-def family_det(components: Sequence[BinaryForm]) -> MPoly:
-    """The determinant of the Bezout p-form of the components over Z[eps],
-    untruncated, in the pair variables then eps.  The p-form of eps-free
-    components is lifted to a constant family over Q[eps].
+def family_orders(components: Sequence[BinaryForm]) -> tuple[MPoly, dict[int, MPoly]]:
+    """(L, orders) for the whole family determinant D, the determinant of
+    its Bezout p-form: ``orders`` maps each k with a nonzero W_k to W_k, k
+    ascending, and L is the eps^k p-coefficient of D for the least such k,
+    in the pair variables; a zero family gives (0, {}).
 
-    The p-form M is first scaled by :func:`_valuation_scaled`, so
-    det M = eps^s det M'.  Each entry of M' is written as one int per
-    p-monomial, its eps polynomial at eps = 2^B
-    (:func:`~chowforms.chow.kronecker`), and the eps-free determinant of
-    those ints is taken once.  Each coefficient of det M' is read back as
-    balanced digits, digit k being its eps^k coefficient, which lands at
-    order s + k of det M.  A Leibniz term takes one entry per row, so no
-    coefficient of det M' exceeds the product over the rows of their
-    coefficient 1-norms, the slots' bound; there is one slot per order up
-    to the sum over the rows of their largest eps-degree in M'.  Raises
-    ValueError where :func:`~chowforms.chow.bezout_pform` does."""
-    matrix, s = _valuation_scaled(_eps_pform(components))
-    names = matrix[0][0].names
-    norms = (sum(abs(c) for x in row for c in x.terms.values()) for row in matrix)
-    bound = reduce(lambda a, b: a * b, norms)
-    if not bound:  # a zero row
-        return MPoly._trusted(names, {})
-    encode, digits = kronecker(bound, 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix))
-
-    def coded(x: MPoly) -> MPoly:
-        """x in the pair variables, each p-monomial's eps polynomial one int."""
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
-        for e, c in x.terms.items():
-            groups.setdefault(e[:-1], {})[e[-1]] = c
-        return MPoly._trusted(names[:-1], {mu: encode(g) for mu, g in groups.items()})
-
-    terms = {}
-    for mu, v in det_expand([[coded(x) for x in row] for row in matrix]).terms.items():
-        for k, x in enumerate(digits(v), s):
-            if x:
-                terms[mu + (k,)] = x
-    return MPoly._trusted(names, terms)
-
-
-def family_orders(components: Sequence[BinaryForm]) -> dict[int, MPoly]:
-    """The nonzero eps-orders W_k of the family determinant, k ascending.
-
-    W_k is the eps^k coefficient of :func:`family_det` with
-    p_kl -> u_k v_l - u_l v_k substituted, an integer (d, d) biform
-    polynomial in ``uv_names(n)``.  The family biform is their sum
-    sum_k eps^k W_k / q, q = :func:`~chowforms.chow.pform_scale`, so its
-    eps^k coefficient is W_k / q and its limit is W_k normalized for the
-    least k.  The whole determinant is expanded, every order at once
-    (:func:`~chowforms.chow.wedge_orders`); a zero family has no orders.
-    Raises ValueError where :func:`family_det` does.
+    W_k is the eps^k coefficient of D with p_kl -> u_k v_l - u_l v_k
+    substituted, an integer (d, d) biform polynomial in ``uv_names(n)``.
+    The family biform is their sum sum_k eps^k W_k / q, q =
+    :func:`~chowforms.chow.pform_scale`, so its eps^k coefficient is
+    W_k / q and its limit is W_k normalized for the least k.  D is
+    eps^s det M' (:func:`_valuation_scaled`), and det M' is taken once, on
+    ints that code its eps polynomials in Kronecker slots
+    (:func:`_coded_det`), which go straight into one
+    :func:`~chowforms.chow.wedge_expand`: each (u, v) coefficient is read
+    back once, slot k landing at order s + k.  The expansion of a
+    p-monomial of degree d has absolute coefficient sum at most 2^d (d
+    factors of two terms, each +-1), so the slots get d bits of headroom.
+    L is read off the same coded determinant.  Raises ValueError where
+    :func:`~chowforms.chow.bezout_pform` does.
     """
-    return wedge_orders(family_det(components), len(components))
+    matrix, s = _valuation_scaled(_eps_pform(components))
+    det, digits = _coded_det(matrix, headroom=len(matrix))
+    orders = _slots(wedge_expand(det, len(components)), digits)
+    if not orders:
+        return MPoly._trusted(det.names, {}), {}
+    low = min(orders)
+    return _slots(det, digits)[low], {s + k: w for k, w in orders.items()}
 
 
 def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
@@ -281,41 +255,40 @@ def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
     (:func:`~chowforms.chow.bezout_pform`) is eps^s det M', M' the p-form
     with the least eps-powers of its rows and then its columns divided out
     (:func:`_valuation_scaled`), so order k of det M' is order s + k of D
-    with the same p-coefficient.  det M' is expanded modulo eps^K only.
-    Reduction modulo eps^K is a ring homomorphism, so the orders below K
-    are exact.  K starts one above the min-plus assignment value of the
-    eps-valuations of M', a lower bound on the order of every Leibniz
-    term.  The row and column minima were tight on every join probed, so
-    that value is 0 and the first try is the eps-free determinant of M'
-    at eps = 0; where they are not, the value is what they left.  Orders
+    with the same p-coefficient.  Only the orders of det M' below K are
+    computed, in the Kronecker slots of :func:`_coded_det`.  Reduction
+    modulo eps^K is a ring homomorphism, so they are exact.  K starts one
+    above the min-plus assignment value of the eps-valuations of M', a
+    lower bound on the order of every Leibniz term.  The row and column
+    minima were tight on every join probed, so that value is 0 and the
+    first try is the eps-free determinant of M' at eps = 0, one slot per
+    coefficient; where they are not, the value is what they left.  Orders
     below K are tried in turn: p_kl -> u_k v_l - u_l v_k is substituted
     into that one p-coefficient, which survives when the result is nonzero
     (for n >= 3 a nonzero p-coefficient can vanish on the Grassmannian).
-    Without a survivor K doubles, up to one past the eps-degree of det M'.
-    For a join of f and g of degree d_g the family has degree
-    d = d_f + d_g, each Bezout entry has eps-degree at most 2*d_g, and the
-    cap is at most 2*d*d_g + 1.  :func:`family_orders` expands the
-    same determinant with no truncation.  The p-form of eps-free
-    components is lifted to a constant family over Q[eps] and takes the
-    same route: every entry has eps-degree 0, so one expansion modulo eps
-    gives L = their Bezout determinant.  The tuple is checked once, by
-    :func:`~chowforms.chow.bezout_pform`.  Raises ValueError where that
-    does, for a coefficient ring other than Q or Q[eps] among others, and
-    when the family biform is identically zero.
+    Without a survivor K doubles, up to one past the eps-degree bound of
+    det M' (:func:`_eps_top`).  For a join of f and g of degree d_g the
+    family has degree d = d_f + d_g, each Bezout entry has eps-degree at
+    most 2*d_g, and the cap is at most 2*d*d_g + 1.  :func:`family_orders`
+    keeps every order.  The p-form of eps-free components is lifted to a
+    constant family over Q[eps] and takes the same route: every entry has
+    eps-degree 0, so one slot gives L = their Bezout determinant.  The
+    tuple is checked once, by :func:`~chowforms.chow.bezout_pform`.
+    Raises ValueError where that does, for a coefficient ring other than Q
+    or Q[eps] among others, and when the family biform is identically
+    zero.
     """
     matrix, _ = _valuation_scaled(_eps_pform(components))
     bound = _valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
-    # One past the eps-degree of det M': each Leibniz term takes one entry per row.
-    top = 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
+    top = _eps_top(matrix)
     K = bound + 1
     while True:
-        parts = det_expand(matrix, trunc=K).decompose(EPS)
-        for k in sorted(parts):
-            w = wedge_expand(parts[k], len(components))
+        for pform in _slots(*_coded_det(matrix, K)).values():
+            w = wedge_expand(pform, len(components))
             if w:
-                return parts[k], w
+                return pform, w
         if K == top:
             raise ValueError("zero family biform has no limit")
         K = min(2 * K, top)
@@ -352,6 +325,62 @@ def _valuation_scaled(matrix: list[list[MPoly]]) -> tuple[list[list[MPoly]], int
         for row, ri in zip(matrix, r)
     ]
     return scaled, sum(r) + sum(c)
+
+
+def _eps_top(matrix: list[list[MPoly]]) -> int:
+    """One past the eps-degree bound of the determinant of a square matrix
+    with eps last in its ring: each Leibniz term takes one entry per row."""
+    return 1 + sum(max(x.degree_in(EPS) for x in row) for row in matrix)
+
+
+def _coded_det(matrix: list[list[MPoly]], K: Optional[int] = None, headroom: int = 0):
+    """(det, digits): the determinant of a square matrix over the pair
+    variables then eps, its eps-orders below K coded in Kronecker slots
+    (:func:`~chowforms.chow.kronecker`), and the slots' reader.
+
+    Each entry's terms of eps-order below K are grouped by p-monomial, and
+    each group's eps polynomial becomes one int; det is the eps-free
+    p-form that :func:`~chowforms.resultant.det_expand` gives on those
+    ints, and ``digits`` reads a coefficient of det back as the list of its
+    eps-coefficients, order k in slot k.  There are K slots, or
+    :func:`_eps_top` when K is None, which holds every order; slots past
+    that stay zero.  Dropping the orders of K and more
+    is reduction modulo eps^K, a ring homomorphism, and a slot's bits do
+    not depend on the slots above it, so every slot read is exact.  A
+    Leibniz term takes one entry per row, so no eps-coefficient of det
+    exceeds the product of the rows' coefficient 1-norms; the slots' bound
+    is that product shifted left by ``headroom`` bits, room for a later
+    linear map such as :func:`~chowforms.chow.wedge_expand` to act on the
+    coded ints.
+    """
+    n = _eps_top(matrix) if K is None else K
+    names = matrix[0][0].names[:-1]
+    if n == 1:  # one slot: each int is the eps^0 coefficient itself
+        coded = [[MPoly._trusted(names, {e[:-1]: c for e, c in x.terms.items() if not e[-1]}) for x in row] for row in matrix]
+        return det_expand(coded), lambda v: [v]
+    norms = (sum(abs(c) for x in row for c in x.terms.values()) for row in matrix)
+    encode, digits = kronecker(math.prod(norms) << headroom, n)
+
+    def coded(x: MPoly) -> MPoly:
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for e, c in x.terms.items():
+            if e[-1] < n:
+                groups.setdefault(e[:-1], {})[e[-1]] = c
+        return MPoly._trusted(names, {mu: encode(g) for mu, g in groups.items()})
+
+    return det_expand([[coded(x) for x in row] for row in matrix]), digits
+
+
+def _slots(coded: MPoly, digits) -> dict[int, MPoly]:
+    """The nonzero slots of a polynomial with coded coefficients, slot
+    ascending: slot k holds the k-th digit of each coefficient, in the
+    same ring and term order."""
+    slots: dict[int, dict] = {}
+    for exps, v in coded.terms.items():
+        for k, x in enumerate(digits(v)):
+            if x:
+                slots.setdefault(k, {})[exps] = x
+    return {k: MPoly._trusted(coded.names, slots[k]) for k in sorted(slots)}
 
 
 def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:

@@ -10,13 +10,13 @@ on Python ints: :func:`~chowforms.chow.bezout_pform` hands it each
 coefficient, in Q or Q[eps], as one int, a polynomial in eps by Kronecker
 substitution, and reads the entries back into term dicts; :func:`bezout`
 runs it on the coefficients as given, over any one ring.
-The minors run on packed monomials: each entry becomes, once, a map from
-the degree of the ring's last variable (eps in the family rings) to a map
-from packed exponents of the other variables (:func:`~chowforms.polynomial.pack`)
-to coefficients, and the result is unpacked once.  A determinant taken
-modulo eps^K, the ring's last variable (``det_expand(M, trunc=K)``),
-skips every product of blocks whose eps-orders sum to K or more, so
-truncated terms are never formed.
+The minors run on packed monomials: each entry becomes, once, one map
+from the packed exponents of every variable of its ring
+(:func:`~chowforms.polynomial.pack`) to coefficients, and the result is
+unpacked once.  The kernel gives eps no role of its own: a family
+determinant carries eps in Kronecker slots of its coefficients
+(:mod:`chowforms.degeneration`), so its matrix reaches the kernel
+eps-free.
 
 The Sylvester route is kept as the independent cross-check.  It has two
 determinant backends.  :func:`resultant` uses the Laplace split along the
@@ -28,7 +28,6 @@ entries and is the second, independent backend.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -186,103 +185,76 @@ def det_bareiss(M) -> Entry:
 # -- packed minor kernel ---------------------------------------------------------
 
 
-def _pack_matrix(A: list[list[Entry]], trunc: Optional[int]):
+def _pack_matrix(A: list[list[Entry]]):
     """Packed rows of a square matrix, with what :func:`_unpacked` needs.
 
-    An entry is packed into a map {k: {key: c}}: k is its degree in the
-    ring's last variable, key packs the exponents of the other variables
-    and c is a nonzero rational; a number is the constant monomial
-    {0: {0: c}}.  Returns (rows, names, w, K): names is the ring of the
-    MPoly entries, or None when every entry is a number; w is the field
-    width, from the matrix order times the largest exponent so that no
-    minor's field carries; K is the truncation order in the ring's last
-    variable, infinite when ``trunc`` is None.
+    An entry is packed into one map {key: c}: key packs the exponents of
+    every variable of the ring (:func:`~chowforms.polynomial.pack`) and c
+    is a nonzero rational; a number is the constant monomial {0: c}.
+    Returns (rows, names, w): names is the ring of the MPoly entries, or
+    None when every entry is a number; w is the field width, from the
+    matrix order times the largest exponent of any variable, so that no
+    minor's field carries.
     """
     polys = [x for row in A for x in row if isinstance(x, MPoly)]
     names = polys[0].names if polys else None
     if any(x.names != names for x in polys):
         raise ValueError("matrix entries come from different rings")
-    if trunc is not None and names is None:
-        raise ValueError("truncation needs a matrix over a polynomial ring")
-    K = math.inf if trunc is None else trunc
-    top = max((e for x in polys for exps in x.terms for e in exps[:-1]), default=0)
+    top = max((e for x in polys for exps in x.terms for e in exps), default=0)
     w = field_bytes(len(A) * top)
 
     def packed(x: Entry) -> dict:
         if not isinstance(x, MPoly):
-            return {0: {0: x}} if x and K > 0 else {}
-        blocks: dict[int, dict[int, ScalarLike]] = {}
-        for exps, c in x.terms.items():
-            if exps[-1] < K:
-                blocks.setdefault(exps[-1], {})[pack(exps[:-1], w)] = c
-        return blocks
+            return {0: x} if x else {}
+        return {pack(exps, w): c for exps, c in x.terms.items()}
 
-    return [[packed(x) for x in row] for row in A], names, w, K
+    return [[packed(x) for x in row] for row in A], names, w
 
 
 def _unpacked(p: dict, names: Optional[tuple[str, ...]], w: int) -> Entry:
     """A packed polynomial as an MPoly of ``names``, or as a number in the
     normal form of :func:`~chowforms.polynomial.rational` when names is None."""
     if names is None:
-        return rational(p[0][0]) if p else 0
-    nv = len(names) - 1
-    terms = {
-        unpack(key, nv, w) + (k,): c if type(c) is int else rational(c)
-        for k, block in p.items()
-        for key, c in block.items()
-    }
-    return MPoly._trusted(names, terms)
+        return rational(p[0]) if p else 0
+    nv = len(names)
+    return MPoly._trusted(names, {unpack(key, nv, w): c if type(c) is int else rational(c) for key, c in p.items()})
 
 
-def _addmul(acc: dict, a: dict, b: dict, negate: bool, K) -> None:
-    """acc += (-1)^negate * a * b, skipping every block pair whose orders sum
-    to K or more, so the terms they would give are never formed."""
-    for ka, block_a in a.items():
-        for kb, block_b in b.items():
-            k = ka + kb
-            if k >= K:
-                continue
-            out = acc.get(k)
-            if out is None:
-                out = acc[k] = {}
-            get = out.get
-            for ma, ca in block_a.items():
-                if negate:
-                    ca = -ca
-                for mb, cb in block_b.items():
-                    m = ma + mb
-                    out[m] = get(m, 0) + ca * cb
+def _addmul(acc: dict, a: dict, b: dict, negate: bool) -> None:
+    """acc += (-1)^negate * a * b."""
+    get = acc.get
+    for ma, ca in a.items():
+        if negate:
+            ca = -ca
+        for mb, cb in b.items():
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
 
 
 def _cleaned(acc: dict) -> dict:
-    """A packed sum without its zero coefficients and empty blocks."""
-    out = {}
-    for k, block in acc.items():
-        block = {m: c for m, c in block.items() if c}
-        if block:
-            out[k] = block
-    return out
+    """A packed sum without its zero coefficients."""
+    return {m: c for m, c in acc.items() if c}
 
 
-def _minors(block: list[list[dict]], K):
+def _minors(block: list[list[dict]]):
     """Memoized minors of the last rows of a packed block, keyed by column
     bitmask.
 
     ``minors(cols)`` is the determinant of the last popcount(cols) rows
     restricted to the columns in ``cols``, by expansion along the first of
-    those rows, truncated at order K.  Subsets share their sub-minors, so
-    all minors of a k-row block cost at most one product per (subset,
-    column) pair, and no entry is ever divided.
+    those rows.  Subsets share their sub-minors, so all minors of a k-row
+    block cost at most one product per (subset, column) pair, and no entry
+    is ever divided.
 
     The recursion goes through the module-level :func:`_minor` rather than
     a closure that calls itself: such a closure is a reference cycle, which
     would keep every memoized minor alive until the cyclic garbage collector
     runs.
     """
-    return partial(_minor, block, K, {0: {0: {0: 1}}})
+    return partial(_minor, block, {0: {0: 1}})
 
 
-def _minor(block: list[list[dict]], K, memo: dict, cols: int) -> dict:
+def _minor(block: list[list[dict]], memo: dict, cols: int) -> dict:
     val = memo.get(cols)
     if val is not None:
         return val
@@ -294,15 +266,15 @@ def _minor(block: list[list[dict]], K, memo: dict, cols: int) -> dict:
         rest ^= low
         entry = row[low.bit_length() - 1]
         if entry:
-            sub = _minor(block, K, memo, cols ^ low)
+            sub = _minor(block, memo, cols ^ low)
             if sub:
-                _addmul(acc, entry, sub, idx % 2, K)
+                _addmul(acc, entry, sub, idx % 2)
         idx += 1
     val = memo[cols] = _cleaned(acc)
     return val
 
 
-def det_expand(M, trunc: Optional[int] = None) -> Entry:
+def det_expand(M) -> Entry:
     """Exact, division-free determinant by memoized first-row expansion.
 
     Costs one product per (column subset, column) pair, 2^n subsets in all,
@@ -310,16 +282,10 @@ def det_expand(M, trunc: Optional[int] = None) -> Entry:
     need exact polynomial division.  Every entry is packed once (see
     :func:`_pack_matrix`) and the result is unpacked once; a matrix of
     numbers gives a number.
-
-    ``trunc=K`` gives det M modulo x^K, x the last variable of the ring;
-    a matrix of numbers raises ValueError.  Reduction modulo x^K is a ring
-    homomorphism, so the orders below K are exact; products skip every
-    block pair whose x-orders sum to K or more, so no minor holds a term of
-    order K or more at any point.
     """
     A = _rows(M)
-    rows, names, w, K = _pack_matrix(A, trunc)
-    return _unpacked(_minors(rows, K)((1 << len(A)) - 1), names, w)
+    rows, names, w = _pack_matrix(A)
+    return _unpacked(_minors(rows)((1 << len(A)) - 1), names, w)
 
 
 def det_laplace_split(M) -> Entry:
@@ -337,9 +303,9 @@ def det_laplace_split(M) -> Entry:
     if n % 2:
         raise ValueError("split expansion needs an even-sized matrix")
     d = n // 2
-    rows, names, w, K = _pack_matrix(A, None)
-    minor_top = _minors(rows[:d], K)
-    minor_bottom = _minors(rows[d:], K)
+    rows, names, w = _pack_matrix(A)
+    minor_top = _minors(rows[:d])
+    minor_bottom = _minors(rows[d:])
     base_sign = d * (d - 1) // 2
     full = (1 << n) - 1
     acc: dict = {}
@@ -350,7 +316,7 @@ def det_laplace_split(M) -> Entry:
             continue
         b = minor_bottom(full ^ cols)
         if b:
-            _addmul(acc, t, b, (sum(S) + base_sign) % 2, K)
+            _addmul(acc, t, b, (sum(S) + base_sign) % 2)
     return _unpacked(_cleaned(acc), names, w)
 
 

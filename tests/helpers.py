@@ -7,7 +7,8 @@ imports from chowforms.resultant internals.  ``ref_format_terms`` and
 the memoized term writer.  ``ref_embed``, ``ref_specialize_eps`` and
 ``ref_depends_only_on_wedge`` substitute through ``MPoly.evaluate`` with an
 MPoly ``one``: ring changes the package itself never needs.
-``ref_family_orders`` expands the eps-orders of a family one at a time.
+``ref_family_orders`` expands the eps-orders of a family one at a time,
+and ``coded_det_at`` decodes the Kronecker-coded family determinant.
 ``ref_family_det`` and ``ref_limit_pform`` take the family determinant and
 its limit on the p-form as built, with no eps-powers scaled out of its rows
 and columns; ``ref_valuation_bound`` tries every permutation.
@@ -70,6 +71,18 @@ def truncated(p, K):
     """p modulo x^K, x the last variable of its ring: every term of
     x-degree K or more dropped."""
     return MPoly(p.names, {e: c for e, c in p.terms.items() if e[-1] < K})
+
+
+def coded_det_at(matrix, K):
+    """The Kronecker-coded determinant of ``matrix``, a square matrix over
+    the pair variables then eps, at truncation order K, decoded back into
+    the matrix's ring: slot k of the coefficient of mu becomes the term
+    mu eps^k."""
+    from chowforms.degeneration import _coded_det
+
+    det, digits = _coded_det(matrix, K)
+    terms = {mu + (k,): x for mu, v in det.terms.items() for k, x in enumerate(digits(v)) if x}
+    return MPoly(matrix[0][0].names, terms)
 
 
 def is_normal(x) -> bool:
@@ -253,7 +266,7 @@ def ref_eps_pform(components):
 def ref_family_det(components):
     """The family determinant by one ``det_expand`` of the unscaled p-form
     over Q[eps]: the route that the valuation-scaled Kronecker determinant
-    of ``family_det`` replaced."""
+    of ``family_orders`` replaced."""
     return det_expand(ref_eps_pform(components))
 
 
@@ -272,17 +285,19 @@ def ref_valuation_bound(matrix):
 
 def ref_limit(matrix, m):
     """(L, W) of ``limit_pform`` for a matrix over the pair variables of m
-    points and eps, by ``det_expand(matrix, trunc=K)`` on the matrix as
-    given: K starts one above the min-plus value of its eps-valuations and
-    doubles up to one past the eps-degree of its determinant.  This is the
-    unscaled route that ``limit_pform`` replaced."""
+    points and eps, by ``truncated(det_expand(matrix), K)`` on the matrix
+    as given: K starts one above the min-plus value of its eps-valuations
+    and doubles up to one past the eps-degree of its determinant.  This is
+    the unscaled route that ``limit_pform`` replaced, with each truncation
+    taken after the full determinant."""
     bound = ref_valuation_bound(matrix)
     if bound is None:
         raise ValueError("zero family biform has no limit")
     top = 1 + sum(max(x.degree_in("eps") for x in row) for row in matrix)
+    full = det_expand(matrix)
     K = bound + 1
     while True:
-        parts = det_expand(matrix, trunc=K).decompose("eps")
+        parts = truncated(full, K).decompose("eps")
         for k in sorted(parts):
             w = wedge_expand(parts[k], m)
             if w:
@@ -299,7 +314,8 @@ def ref_limit_pform(components):
 
 def ref_family_orders(components):
     """The nonzero eps-orders of the family determinant, one ``wedge_expand``
-    per order: the route that ``wedge_orders`` replaced."""
+    per order: the route that the one coded expansion of ``family_orders``
+    replaced."""
     parts = ref_family_det(components).decompose("eps")
     orders = {k: wedge_expand(parts[k], len(components)) for k in sorted(parts)}
     return {k: w for k, w in orders.items() if w}

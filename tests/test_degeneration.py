@@ -25,6 +25,7 @@ from chowforms import (
 )
 from chowforms.chow import bezout_pform, contraction_resultant, pform_scale
 from helpers import (
+    coded_det_at,
     is_normal,
     plane_through,
     rand_curve_birational,
@@ -248,7 +249,7 @@ def test_family_orders_are_the_scaled_orders_of_the_family_biform(n, d_f, d_g):
     f = rand_curve_birational(rng, n, d_f, -3, 3)
     g = rand_curve_birational(rng, n, d_g, -3, 3)
     fam = join_family(normalize_attachment(f, at=(1, 0)), normalize_attachment(g, at=(0, 1)))
-    orders = family_orders(fam)
+    _, orders = family_orders(fam)
     assert orders == scaled_orders(fam)
     assert list(orders) == sorted(orders)
     assert all(w.names == uv_names(n) for w in orders.values())
@@ -260,12 +261,13 @@ def test_family_orders_are_the_scaled_orders_of_the_family_biform(n, d_f, d_g):
 def test_family_orders_of_an_eps_free_tuple_and_a_zero_family():
     # Eps-free components give one order, 0: their Chow form times q.
     conic = CurveMap.from_coeffs([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 3]])
-    assert list(family_orders(conic.components)) == [0]
-    assert family_orders(conic.components) == scaled_orders(conic.components)
+    assert list(family_orders(conic.components)[1]) == [0]
+    assert family_orders(conic.components)[1] == scaled_orders(conic.components)
     # A base point (z0 + z1 = 0) in f makes every member, so the family, zero.
     f = CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]])
     fam = join_family(f, LINE_G)
-    assert family_orders(fam) == {} == scaled_orders(fam)
+    pform, orders = family_orders(fam)
+    assert pform.is_zero and orders == {} == scaled_orders(fam)
 
 
 def test_det_expand_reducer_is_truncation_past_unattained_bound():
@@ -285,8 +287,8 @@ def test_det_expand_reducer_is_truncation_past_unattained_bound():
     assert bound == 0
     assert full == eps**2 * p + eps**3 * (p + q) + eps**4
     for K in (1, 2, 4, 8):
-        assert det_expand(M, trunc=K) == truncated(full, K)
-        assert det_expand(M, trunc=K).is_zero == (K <= 2)
+        assert coded_det_at(M, K) == truncated(full, K)
+        assert coded_det_at(M, K).is_zero == (K <= 2)
 
 
 def test_family_limit_of_an_eps_free_family_is_its_chow_form():
@@ -326,13 +328,14 @@ def test_family_limit_runs_an_eps_free_family_on_the_truncated_route(monkeypatch
     import chowforms.degeneration as degeneration
 
     conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    coded_det = degeneration._coded_det
     truncs = []
 
-    def spy(M, trunc=None):
-        truncs.append(trunc)
-        return det_expand(M, trunc=trunc)
+    def spy(M, K=None, headroom=0):
+        truncs.append(K)
+        return coded_det(M, K, headroom)
 
-    monkeypatch.setattr(degeneration, "det_expand", spy)
+    monkeypatch.setattr(degeneration, "_coded_det", spy)
     assert family_limit(conic.components) == cayley_biform(conic).normalized()
     assert truncs == [1]
 
@@ -431,14 +434,17 @@ def test_family_limit_tests_survival_after_substitution(monkeypatch):
 
     fam = _base_pointed_at_zero()
     expected = limit_direction(family_biform(fam)).poly
+    coded_det = degeneration._coded_det
 
-    def det_plus_relation(M, trunc):
-        names = M[0][0].names  # pair variables in combinations order, then eps
-        p = [MPoly.var(names, x) for x in names[:6]]
+    def det_plus_relation(M, K=None, headroom=0):
+        # The coded determinant is over the pair variables, in combinations
+        # order; adding an int coefficient adds it to slot 0, order 0.
+        det, digits = coded_det(M, K, headroom)
+        p = [MPoly.var(det.names, x) for x in det.names]
         relation = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
-        return det_expand(M, trunc=trunc) + truncated(relation, trunc)
+        return det + relation, digits
 
-    monkeypatch.setattr(degeneration, "det_expand", det_plus_relation)
+    monkeypatch.setattr(degeneration, "_coded_det", det_plus_relation)
     assert family_limit(fam).poly == expected
 
 
@@ -460,7 +466,7 @@ def test_routes_give_biforms_of_bidegree_d_d():
         limit = family_limit(fam)
         assert (limit.n, limit.d) == (n, d_f + d_g)
         check(n, d_f + d_g, limit.poly)
-        for w in family_orders(fam).values():
+        for w in family_orders(fam)[1].values():
             check(n, d_f + d_g, w)
 
 

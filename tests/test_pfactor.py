@@ -18,7 +18,6 @@ from chowforms import (
     MPoly,
     boundary_factor_check,
     cayley_biform,
-    family_det,
     family_limit,
     family_orders,
     join_family,
@@ -26,9 +25,9 @@ from chowforms import (
     normalize_attachment,
     pform_factor_check,
 )
-from chowforms.chow import EPS, plucker_normal_form, wedge_expand, wedge_orders
+from chowforms.chow import EPS, plucker_normal_form, wedge_expand
 from chowforms.cli import main
-from helpers import rand_curve_birational, ref_family_orders, seeded_joins
+from helpers import rand_curve_birational, ref_family_det, ref_family_orders, seeded_joins
 
 LINE_F = CurveMap.from_coeffs([[1, 0], [1, 0], [1, 1]])
 LINE_G = CurveMap.from_coeffs([[0, 1], [1, 1], [0, 1]])
@@ -138,7 +137,7 @@ def same_terms_in_order(got, expected):
 @pytest.mark.parametrize("k", range(len(JOINS)))
 def test_kronecker_orders_equal_the_per_order_route_on_joins(k):
     fam = join_family(*JOINS[k])
-    same_terms_in_order(family_orders(fam), ref_family_orders(fam))
+    same_terms_in_order(family_orders(fam)[1], ref_family_orders(fam))
 
 
 def eps_poly(coeffs):
@@ -152,48 +151,69 @@ def test_kronecker_orders_of_multiple_lines_and_eps_free_tuples():
     conic = CurveMap.from_coeffs([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).components
     based = join_family(CurveMap.from_coeffs([[1, 1, 0], [1, 2, 1], [1, 3, 2]]), LINE_G)
     for fam in (double, triple, conic, based):
-        same_terms_in_order(family_orders(fam), ref_family_orders(fam))
-    assert list(family_orders(conic)) == [0] and family_orders(based) == {}
+        same_terms_in_order(family_orders(fam)[1], ref_family_orders(fam))
+    assert list(family_orders(conic)[1]) == [0]
+    pform, orders = family_orders(based)
+    assert pform.is_zero and orders == {}
 
 
 def test_family_orders_read_the_cli_limit_off_one_determinant():
-    # The eps-table route takes L from the untruncated determinant: the same
-    # p-coefficient as the truncated route of limit_pform.
+    # The eps-table route takes L from the untruncated coded determinant:
+    # the same p-coefficient as the truncated route of limit_pform, and the
+    # lowest surviving order of the unscaled determinant.
     for f, g in JOINS:
         fam = join_family(f, g)
-        det = family_det(fam)
-        orders = wedge_orders(det, f.n + 1)
+        pform, orders = family_orders(fam)
         low = min(orders)
-        assert (det.decompose(EPS)[low], orders[low]) == limit_pform(fam)
+        assert (pform, orders[low]) == limit_pform(fam)
+        assert pform == ref_family_det(fam).decompose(EPS)[low]
+
+
+def one_order_matrix(d, T):
+    """A d x d diagonal p-form on two points: p01 d - 1 times, then
+    T p01 (1 + eps + ... + eps^4).  Its determinant is T p01^d times that
+    eps polynomial, every coefficient positive, and the product of its row
+    1-norms is 5 T."""
+    names = ("p0,1", EPS)
+    p = MPoly.var(names, "p0,1")
+    last = MPoly(names, {(1, k): T for k in range(5)})
+    zero = MPoly.zero(names)
+    return [[(last if i == d - 1 else p) if i == j else zero for j in range(d)] for i in range(d)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_slot_width_holds_one_sign_coefficients_at_the_bound(monkeypatch, d):
-    # c p01^d (1 + eps + ... + eps^4) on two points, c as large as the slot
-    # bound c 2^d allows: every p-coefficient positive, and every order the
-    # expansion of c p01^d, whose middle coefficient is C(d, d/2) c.  One
-    # byte narrower and the largest (u, v) coefficient no longer fits its
-    # slot: the orders read wrong.  At d = 8 a bound without the 2^d would
-    # be one byte narrower.
+    # Every order of the family determinant is T p01^d, whose expansion has
+    # middle coefficient C(d, d/2) T.  T is as large as the slot bound
+    # 5 T 2^d allows in W bytes: one byte narrower and the largest (u, v)
+    # coefficient no longer fits its slot, so the orders read wrong.  At
+    # d = 8 the determinant's coefficients fit in W - 1 bytes, and only the
+    # 2^d of the expansion needs the headroom: without it the slots are one
+    # byte narrower and the orders read wrong too.
     import chowforms.chow as chow
+    import chowforms.degeneration as degeneration
 
     width = chow._slot_bytes
-    names = ("p0,1", EPS)
+    coded_det = degeneration._coded_det
     for W in (2, 3, 5):
-        c = ((1 << (8 * W - 1)) - 1) >> d
-        assert width(c << d) == W
-        pform = MPoly(names, {(d, k): c for k in range(5)})
-        expected = {k: wedge_expand(MPoly(names[:1], {(d,): c}), 2) for k in range(5)}
-        same_terms_in_order(wedge_orders(pform, 2), expected)
-        assert max(expected[0].terms.values()) >= 1 << (8 * (W - 1) - 1)
+        T = ((1 << (8 * W - 1)) - 1) // (5 << d)
+        assert width(5 * T << d) == W
+        M = one_order_matrix(d, T)
+        monkeypatch.setattr(degeneration, "_eps_pform", lambda components: M)
+        w = wedge_expand(MPoly(("p0,1",), {(d,): T}), 2)
+        expected = {k: w for k in range(5)}
+        pform, orders = family_orders((None,) * 2)
+        assert pform == MPoly(("p0,1",), {(d,): T})
+        same_terms_in_order(orders, expected)
+        assert max(w.terms.values()) >= 1 << (8 * (W - 1) - 1)
         monkeypatch.setattr(chow, "_slot_bytes", lambda bound: width(bound) - 1)
-        assert wedge_orders(pform, 2) != expected
+        assert family_orders((None,) * 2)[1] != expected
         monkeypatch.setattr(chow, "_slot_bytes", width)
-
-
-def test_wedge_orders_rejects_a_ring_without_eps():
-    with pytest.raises(ValueError, match="end in eps"):
-        wedge_orders(MPoly(("p0,1",), {(1,): 1}), 2)
+        if d == 8:
+            assert width(5 * T) == W - 1
+            monkeypatch.setattr(degeneration, "_coded_det", lambda M, K=None, headroom=0: coded_det(M, K))
+            assert family_orders((None,) * 2)[1] != expected
+            monkeypatch.setattr(degeneration, "_coded_det", coded_det)
 
 
 # -- the CLI builds no (u, v) product --------------------------------------------

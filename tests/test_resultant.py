@@ -14,7 +14,7 @@ from chowforms import (
     sylvester,
     uv_names,
 )
-from helpers import naive_det, rand_form, truncated
+from helpers import coded_det_at, naive_det, rand_form, truncated
 
 UV1 = uv_names(1)  # u0 u1 v0 v1
 UV2 = uv_names(2)
@@ -331,6 +331,9 @@ def test_det_expand_numeric_matrices_give_numbers():
 
 
 def test_det_expand_truncated_equals_full_then_truncated():
+    # The kernel takes no truncation: the Kronecker-coded determinant of the
+    # family routes, its eps-orders below K kept, decodes to det_expand's
+    # full determinant truncated modulo eps^K, for every K up to past it.
     rng = random.Random(97)
     names = ("p", "q", "eps")
     for _ in range(5):
@@ -338,15 +341,31 @@ def test_det_expand_truncated_equals_full_then_truncated():
         full = det_expand(M)
         top = full.degree_in("eps")
         for K in range(top + 3):
-            assert det_expand(M, trunc=K) == truncated(full, K)
-        assert det_expand(M, trunc=0) == MPoly.zero(names)
+            assert coded_det_at(M, K) == truncated(full, K)
+        assert coded_det_at(M, 0) == MPoly.zero(names)
 
 
-def test_det_expand_rejects_a_numeric_truncation_and_mixed_rings():
-    with pytest.raises(ValueError, match="polynomial ring"):
-        det_expand([[1, 2], [3, 4]], trunc=1)
+def test_det_expand_rejects_mixed_rings():
     with pytest.raises(ValueError, match="different rings"):
         det_expand([[MPoly.var(("x",), "x"), 0], [0, MPoly.var(("y",), "y")]])
+
+
+def test_det_expand_field_width_covers_the_last_variable():
+    # x^100 entries in the last variable, degree at most 1 in a: every
+    # entry fits one-byte fields, but the determinant holds x^300, so the
+    # fields need two bytes, and a width read off a alone (one byte) would
+    # silently carry x's field into a's.
+    names = ("a", "x")
+    a, x = (MPoly.var(names, v) for v in names)
+    big = x**100
+    M = [
+        [big + a, 2 * big, a],
+        [big, a * big + 1, 3 * big],
+        [a, big - 1, a * big],
+    ]
+    expected = naive_det(M)
+    assert expected.degree_in("x") == 300 and expected.degree_in("a") <= 3
+    assert det_expand(M) == expected
 
 
 def test_laplace_split_on_fraction_sylvester_matrices():

@@ -1,11 +1,11 @@
 """The eps-valuations scaled out of the family Bezout p-form.
 
-``limit_pform`` and ``family_det`` divide row i and column j of the p-form
-M by eps^(r_i + c_j) before any determinant, so det M = eps^s det M'.
-Both are compared term for term with the unscaled routes of ``helpers``
-(``ref_limit_pform``, ``ref_family_det``); the scaling helper is checked on
-synthetic matrices, and the Kronecker slots of ``family_det`` at their
-bound.
+``limit_pform`` and ``family_orders`` divide row i and column j of the
+p-form M by eps^(r_i + c_j) before any determinant, so det M = eps^s
+det M'.  Both are compared term for term with the unscaled routes of
+``helpers`` (``ref_limit_pform``, ``ref_family_det``,
+``ref_family_orders``); the scaling helper is checked on synthetic
+matrices, and the Kronecker slots of ``family_orders`` at their bound.
 """
 
 import pytest
@@ -15,12 +15,14 @@ from chowforms import (
     CurveMap,
     MPoly,
     det_expand,
-    family_det,
+    family_orders,
     join_family,
     limit_pform,
 )
+from chowforms.chow import wedge_expand
 from helpers import (
     ref_family_det,
+    ref_family_orders,
     ref_limit,
     ref_limit_pform,
     ref_valuation_bound,
@@ -51,10 +53,16 @@ def valuations(matrix):
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
 def test_limit_pform_and_family_det_equal_the_unscaled_routes(fam):
-    assert limit_pform(fam) == ref_limit_pform(fam)
-    det = family_det(fam)
-    assert det == ref_family_det(fam)
-    assert det.names[-1] == "eps" and all(type(c) is int for c in det.terms.values())
+    # The family determinant reaches family_orders only in Kronecker slots:
+    # its L and every order are checked against the unscaled determinant.
+    limit = limit_pform(fam)
+    assert limit == ref_limit_pform(fam)
+    pform, orders = family_orders(fam)
+    assert orders == ref_family_orders(fam)
+    low = min(orders)
+    assert pform == ref_family_det(fam).decompose("eps")[low]
+    assert (pform, orders[low]) == limit
+    assert all(type(c) is int for c in pform.terms.values())
 
 
 @pytest.mark.parametrize("fam", ZERO_FAMILIES, ids=["constant_f", "base_point"])
@@ -62,7 +70,8 @@ def test_zero_families_fail_alike_on_both_routes(fam):
     for route in (limit_pform, ref_limit_pform):
         with pytest.raises(ValueError, match="^zero family biform has no limit$"):
             route(fam)
-    assert family_det(fam).is_zero and ref_family_det(fam).is_zero
+    pform, orders = family_orders(fam)
+    assert pform.is_zero and orders == {} and ref_family_det(fam).is_zero
 
 
 def test_the_first_truncated_determinant_of_a_corpus_join_is_taken_modulo_eps(monkeypatch):
@@ -71,13 +80,14 @@ def test_the_first_truncated_determinant_of_a_corpus_join_is_taken_modulo_eps(mo
     # determinant of M' at eps = 0, and it already holds the limit.
     import chowforms.degeneration as degeneration
 
+    coded_det = degeneration._coded_det
     truncs = []
 
-    def spy(M, trunc=None):
-        truncs.append(trunc)
-        return det_expand(M, trunc=trunc)
+    def spy(M, K=None, headroom=0):
+        truncs.append(K)
+        return coded_det(M, K, headroom)
 
-    monkeypatch.setattr(degeneration, "det_expand", spy)
+    monkeypatch.setattr(degeneration, "_coded_det", spy)
     for *_, f, g in seeded_joins("valscale"):
         truncs.clear()
         limit_pform(join_family(f, g))
@@ -161,45 +171,58 @@ def test_a_limit_past_greedy_minima_that_are_not_tight(monkeypatch):
     scaled, s = _valuation_scaled(M)
     assert (s, ref_valuation_bound(M)) == (0, 1)
     assert min(det_expand(M).decompose("eps")) == 1
+    coded_det = degeneration._coded_det
     truncs = []
 
-    def spy(matrix, trunc=None):
-        truncs.append(trunc)
-        return det_expand(matrix, trunc=trunc)
+    def spy(matrix, K=None, headroom=0):
+        truncs.append(K)
+        return coded_det(matrix, K, headroom)
 
     monkeypatch.setattr(degeneration, "_eps_pform", lambda components: M)
-    monkeypatch.setattr(degeneration, "det_expand", spy)
+    monkeypatch.setattr(degeneration, "_coded_det", spy)
     pform, w = limit_pform((None,) * 3)
     assert (pform, w) == ref_limit(M, 3)
     assert pform == det_expand(M).decompose("eps")[1] and w
     assert truncs == [2]
 
 
-# -- the Kronecker slots of family_det ----------------------------------------------
+# -- the Kronecker slots of family_orders -------------------------------------------
+
+
+def orders_of(det, m):
+    """(L, orders) of ``family_orders`` read off a full determinant over the
+    pair variables of m points and eps, one order at a time."""
+    parts = det.decompose("eps")
+    orders = {k: wedge_expand(parts[k], m) for k in sorted(parts)}
+    orders = {k: w for k, w in orders.items() if w}
+    return parts[min(orders)], orders
 
 
 @pytest.mark.parametrize("W", [2, 3, 5])
 def test_kronecker_determinant_slots_hold_a_one_sign_determinant(monkeypatch, W):
     # M = eps^r_i x p (1 + eps) [[1, 1], [-1, 1]] scaled by eps and eps^2:
     # both Leibniz terms are +x^2 p^2 (1 + eps)^2, so det M' = 2 x^2 p^2
-    # (1 + 2 eps + eps^2) has no cancellation.  Its largest coefficient
-    # 4 x^2 is a quarter of the bound, the product (4 x)^2 of the row
-    # 1-norms: the bound sets slots of W bytes, and in W - 1 bytes the
-    # largest coefficient no longer fits, so the orders read wrong.
+    # (1 + 2 eps + eps^2) has no cancellation, and its expansion, with
+    # p^2 -> u0^2 v1^2 - 2 u0 u1 v0 v1 + u1^2 v0^2, has largest coefficient
+    # 8 x^2 at order 1.  That is an eighth of the bound, the product (4 x)^2
+    # of the row 1-norms times the 2^2 of the expansion: the bound sets
+    # slots of W bytes, and in W - 1 bytes the largest coefficient no
+    # longer fits, so the orders read wrong.
     import chowforms.chow as chow
     import chowforms.degeneration as degeneration
 
     names = ("p0,1", "eps")
     p, eps = (MPoly.var(names, x) for x in names)
-    x = 1 << (4 * W - 3)
+    x = 1 << (4 * W - 4)
     a = x * p * (1 + eps)
     M = [[eps * a, eps * a], [-(eps**2) * a, eps**2 * a]]
-    expected = det_expand(M)
-    assert expected == 2 * x**2 * p**2 * eps**3 * (1 + eps) ** 2
+    det = det_expand(M)
+    assert det == 2 * x**2 * p**2 * eps**3 * (1 + eps) ** 2
+    expected = orders_of(det, 2)
     width = chow._slot_bytes
-    assert width((4 * x) ** 2) == W
-    assert max(expected.terms.values()) >= 1 << (8 * (W - 1) - 1)
+    assert width((4 * x) ** 2 << 2) == W
+    assert max(abs(c) for w in expected[1].values() for c in w.terms.values()) >= 1 << (8 * (W - 1) - 1)
     monkeypatch.setattr(degeneration, "_eps_pform", lambda components: M)
-    assert family_det((None,) * 2) == expected
+    assert family_orders((None,) * 2) == expected
     monkeypatch.setattr(chow, "_slot_bytes", lambda bound: width(bound) - 1)
-    assert family_det((None,) * 2) != expected
+    assert family_orders((None,) * 2) != expected

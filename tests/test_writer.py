@@ -162,16 +162,27 @@ def run_eps_table(tmp_path, capsys):
 
 
 def test_eps_table_run_splits_the_family_determinant_by_eps_once(tmp_path, monkeypatch, capsys):
+    # eps is split off once, by the slots of one whole coded determinant,
+    # which both the table and its L are read from: no polynomial is
+    # decomposed by eps.
+    import chowforms.degeneration as degeneration
+
     calls = []
     decompose = MPoly.decompose
+    coded_det = degeneration._coded_det
 
     def counted(self, name):
         calls.append(name)
         return decompose(self, name)
 
+    def spy(M, K=None, headroom=0):
+        calls.append(K)
+        return coded_det(M, K, headroom)
+
     monkeypatch.setattr(MPoly, "decompose", counted)
+    monkeypatch.setattr(degeneration, "_coded_det", spy)
     run_eps_table(tmp_path, capsys)
-    assert calls == ["eps"]
+    assert calls == [None]
 
 
 def test_eps_table_run_sends_no_eps_form_through_contraction_resultant(tmp_path, monkeypatch, capsys):
@@ -249,7 +260,7 @@ def test_writers_ignore_the_stored_order_of_wide_biforms(n, d):
 @pytest.mark.parametrize("n, d_f, d_g, f, g", seeded_joins("stored-order")[1::2])
 def test_eps_table_ignores_the_stored_order(n, d_f, d_g, f, g, tmp_path):
     fam = join_family(f, g)
-    orders = family_orders(fam)
+    _, orders = family_orders(fam)
     # Integer orders with exponents of 10 and more, against the same scale.
     rng = random.Random(f"stored-eps-{n}")
     wide = {k: rand_bihomogeneous(rng, uv_names(n), 10, rand_int, terms=15) for k in (0, 2, 3)}
