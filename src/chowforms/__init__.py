@@ -44,6 +44,7 @@ from .polynomial import (
     form_gcd,
     form_gcd_all,
     format_terms,
+    parse_rational,
     parse_terms,
     poly_divides,
     rational,
@@ -95,6 +96,7 @@ __all__ = [
     "limit_pform",
     "map_degree",
     "normalize_attachment",
+    "parse_rational",
     "parse_terms",
     "pform_factor_check",
     "plucker_form",

@@ -30,7 +30,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -54,7 +53,7 @@ from .degeneration import (
     pform_factor_check,
 )
 from .oracle import check_curve, incident_oracle
-from .polynomial import format_terms, monomial_writer
+from .polynomial import format_terms, monomial_writer, parse_rational
 from .resultant import det_expand
 
 __all__ = ["main", "entry"]
@@ -75,20 +74,17 @@ class DegenerateInput(Exception):
 _ZERO_FAMILY = "family biform is identically zero"
 _BASE_LOCUS = "zero Cayley biform (base locus)"
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
 
 def _parse_rational(text, where: str) -> Fraction:
-    """A JSON int, or a string in the grammar above; ``Fraction(text)`` also
-    takes "1.5", "1_0" and "1e10000000", the last in exponential time."""
+    """A JSON int, or a string in the grammar of
+    :func:`~chowforms.polynomial.parse_rational`."""
     # ``type(x) is int``, not isinstance: JSON true/false load as bool, an int subclass
     if type(text) is int:
         return Fraction(text)
-    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
-    den = int(match[2] or 1) if match else 0
-    if not den:
-        raise InputError(f"invalid rational {where}")
-    return Fraction(int(match[1]), den)
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise InputError(f"invalid rational {where}") from None
 
 
 def load_curve(path: str) -> CurveMap:

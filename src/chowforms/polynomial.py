@@ -34,6 +34,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import accumulate
 from operator import add as _add
@@ -52,6 +53,7 @@ __all__ = [
     "form_gcd_all",
     "format_terms",
     "monomial_writer",
+    "parse_rational",
     "parse_terms",
     "rational",
     "field_bytes",
@@ -520,6 +522,24 @@ def monomial_writer(names: Sequence[str]):
     return write
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as ASCII ``[+-]?[0-9]+(/[0-9]+)?``, surrounding
+    whitespace aside; the one grammar of rationals in text.
+
+    Raises ValueError on anything else, a zero denominator included.
+    ``Fraction(text)`` also takes "1.5", "1_0" and "1e10000000", the last
+    in exponential time.
+    """
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    den = int(match[2] or 1) if match else 0
+    if not den:
+        raise ValueError(f"invalid rational {text!r}")
+    return Fraction(int(match[1]), den)
+
+
 def parse_terms(text: str, names: Iterable[str]) -> MPoly:
     """Parse the :func:`format_terms` wire format back into an MPoly."""
     names = tuple(names)
@@ -533,8 +553,8 @@ def parse_terms(text: str, names: Iterable[str]) -> MPoly:
             continue
         head, _, tail = line.partition(" * ")
         try:
-            c = Fraction(head)
-        except (ValueError, ZeroDivisionError) as exc:
+            c = parse_rational(head)
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: invalid coefficient {head!r}") from exc
         exps = [0] * len(names)
         for factor in tail.split():

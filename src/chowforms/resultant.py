@@ -3,8 +3,9 @@ determinants.
 
 The production route to a Chow form (:func:`chowforms.chow.contraction_resultant`)
 takes the determinant of a weighted sum of the d x d Bezout matrices from
-:func:`bezoutian`, by :func:`det_expand`: first-row expansion with memoized
-minors, division-free, so it needs only ring operations on the entries.
+:func:`bezoutian`, by :func:`det_expand`: minor expansion built bottom-up,
+row by row, from the nonzero minors of the rows below, division-free, so
+it needs only ring operations on the entries.
 :func:`bezoutian` is the one Bezoutian recurrence.  On that route it runs
 on Python ints: :func:`~chowforms.chow.bezout_pform` hands it each
 coefficient, in Q or Q[eps], as one int, a polynomial in eps by Kronecker
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .polynomial import BinaryForm, MPoly, ScalarLike, field_bytes, form_ring, pack, rational, unpack
@@ -236,56 +235,43 @@ def _cleaned(acc: dict) -> dict:
     return {m: c for m, c in acc.items() if c}
 
 
-def _minors(block: list[list[dict]]):
-    """Memoized minors of the last rows of a packed block, keyed by column
-    bitmask.
+def _minors(block: list[list[dict]]) -> dict:
+    """Every nonzero maximal minor of a packed k x n block, keyed by column
+    bitmask: ``{cols: minor}`` over the k-column sets ``cols``.
 
-    ``minors(cols)`` is the determinant of the last popcount(cols) rows
-    restricted to the columns in ``cols``, by expansion along the first of
-    those rows.  Subsets share their sub-minors, so all minors of a k-row
-    block cost at most one product per (subset, column) pair, and no entry
-    is ever divided.
-
-    The recursion goes through the module-level :func:`_minor` rather than
-    a closure that calls itself: such a closure is a reference cycle, which
-    would keep every memoized minor alive until the cyclic garbage collector
-    runs.
+    Built bottom-up, one level per row, from ``{0: {0: 1}}``: each nonzero
+    minor of the rows below expands against each nonzero entry of the row
+    above, in a column the minor does not use, with the sign of that
+    column's position in the new set.  Only the nonzero minors of one level
+    are expanded, only two levels are alive at once, and no entry is ever
+    divided.
     """
-    return partial(_minor, block, {0: {0: 1}})
-
-
-def _minor(block: list[list[dict]], memo: dict, cols: int) -> dict:
-    val = memo.get(cols)
-    if val is not None:
-        return val
-    row = block[len(block) - cols.bit_count()]
-    acc: dict = {}
-    rest, idx = cols, 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        entry = row[low.bit_length() - 1]
-        if entry:
-            sub = _minor(block, memo, cols ^ low)
-            if sub:
-                _addmul(acc, entry, sub, idx % 2)
-        idx += 1
-    val = memo[cols] = _cleaned(acc)
-    return val
+    level: dict = {0: {0: 1}}
+    for row in reversed(block):
+        entries = [(1 << j, e) for j, e in enumerate(row) if e]
+        sums: dict = {}
+        for cols, sub in level.items():
+            for bit, entry in entries:
+                if not cols & bit:
+                    _addmul(sums.setdefault(cols | bit, {}), entry, sub, (cols & (bit - 1)).bit_count() % 2)
+        del level  # free the level below before this one is cleaned
+        level = {cols: m for cols, acc in sums.items() if (m := _cleaned(acc))}
+    return level
 
 
 def det_expand(M) -> Entry:
-    """Exact, division-free determinant by memoized first-row expansion.
+    """Exact, division-free determinant by minor expansion.
 
-    Costs one product per (column subset, column) pair, 2^n subsets in all,
-    so it suits small matrices over polynomial rings where Bareiss would
-    need exact polynomial division.  Every entry is packed once (see
+    The minors of :func:`_minors` cost one product per pair of a nonzero
+    minor and a nonzero entry in a free column, at most 2^n column sets in
+    all, so it suits small matrices over polynomial rings where Bareiss
+    would need exact polynomial division.  Every entry is packed once (see
     :func:`_pack_matrix`) and the result is unpacked once; a matrix of
     numbers gives a number.
     """
     A = _rows(M)
     rows, names, w = _pack_matrix(A)
-    return _unpacked(_minors(rows)((1 << len(A)) - 1), names, w)
+    return _unpacked(_minors(rows).get((1 << len(A)) - 1, {}), names, w)
 
 
 def det_laplace_split(M) -> Entry:
@@ -294,9 +280,9 @@ def det_laplace_split(M) -> Entry:
     det = sum over d-column subsets S of
           (-1)^(sum(S) + d(d-1)/2) * minor(top, S) * minor(bottom, S^c).
 
-    Minors come from the packed kernel of :func:`det_expand`, memoized and
-    shared across subsets, so the whole sum costs far less than C(2d, d)
-    independent determinants.
+    Both blocks' minors come from :func:`_minors`, the kernel of
+    :func:`det_expand`; the sum runs over the top block's nonzero minors
+    and looks up each complement among the bottom block's.
     """
     A = _rows(M)
     n = len(A)
@@ -304,19 +290,14 @@ def det_laplace_split(M) -> Entry:
         raise ValueError("split expansion needs an even-sized matrix")
     d = n // 2
     rows, names, w = _pack_matrix(A)
-    minor_top = _minors(rows[:d])
-    minor_bottom = _minors(rows[d:])
+    bottom = _minors(rows[d:])
     base_sign = d * (d - 1) // 2
     full = (1 << n) - 1
     acc: dict = {}
-    for S in combinations(range(n), d):
-        cols = sum(1 << c for c in S)
-        t = minor_top(cols)
-        if not t:
-            continue
-        b = minor_bottom(full ^ cols)
+    for cols, t in _minors(rows[:d]).items():
+        b = bottom.get(full ^ cols)
         if b:
-            _addmul(acc, t, b, (sum(S) + base_sign) % 2)
+            _addmul(acc, t, b, (sum(j for j in range(n) if cols >> j & 1) + base_sign) % 2)
     return _unpacked(_cleaned(acc), names, w)
 
 

@@ -13,6 +13,7 @@ from chowforms import (
     form_gcd,
     form_gcd_all,
     format_terms,
+    parse_rational,
     parse_terms,
     poly_divides,
 )
@@ -221,6 +222,39 @@ def test_parse_accepts_starred_eps():
     names = UV + ("eps",)
     p = parse_terms("+2 * u0^1 v1^1 * eps^3", names)
     assert p == 2 * MPoly.monomial(names, (1, 0, 0, 1, 3))
+
+
+def test_round_trip_keeps_the_wire_format():
+    names = ("x", "y")
+    text = "+3 * x^2\n-1/2 * x^1 y^1\n+7/3 * y^1\n-5"
+    p = parse_terms(text, names)
+    assert format_terms(p) == text
+    assert parse_terms(format_terms(p), names) == p
+    assert parse_terms("0", names) == MPoly.zero(names) and format_terms(MPoly.zero(names)) == "0"
+
+
+def test_parse_rational_reads_its_grammar():
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+6/4") == Fraction(3, 2)
+    assert parse_rational("007") == 7
+    assert parse_rational("-0") == 0
+
+
+# Decimals, underscores, exponents and zero denominators, all of which
+# Fraction(text) would take or raise ZeroDivisionError on.
+OUTSIDE_THE_GRAMMAR = ["1.5", "1_0", "1e3", "1e10000000", "1/0", "-3/0", "0x10", "1/2/3", "", "+", "1/-2", "١٢"]
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR + [None, 3])
+def test_parse_rational_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR[:6])
+def test_parse_terms_rejects_coefficients_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="line 2: invalid coefficient"):
+        parse_terms(f"+1 * x^1\n{text} * x^1", ["x"])
 
 
 # -- BinaryForm basics -------------------------------------------------------

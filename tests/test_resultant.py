@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -272,8 +273,9 @@ def test_laplace_equals_bareiss_on_symbolic_instances():
 
 
 def test_minor_expansion_leaves_no_reference_cycles():
-    # Memoized minors must be freed by reference counting when the
-    # determinant returns, not held until the cyclic collector runs.
+    # Each level of minors must be freed by reference counting once the
+    # next level is built, and the last when the determinant returns, not
+    # held until the cyclic collector runs.
     import gc
 
     from chowforms import CurveMap, cayley_biform, det_expand
@@ -378,3 +380,105 @@ def test_laplace_split_on_fraction_sylvester_matrices():
         )
         M = sylvester(h1, h2)
         assert det_laplace_split(M) == det_bareiss(M)
+
+
+# -- minor kernel edge cases -------------------------------------------------------
+
+
+def _inversion_sign(perm):
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_permutation_matrices_give_their_sign(n):
+    for perm in itertools.permutations(range(n)):
+        M = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        sign = _inversion_sign(perm)
+        value = det_expand(M)
+        assert value == det_bareiss(M) == naive_det(M) == sign and type(value) is int
+        if n % 2 == 0:
+            assert det_laplace_split(M) == sign
+
+
+def _zero_patterns(rng, n, entry):
+    """n x n matrices whose determinant vanishes for structural reasons: a
+    zero row, a zero column, and nonzero entries confined to a pattern
+    with no perfect matching (rows 0..2 meet only columns 0 and 1)."""
+    full = [[entry() for _ in range(n)] for _ in range(n)]
+    row = [r[:] for r in full]
+    row[rng.randrange(n)] = [0] * n
+    col = [r[:] for r in full]
+    j = rng.randrange(n)
+    for r in col:
+        r[j] = 0
+    hall = [[x if i > 2 or c < 2 else 0 for c, x in enumerate(r)] for i, r in enumerate(full)]
+    return row, col, hall
+
+
+def test_structurally_singular_numeric_matrices_give_the_int_zero():
+    rng = random.Random(103)
+    for n in (4, 5, 6):
+        for M in _zero_patterns(rng, n, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 3))):
+            assert naive_det(M) == 0
+            for value in (det_expand(M), det_bareiss(M)) + ((det_laplace_split(M),) if n % 2 == 0 else ()):
+                assert value == 0 and type(value) is int
+
+
+def test_structurally_singular_polynomial_matrices_give_the_ring_zero():
+    rng = random.Random(107)
+    names = ("a", "b", "c")
+    zero = MPoly.zero(names)
+    for n in (4, 5, 6):
+        for M in _zero_patterns(rng, n, lambda: _sparse_poly(rng, names, 2, 2) + 1):
+            M = [[x if isinstance(x, MPoly) else zero for x in r] for r in M]
+            assert naive_det(M) == zero
+            for value in (det_expand(M), det_bareiss(M)) + ((det_laplace_split(M),) if n % 2 == 0 else ()):
+                assert isinstance(value, MPoly) and value.names == names and value == zero
+
+
+def _block_diagonal(A, B, zero):
+    k, m = len(A), len(B)
+    return [list(r) + [zero] * m for r in A] + [[zero] * k + list(r) for r in B]
+
+
+def test_block_diagonal_determinant_is_the_product_of_the_blocks():
+    rng = random.Random(109)
+    names = ("a", "b")
+    zero = MPoly.zero(names)
+    for k, m in ((1, 3), (2, 2), (3, 2), (3, 3)):
+        A = [[_sparse_poly(rng, names, 2, rng.randint(0, 2)) for _ in range(k)] for _ in range(k)]
+        B = [[_sparse_poly(rng, names, 2, rng.randint(0, 2)) for _ in range(m)] for _ in range(m)]
+        M = _block_diagonal(A, B, zero)
+        expected = naive_det(A) * naive_det(B)
+        assert det_expand(M) == det_bareiss(M) == naive_det(M) == expected
+        if k == m:
+            assert det_laplace_split(M) == expected
+        N = _block_diagonal(
+            [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)],
+            [[Fraction(rng.randint(-4, 4), 2) for _ in range(m)] for _ in range(m)],
+            0,
+        )
+        assert det_expand(N) == det_bareiss(N) == naive_det(N)
+
+
+def test_laplace_split_with_a_zero_leading_coefficient():
+    # coeffs[0] = 0 puts a root at (1, 0): the first column of the form's
+    # Sylvester block is zero there.  Both forms so: a common root, so 0.
+    rng = random.Random(113)
+    for _ in range(12):
+        d = rng.randint(1, 4)
+        h1 = BinaryForm([0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)])
+        h2 = BinaryForm([rng.randint(-6, 6) for _ in range(d + 1)])
+        for a, b in ((h1, h2), (h2, h1)):
+            M = sylvester(a, b)
+            assert det_laplace_split(M) == det_bareiss(M) == naive_det(M.entries)
+        both = det_laplace_split(sylvester(h1, BinaryForm([0] + list(h2.coeffs[1:]))))
+        assert both == 0 and type(both) is int
+    names = uv_names(1)
+    h1 = BinaryForm([0] + [MPoly.var(names, x) for x in ("u0", "u1")])
+    h2 = BinaryForm([MPoly.var(names, "v0"), 0, MPoly.var(names, "v1")])
+    M = sylvester(h1, h2)
+    assert det_laplace_split(M) == det_bareiss(M) == naive_det(M.entries)
+    zero = det_laplace_split(sylvester(h1, BinaryForm([0, MPoly.var(names, "v0"), MPoly.var(names, "v1")])))
+    assert isinstance(zero, MPoly) and zero == MPoly.zero(names)
