@@ -39,6 +39,7 @@ from .oracle import CurveCheck, base_locus_free, check_curve, incident_oracle, m
 from .polynomial import (
     BinaryForm,
     MPoly,
+    PackedTerms,
     content_primitive,
     contract,
     form_gcd,
@@ -66,6 +67,7 @@ __all__ = [
     "CurveMap",
     "MPoly",
     "NotBirational",
+    "PackedTerms",
     "Plane",
     "PluckerRep",
     "SylvesterMatrix",

@@ -36,9 +36,13 @@ determinant of the Bezout p-form, and ``degenerate`` compares limits with
 products of Chow forms on it.  :func:`plucker_rewrite` peels the normal
 form off a given biform instead, and proves it by a round trip.  Both
 directions between p and (u, v) work on monomials packed into one int each
-(:func:`wedge_expand`, :func:`plucker_rewrite`, :func:`plucker_normal_form`);
-a family's eps-orders pass through :func:`wedge_expand` as Kronecker slots
-of its coefficients (:func:`kronecker`), all in one expansion.
+(:func:`wedge_terms`, :func:`plucker_rewrite`, :func:`plucker_normal_form`).
+:func:`wedge_terms` keeps them packed to the end: it sorts its keys once
+and returns them as :class:`~chowforms.polynomial.PackedTerms`, in the
+order the writers print, with no exponent tuple built;
+:func:`wedge_expand` is its MPoly view for library callers.  A family's
+eps-orders pass through :func:`wedge_terms` as Kronecker slots of its
+coefficients (:func:`kronecker`), all in one expansion.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .oracle import check_curve
 from .polynomial import (
     BinaryForm,
     MPoly,
+    PackedTerms,
     ScalarLike,
     content_primitive,
     field_bytes,
@@ -75,6 +80,7 @@ __all__ = [
     "contraction_resultant",
     "bezout_pform",
     "pform_scale",
+    "wedge_terms",
     "wedge_expand",
     "kronecker",
     "normalized_expansion",
@@ -328,10 +334,10 @@ def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[lis
     """``table[t][e]`` lists (u_k v_l - u_l v_k)^e, for the t-th pair k < l
     of :func:`_pair_vars` and e <= tops[t], as (packed monomial, int) pairs,
     leading term first; u is variables 0..m-1 and v is m..2m-1 of nv."""
+    unit = [pack((0,) * i + (1,) + (0,) * (nv - 1 - i), w) for i in range(nv)]
     table = []
     for ((k, l), _), top in zip(_pair_vars(m), tops):
-        a = pack([i in (k, m + l) for i in range(nv)], w)  # u_k v_l
-        b = pack([i in (l, m + k) for i in range(nv)], w)  # u_l v_k
+        a, b = unit[k] + unit[m + l], unit[l] + unit[m + k]  # u_k v_l and u_l v_k
         table.append([
             [(i * a + (e - i) * b, (-1) ** (e - i) * math.comb(e, i)) for i in range(e, -1, -1)]
             for e in range(top + 1)
@@ -339,30 +345,33 @@ def _wedge_powers(m: int, nv: int, w: int, tops: Sequence[int]) -> list[list[lis
     return table
 
 
-def _expand_monomial(pexps, table, base: int, c) -> list:
-    """c * base * prod_t table[t][pexps[t]], packed; a monomial may repeat."""
+def _expand_monomial(pexps, table, base: int, c) -> tuple[list, list]:
+    """c * base * prod_t table[t][pexps[t]], packed, as (acc, last): the
+    product is the terms (k1 + k2, c1 * c2) over acc and last, the last
+    factor left out of acc so that a caller sums it straight into its
+    result; a monomial may repeat."""
+    factors = [table[t][e] for t, e in enumerate(pexps) if e] or [[(0, 1)]]
     acc = [(base, c)]
-    for t, e in enumerate(pexps):
-        if e:
-            acc = [(k1 + k2, c1 * c2) for k1, c1 in acc for k2, c2 in table[t][e]]
-    return acc
+    for f in factors[:-1]:
+        acc = [(k1 + k2, c1 * c2) for k1, c1 in acc for k2, c2 in f]
+    return acc, factors[-1]
 
 
-def wedge_expand(pform: MPoly, m: int) -> MPoly:
+def wedge_terms(pform: MPoly, m: int) -> PackedTerms:
     """Substitute p_kl -> u_k v_l - u_l v_k into ``pform``, whose ring is
     the pair variables of m forms in :func:`bezout_pform` order (names
-    aside), then eps or nothing.  The result's ring is
-    ``uv_names(m - 1, eps=...)``, with eps when ``pform`` has it.  Terms
-    are expanded and summed packed, and unpacked once in descending order
-    of their packed keys, which is descending lex order.  So an eps-free
-    result whose terms share one total degree, as every biform's do,
-    holds its terms in the graded-lex order of
-    :meth:`~chowforms.polynomial.MPoly.sorted_terms`, and a writer's sort
-    of them is one linear run; with eps, total degrees mix and only lex
-    order holds.  Raises ValueError
-    when the ring has fewer variables than pairs, or when the variables
-    after the pairs are not () or (eps,), with the message of
-    :func:`bezout_pform`."""
+    aside), then eps or nothing, and return the terms packed, in output
+    order.  The result's ring is ``uv_names(m - 1, eps=...)``, with eps
+    when ``pform`` has it.  Terms are expanded and summed packed, and
+    sorted once by descending packed key, which is descending lex order.
+    When every term has one total degree, as the expansion of a
+    homogeneous eps-free p-form does, that is graded-lex order; when the
+    p-form's terms expand to more than one total degree, as with eps, a
+    stable sort by descending degree follows.  So the items are always in
+    the order of :meth:`~chowforms.polynomial.MPoly.sorted_terms`, and the
+    writers print them as they stand.  Raises ValueError when the ring has
+    fewer variables than pairs, or when the variables after the pairs are
+    not () or (eps,), with the message of :func:`bezout_pform`."""
     npairs = m * (m - 1) // 2
     if len(pform.names) < npairs:
         raise ValueError(f"p-form ring has fewer variables than the {npairs} pairs of {m} forms")
@@ -378,14 +387,27 @@ def wedge_expand(pform: MPoly, m: int) -> MPoly:
     out: dict[int, ScalarLike] = {}
     get = out.get
     for exps, c in pform.terms.items():
-        base = pack(exps[npairs:], w)  # the coefficient variables come last
-        for key, x in _expand_monomial(exps[:npairs], table, base, c):
-            out[key] = get(key, 0) + x
+        base = pack(exps[npairs:], w) if ring else 0  # the coefficient variables come last
+        acc, last = _expand_monomial(exps[:npairs], table, base, c)
+        for k1, c1 in acc:
+            for k2, c2 in last:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
     # Sums that cancel, as in every exact straightening check, are dropped
     # before the sort.
     keys = sorted([k for k, c in out.items() if c], reverse=True)
-    terms = {unpack(k, nv, w): c if type(c) is int else rational(c) for k in keys for c in (out[k],)}
-    return MPoly._trusted(names, terms)
+    # A term of p-degree e and eps-degree s expands to total degree 2e + s.
+    degrees = {2 * sum(e) - e[-1] for e in pform.terms} if ring else set(map(sum, pform.terms))
+    if len(degrees) > 1:
+        keys.sort(key=lambda k: sum(unpack(k, nv, w)), reverse=True)
+    if all(type(c) is int for c in pform.terms.values()):
+        return PackedTerms(names, w, list(zip(keys, map(out.__getitem__, keys))))
+    return PackedTerms(names, w, [(k, rational(out[k])) for k in keys])
+
+
+def wedge_expand(pform: MPoly, m: int) -> MPoly:
+    """:func:`wedge_terms` as an MPoly, its terms stored in output order."""
+    return wedge_terms(pform, m).mpoly()
 
 
 def _denominator_lcm(forms: Sequence[BinaryForm]) -> int:
@@ -410,13 +432,13 @@ def cayley_biform(f: CurveMap) -> CayleyBiform:
     return CayleyBiform._trusted(f.n, f.d, contraction_resultant(f.components))
 
 
-def normalized_expansion(pform: MPoly, m: int) -> MPoly:
-    """``wedge_expand(pform, m)`` normalized as :meth:`CayleyBiform.normalized`
+def normalized_expansion(pform: MPoly, m: int) -> PackedTerms:
+    """``wedge_terms(pform, m)`` normalized as :meth:`CayleyBiform.normalized`
     does: primitive integer coefficients, positive graded-lex leading term,
-    in :func:`wedge_expand`'s term order; zero when the expansion is.
-    ``pform`` has int coefficients in the pair variables of m forms, no eps,
-    such as the determinant of :func:`bezout_pform`, whose normalized
-    expansion is the normalized Chow form with no :func:`pform_scale` division.
+    in output order; zero when the expansion is.  ``pform`` has int
+    coefficients in the pair variables of m forms, no eps, such as the
+    determinant of :func:`bezout_pform`, whose normalized expansion is the
+    normalized Chow form with no :func:`pform_scale` division.
 
     The p-form is divided by its content before it is expanded, so the
     expansion runs on smaller ints, and the expansion's first term, its
@@ -424,26 +446,13 @@ def normalized_expansion(pform: MPoly, m: int) -> MPoly:
     standard, and standard monomials map to their expansions by a
     unitriangular matrix over Z (:func:`plucker_form`), so the expansion is
     primitive already; for n >= 3 a p-form may carry Plucker-relation
-    terms, and the expansion's content can exceed its own.  A gcd pass over
-    the expansion, which stops at the first gcd of 1, finishes the job: the
-    terms are divided only when it ends above 1."""
+    terms, and the expansion's content can exceed its own.
+    :meth:`~chowforms.polynomial.PackedTerms.normalized` finishes the job
+    with a gcd pass that stops at the first gcd of 1."""
     g = math.gcd(*pform.terms.values())
     if g > 1:
         pform = MPoly._trusted(pform.names, {e: c // g for e, c in pform.terms.items()})
-    out = wedge_expand(pform, m)
-    if out.is_zero:
-        return out
-    terms = out.terms
-    g = 0
-    for c in terms.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if next(iter(terms.values())) < 0:
-        g = -g
-    if g == 1:
-        return out
-    return MPoly._trusted(out.names, {e: c // g for e, c in terms.items()})
+    return wedge_terms(pform, m).normalized()
 
 
 def incident(ca: CayleyBiform, plane: Plane) -> bool:
@@ -577,11 +586,14 @@ def plucker_rewrite(ca: CayleyBiform) -> PluckerRep:
         rep[tuple(pexps)] = c
         # The expansion's leading term is lead, with coefficient 1; every
         # other term is below it, so only terms still to be peeled change.
-        for key, x in _expand_monomial(pexps, table, 0, c):
-            if key != lead:
-                if key not in rest:
-                    heapq.heappush(heap, -key)
-                rest[key] = rest.get(key, 0) - x
+        acc, last = _expand_monomial(pexps, table, 0, c)
+        for k1, c1 in acc:
+            for k2, c2 in last:
+                key = k1 + k2
+                if key != lead:
+                    if key not in rest:
+                        heapq.heappush(heap, -key)
+                    rest[key] = rest.get(key, 0) - c1 * c2
     out = PluckerRep(ca.n, ca.d, MPoly(pnames, rep))
     if out.expand().poly != ca.poly:
         raise RuntimeError("plucker rewrite failed to round-trip")
@@ -640,7 +652,7 @@ def plucker_normal_form(pform: MPoly, m: int) -> MPoly:
         c = diff.pop(exps, 0) - c
         if c:
             diff[exps] = c
-    if diff and not wedge_expand(MPoly._trusted(pform.names, diff), m).is_zero:
+    if diff and wedge_terms(MPoly._trusted(pform.names, diff), m):
         raise RuntimeError("Plucker straightening failed its exact check")
     return MPoly._trusted(pform.names, std)
 

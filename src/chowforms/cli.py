@@ -42,7 +42,7 @@ from .chow import (
     normalized_expansion,
     pform_scale,
     plucker_form,
-    uv_names,
+    wedge_terms,
 )
 from .curves import CurveMap, Plane
 from .degeneration import (
@@ -53,7 +53,7 @@ from .degeneration import (
     pform_factor_check,
 )
 from .oracle import check_curve, incident_oracle
-from .polynomial import format_terms, monomial_writer, parse_rational
+from .polynomial import PackedTerms, format_terms, parse_rational
 from .resultant import det_expand
 
 __all__ = ["main", "entry"]
@@ -137,17 +137,16 @@ def parse_plane(spec: str, n: int) -> Plane:
         raise InputError(str(exc)) from None
 
 
-def _terms_json(poly, pad: str) -> str:
+def _terms_json(terms: PackedTerms, pad: str) -> str:
     """``json.dumps(..., indent=2)`` text of the list of
-    ``{"coeff": str(c), "exps": [...]}`` objects of a polynomial's terms,
-    placed at indentation ``pad``.  Written out directly: with an indent,
-    ``json.dumps`` runs the pure-Python encoder, and a coefficient string
-    (digits, "-" and "/") and the exponents need no escaping.  As in
-    :func:`~chowforms.polynomial.monomial_writer`, each half of an exponent
-    vector is written once and then looked up, since a biform's terms pair
-    few distinct u-halves with few distinct v-halves; the first half ends
+    ``{"coeff": str(c), "exps": [...]}`` objects of packed terms, in their
+    order, placed at indentation ``pad``.  Written out directly: with an
+    indent, ``json.dumps`` runs the pure-Python encoder, and a coefficient
+    string (digits, "-" and "/") and the exponents need no escaping.  Each
+    half of an exponent list is written once
+    (:meth:`~chowforms.polynomial.PackedTerms.halves`); the first half ends
     in the separator, so an empty one (a ring of one variable) adds none."""
-    if not poly.terms:
+    if not terms:
         return "[]"
     inner = pad + "  "
     field = inner + "  "
@@ -155,38 +154,32 @@ def _terms_json(poly, pad: str) -> str:
     head = f'{inner}{{\n{field}"coeff": "'
     mid = f'",\n{field}"exps": [\n{field}  '
     tail = f"\n{field}]\n{inner}}}"
-    h = len(poly.names) // 2
-    low_memo: dict[tuple[int, ...], str] = {}
-    high_memo: dict[tuple[int, ...], str] = {}
-    items = []
-    for exps, c in poly.sorted_terms():
-        part = exps[:h]
-        a = low_memo.get(part)
-        if a is None:
-            a = low_memo[part] = "".join([f"{e}{sep}" for e in part])
-        part = exps[h:]
-        b = high_memo.get(part)
-        if b is None:
-            b = high_memo[part] = sep.join(map(str, part))
-        items.append(f"{head}{c!s}{mid}{a}{b}{tail}")
-    body = ",\n".join(items)
+
+    def low(_, part):
+        return mid + "".join([f"{e}{sep}" for e in part])
+
+    def high(_, part):
+        return sep.join(map(str, part)) + tail
+
+    body = ",\n".join([f"{head}{c!s}{a}{b}" for a, b, c in terms.halves(low, high)])
     return f"[\n{body}\n{pad}]"
 
 
-def _compute_json(ca: CayleyBiform, rep) -> str:
-    """The ``compute --json`` document, byte for byte
-    ``json.dumps(doc, indent=2)``: the small header goes through ``json``,
-    and the term lists are spliced in where their markers stand."""
-    doc = {"n": ca.n, "d": ca.d, "variables": list(ca.poly.names), "terms": "@biform"}
+def _compute_json(n: int, d: int, terms: PackedTerms, rep) -> str:
+    """The ``compute --json`` document of the biform ``terms`` on P^n of
+    degree d, byte for byte ``json.dumps(doc, indent=2)``: the small header
+    goes through ``json``, and the term lists are spliced in where their
+    markers stand."""
+    doc = {"n": n, "d": d, "variables": list(terms.names), "terms": "@biform"}
     if rep is not None:
         doc["plucker"] = {
             "variables": list(rep.poly.names),
             "canonical": rep.canonical,
             "terms": "@plucker",
         }
-    text = json.dumps(doc, indent=2).replace('"@biform"', _terms_json(ca.poly, "  "))
+    text = json.dumps(doc, indent=2).replace('"@biform"', _terms_json(terms, "  "))
     if rep is not None:
-        text = text.replace('"@plucker"', _terms_json(rep.poly, "    "))
+        text = text.replace('"@plucker"', _terms_json(PackedTerms.of(rep.poly), "    "))
     return text
 
 
@@ -201,14 +194,14 @@ def _warn_if_degenerate(f: CurveMap) -> None:
         )
 
 
-def _chow_form(f: CurveMap) -> CayleyBiform:
+def _chow_terms(f: CurveMap) -> PackedTerms:
     """The normalized Chow biform of f, ``cayley_biform(f).normalized()``,
-    expanded from the Bezout p-form's determinant; a base point makes it
-    zero (exit 3)."""
-    poly = normalized_expansion(det_expand(bezout_pform(f.components)), f.n + 1)
-    if poly.is_zero:
+    as packed terms in output order, expanded from the Bezout p-form's
+    determinant; a base point makes it zero (exit 3)."""
+    terms = normalized_expansion(det_expand(bezout_pform(f.components)), f.n + 1)
+    if not terms:
         raise DegenerateInput(_BASE_LOCUS)
-    return CayleyBiform._trusted(f.n, f.d, poly)
+    return terms
 
 
 def _plucker_form(f: CurveMap):
@@ -229,11 +222,11 @@ def cmd_compute(args) -> int:
     # The biform printed with a Plucker form is that form's expansion: the
     # normalized biform, term for term.
     rep = _plucker_form(f) if args.plucker else None
-    ca = _chow_form(f) if rep is None else rep.expand()
+    terms = _chow_terms(f) if rep is None else wedge_terms(rep.poly, f.n + 1)
     if args.json:
-        print(_compute_json(ca, rep))
+        print(_compute_json(f.n, f.d, terms, rep))
     else:
-        print(f"biform n={ca.n} d={ca.d}\n{format_terms(ca.poly)}")
+        print(f"biform n={f.n} d={f.d}\n{format_terms(terms)}")
         if rep is not None:
             _print_plucker(rep)
     return 0
@@ -249,7 +242,7 @@ def cmd_incident(args) -> int:
     plane = parse_plane(args.plane, f.n)
     verdicts = {}
     if args.method in ("chow", "both"):
-        verdicts["chow"] = incident(_chow_form(f), plane)
+        verdicts["chow"] = incident(CayleyBiform._trusted(f.n, f.d, _chow_terms(f).mpoly()), plane)
     if args.method in ("oracle", "both"):
         try:
             verdicts["oracle"] = incident_oracle(f, plane)
@@ -310,7 +303,7 @@ def cmd_degenerate(args) -> int:
     # The table lists every eps order, so only that path expands the whole
     # determinant; its limit is the lowest order, and its p-coefficient is
     # read off the same determinant.  Normalization removes the scale.
-    m, d = f.n + 1, family[0].degree
+    d = family[0].degree
     if args.emit_eps_table:
         pform, orders = family_orders(family)
         if not orders:
@@ -322,7 +315,6 @@ def cmd_degenerate(args) -> int:
             pform, w = limit_pform(family)
         except ValueError:
             raise DegenerateInput(_ZERO_FAMILY) from None
-    limit = CayleyBiform._trusted(f.n, d, w).normalized()
     # A base point in f or g already makes the family zero.  The check runs
     # on Plucker normal forms, so no component biform is built.
     try:
@@ -332,10 +324,10 @@ def cmd_degenerate(args) -> int:
     # By Gauss's lemma the normalized expansion of the product is the product
     # of the normalized component Chow forms.  Where the factors check holds,
     # it equals the limit term for term and its text is written once.
-    body = format_terms(limit.poly)
+    body = format_terms(w.normalized())
     print(f"limit n={f.n} d={d}\n{body}")
     if not factors:
-        body = format_terms(normalized_expansion(product, m))
+        body = format_terms(normalized_expansion(product, f.n + 1))
     print(f"product n={f.n} d={d}\n{body}")
     print(f"FACTORS:{'yes' if factors else 'no'}")
     return 0 if factors else 4
@@ -347,16 +339,14 @@ def _write_eps_table(path: str, family, orders: dict) -> None:
     :func:`~chowforms.degeneration.family_orders` reads off one expansion
     of the Kronecker-coded family determinant, and q =
     :func:`~chowforms.chow.pform_scale`.  Each quotient is written in
-    lowest terms from one gcd, the text of ``str(Fraction(c, q))``.  A
-    monomial's text is written once and reused across the orders."""
+    lowest terms from one gcd, the text of ``str(Fraction(c, q))``.  Each
+    order is written from its packed terms, in their order."""
     q = pform_scale(family)
     negate, q = q < 0, abs(q)
-    write = monomial_writer(uv_names(len(family) - 1))
-    text: dict[tuple[int, ...], str] = {}
     lines = ["# eps_order\tmonomial\tcoeff"]
     for k, w in orders.items():
-        for exps, c in w.sorted_terms():
-            mono = text.get(exps) or text.setdefault(exps, write(exps) or "1")
+        for mono, c in w.monomials():
+            mono = mono or "1"
             g = math.gcd(c, q)
             num = (-c if negate else c) // g
             coeff = num if g == q else f"{num}/{q // g}"

@@ -32,13 +32,14 @@ carries every order below K in slots of its coefficients.
 :func:`limit_pform` starts K from the min-plus bound on the valuation of
 det M', 0 on every join probed, so the first try is det M' at eps = 0,
 and only the lowest surviving order is substituted into (u, v).  It
-returns that order's p-coefficient L with its expansion, and
+returns that order's p-coefficient L with its expansion, packed terms in
+output order (:class:`~chowforms.polynomial.PackedTerms`), and
 :func:`family_limit` is the normalized expansion.  :func:`family_orders`
 keeps every order: the coded determinant goes straight into one
-:func:`~chowforms.chow.wedge_expand`, every order W_k is read back at
-once as an integer (u, v) polynomial, the eps table
-(``--emit-eps-table``) is written from those, and its L is read off the
-same coded determinant.  :func:`pform_factor_check` tests that L factors into
+:func:`~chowforms.chow.wedge_terms`, one pass over its packed output
+splits it into the orders W_k, integer (u, v) biforms that stay packed
+and in output order, the eps table (``--emit-eps-table``) is written from
+those, and its L is read off the same coded determinant.  :func:`pform_factor_check` tests that L factors into
 the component Chow forms on Plucker normal forms, where
 :func:`boundary_factor_check` multiplies (u, v) biforms.
 :func:`family_biform` is the reference route: it also expands every
@@ -62,10 +63,10 @@ from .chow import (
     kronecker,
     plucker_normal_form,
     proportional,
-    wedge_expand,
+    wedge_terms,
 )
 from .curves import CurveMap, act_gl2
-from .polynomial import BinaryForm, MPoly, content_primitive, rational
+from .polynomial import BinaryForm, MPoly, PackedTerms, content_primitive, rational
 from .resultant import det_expand
 
 __all__ = [
@@ -199,22 +200,24 @@ def limit_direction(ca: CayleyBiform) -> CayleyBiform:
     return CayleyBiform(ca.n, ca.d, MPoly(ca.poly.names[:-1], low)).normalized()
 
 
-def family_orders(components: Sequence[BinaryForm]) -> tuple[MPoly, dict[int, MPoly]]:
+def family_orders(components: Sequence[BinaryForm]) -> tuple[MPoly, dict[int, PackedTerms]]:
     """(L, orders) for the whole family determinant D, the determinant of
     its Bezout p-form: ``orders`` maps each k with a nonzero W_k to W_k, k
     ascending, and L is the eps^k p-coefficient of D for the least such k,
     in the pair variables; a zero family gives (0, {}).
 
     W_k is the eps^k coefficient of D with p_kl -> u_k v_l - u_l v_k
-    substituted, an integer (d, d) biform polynomial in ``uv_names(n)``.
+    substituted, an integer (d, d) biform in ``uv_names(n)``, as packed
+    terms in output order.
     The family biform is their sum sum_k eps^k W_k / q, q =
     :func:`~chowforms.chow.pform_scale`, so its eps^k coefficient is
     W_k / q and its limit is W_k normalized for the least k.  D is
     eps^s det M' (:func:`_valuation_scaled`), and det M' is taken once, on
     ints that code its eps polynomials in Kronecker slots
     (:func:`_coded_det`), which go straight into one
-    :func:`~chowforms.chow.wedge_expand`: each (u, v) coefficient is read
-    back once, slot k landing at order s + k.  The expansion of a
+    :func:`~chowforms.chow.wedge_terms`: one pass over its packed output
+    reads each (u, v) coefficient back once, slot k landing at order
+    s + k, and each order keeps the output order.  The expansion of a
     p-monomial of degree d has absolute coefficient sum at most 2^d (d
     factors of two terms, each +-1), so the slots get d bits of headroom.
     L is read off the same coded determinant.  Raises ValueError where
@@ -222,11 +225,12 @@ def family_orders(components: Sequence[BinaryForm]) -> tuple[MPoly, dict[int, MP
     """
     matrix, s = _valuation_scaled(_eps_pform(components))
     det, digits = _coded_det(matrix, headroom=len(matrix))
-    orders = _slots(wedge_expand(det, len(components)), digits)
+    coded = wedge_terms(det, len(components))
+    orders = _slots(coded.items, digits)
     if not orders:
         return MPoly._trusted(det.names, {}), {}
-    low = min(orders)
-    return _slots(det, digits)[low], {s + k: w for k, w in orders.items()}
+    low = dict(_slots(det.terms.items(), digits)[min(orders)])
+    return MPoly._trusted(det.names, low), {s + k: coded._replace(items=w) for k, w in orders.items()}
 
 
 def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
@@ -242,14 +246,15 @@ def family_limit(components: Sequence[BinaryForm]) -> CayleyBiform:
     does.
     """
     _, w = limit_pform(components)
-    return CayleyBiform._trusted(len(components) - 1, components[0].degree, w).normalized()
+    return CayleyBiform._trusted(len(components) - 1, components[0].degree, w.normalized().mpoly())
 
 
-def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
+def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, PackedTerms]:
     """(L, W) for the limit of the family: L is the p-coefficient of the
     family determinant at the least eps-order whose expansion into (u, v)
     is nonzero, in the pair variables, and W that expansion, an integer
-    (d, d) biform polynomial in ``uv_names(n)``.
+    (d, d) biform in ``uv_names(n)``, as the packed terms of
+    :func:`~chowforms.chow.wedge_terms` in output order.
 
     The determinant D of the Bezout p-form M
     (:func:`~chowforms.chow.bezout_pform`) is eps^s det M', M' the p-form
@@ -285,8 +290,10 @@ def limit_pform(components: Sequence[BinaryForm]) -> tuple[MPoly, MPoly]:
     top = _eps_top(matrix)
     K = bound + 1
     while True:
-        for pform in _slots(*_coded_det(matrix, K)).values():
-            w = wedge_expand(pform, len(components))
+        det, digits = _coded_det(matrix, K)
+        for terms in _slots(det.terms.items(), digits).values():
+            pform = MPoly._trusted(det.names, dict(terms))
+            w = wedge_terms(pform, len(components))
             if w:
                 return pform, w
         if K == top:
@@ -350,7 +357,7 @@ def _coded_det(matrix: list[list[MPoly]], K: Optional[int] = None, headroom: int
     Leibniz term takes one entry per row, so no eps-coefficient of det
     exceeds the product of the rows' coefficient 1-norms; the slots' bound
     is that product shifted left by ``headroom`` bits, room for a later
-    linear map such as :func:`~chowforms.chow.wedge_expand` to act on the
+    linear map such as :func:`~chowforms.chow.wedge_terms` to act on the
     coded ints.
     """
     n = _eps_top(matrix) if K is None else K
@@ -371,16 +378,16 @@ def _coded_det(matrix: list[list[MPoly]], K: Optional[int] = None, headroom: int
     return det_expand([[coded(x) for x in row] for row in matrix]), digits
 
 
-def _slots(coded: MPoly, digits) -> dict[int, MPoly]:
-    """The nonzero slots of a polynomial with coded coefficients, slot
-    ascending: slot k holds the k-th digit of each coefficient, in the
-    same ring and term order."""
-    slots: dict[int, dict] = {}
-    for exps, v in coded.terms.items():
+def _slots(pairs, digits) -> dict[int, list]:
+    """The nonzero slots of (key, coded coefficient) pairs, slot ascending:
+    slot k lists (key, k-th digit) for each pair whose k-th digit is
+    nonzero, in the pairs' order."""
+    slots: dict[int, list] = {}
+    for key, v in pairs:
         for k, x in enumerate(digits(v)):
             if x:
-                slots.setdefault(k, {})[exps] = x
-    return {k: MPoly._trusted(coded.names, slots[k]) for k in sorted(slots)}
+                slots.setdefault(k, []).append((key, x))
+    return {k: slots[k] for k in sorted(slots)}
 
 
 def _valuation_bound(matrix: list[list[MPoly]]) -> Optional[int]:

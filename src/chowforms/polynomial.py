@@ -18,6 +18,12 @@ serialized output) is graded lexicographic: higher total degree first, ties
 broken by comparing exponent tuples left to right, first declared variable
 most significant.
 
+Every writer prints a :class:`PackedTerms`: a polynomial's terms in that
+order, each monomial packed into one int (:func:`pack`).  The wedge kernel
+of :mod:`chowforms.chow` hands over its packed keys as it sorts them, and
+any other MPoly is packed by :meth:`PackedTerms.of`; :func:`format_terms`
+and the CLI's writers read them with no exponent tuple built per term.
+
 A :class:`BinaryForm` is a homogeneous form of declared degree ``d`` in the
 two parameters ``(z0, z1)``, stored densely: ``coeffs[j]`` multiplies
 ``z0**(d-j) * z1**j``.  Coefficients are either numbers in the same normal
@@ -38,7 +44,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from operator import add as _add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 ScalarLike = Union[int, Fraction]
 
@@ -52,7 +58,7 @@ __all__ = [
     "form_gcd",
     "form_gcd_all",
     "format_terms",
-    "monomial_writer",
+    "PackedTerms",
     "parse_rational",
     "parse_terms",
     "rational",
@@ -473,53 +479,107 @@ def poly_divides(a: MPoly, b: MPoly) -> Optional[MPoly]:
 # -- serialization ---------------------------------------------------------
 
 
-def format_terms(p: MPoly) -> str:
+class PackedTerms(NamedTuple):
+    """The terms of a polynomial in output order, each monomial packed.
+
+    ``items`` lists (packed monomial, coefficient) pairs in descending
+    graded-lex order, the order every writer prints; each key is the
+    exponent vector over ``names`` in w-byte fields (:func:`pack`), and
+    each coefficient is nonzero and in the normal form of :func:`rational`.
+    :meth:`of` builds one from an MPoly, :meth:`mpoly` is the tuple view,
+    and :meth:`halves` writes the terms for :func:`format_terms` and the
+    other writers.
+    """
+
+    names: tuple[str, ...]
+    w: int
+    items: list[tuple[int, ScalarLike]]
+
+    @classmethod
+    def of(cls, p: MPoly) -> "PackedTerms":
+        """The terms of p, sorted by :meth:`MPoly.sorted_terms`, packed."""
+        w = field_bytes(max(map(max, p.terms), default=0)) if p.names else 1
+        return cls(p.names, w, [(pack(e, w), c) for e, c in p.sorted_terms()])
+
+    def __bool__(self) -> bool:
+        """True unless this is the zero polynomial, as for an MPoly."""
+        return bool(self.items)
+
+    def mpoly(self) -> MPoly:
+        """The same terms as an MPoly, stored in output order."""
+        nv, w = len(self.names), self.w
+        return MPoly._trusted(self.names, {unpack(k, nv, w): c for k, c in self.items})
+
+    def halves(self, low, high) -> list[tuple[str, str, ScalarLike]]:
+        """(a, b, c) for each term in order: c its coefficient, a the text
+        ``low(names, exps)`` of the first half of its variables, b the text
+        ``high(names, exps)`` of the rest.  Each half is the integer of its
+        fields, and each distinct one is written once and then looked up: a
+        biform's terms pair few distinct u-monomials with few distinct
+        v-monomials.  Each half has its own memo, since a u-part and a
+        v-part can be equal."""
+        nv, w = len(self.names), self.w
+        h = nv // 2
+        first, rest = self.names[:h], self.names[h:]
+        bits = 8 * w * (nv - h)
+        mask = (1 << bits) - 1
+        lows: dict[int, str] = {}
+        highs: dict[int, str] = {}
+        out = []
+        append = out.append
+        for key, c in self.items:
+            part = key >> bits
+            a = lows.get(part)
+            if a is None:
+                a = lows[part] = low(first, unpack(part, h, w))
+            part = key & mask
+            b = highs.get(part)
+            if b is None:
+                b = highs[part] = high(rest, unpack(part, nv - h, w))
+            append((a, b, c))
+        return out
+
+    def monomials(self) -> list[tuple[str, ScalarLike]]:
+        """(text, c) for each term in order: its monomial as ``var^exp``
+        factors, "u0^1 v2^3", and "" for 1."""
+        return [(f"{a} {b}" if a and b else a or b, c) for a, b, c in self.halves(_factors, _factors)]
+
+    def normalized(self) -> "PackedTerms":
+        """Int coefficients divided by their gcd, signed so that the first
+        item, the graded-lex leading term, is positive; the zero polynomial
+        as it is.  The gcd pass stops at the first gcd of 1, and the items
+        are divided only when it ends above 1 or the lead is negative."""
+        g = 0
+        for _, c in self.items:
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        if self.items and self.items[0][1] < 0:
+            g = -g
+        if g in (0, 1):
+            return self
+        return self._replace(items=[(k, c // g) for k, c in self.items])
+
+
+def _factors(names: Sequence[str], exps: Sequence[int]) -> str:
+    return " ".join(f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def format_terms(p: Union[MPoly, PackedTerms]) -> str:
     """One term per line: ``{sign}{coeff} * var^exp var^exp ...``.
 
-    Terms appear in descending graded-lex order; the zero polynomial
-    serializes to the single line ``0``.
+    Terms appear in descending graded-lex order, that of
+    :class:`PackedTerms`, which an MPoly is turned into first; the zero
+    polynomial serializes to the single line ``0``.
     """
-    if p.is_zero:
+    terms = p if isinstance(p, PackedTerms) else PackedTerms.of(p)
+    if not terms:
         return "0"
-    write = monomial_writer(p.names)
     lines = []
-    for exps, c in p.sorted_terms():
+    for mono, c in terms.monomials():
         coeff = f"{c:+d}" if type(c) is int else f"+{c}" if c > 0 else str(c)
-        factors = write(exps)
-        lines.append(f"{coeff} * {factors}" if factors else coeff)
+        lines.append(f"{coeff} * {mono}" if mono else coeff)
     return "\n".join(lines)
-
-
-def monomial_writer(names: Sequence[str]):
-    """The function that writes a monomial of the ring ``names`` from its
-    exponents as ``var^exp`` factors, "u0^1 v2^3", and "" for 1.
-
-    Each half of the exponent vector is written once per writer and then
-    looked up: a biform's terms pair few distinct u-monomials with few
-    distinct v-monomials.  Each half has its own memo, keyed by the half's
-    exponents, since a u-part and a v-part can be equal tuples.
-    """
-    names = tuple(names)
-    h = len(names) // 2
-    low, high = names[:h], names[h:]
-    low_memo: dict[tuple[int, ...], str] = {}
-    high_memo: dict[tuple[int, ...], str] = {}
-
-    def factors(half: tuple[str, ...], part: tuple[int, ...]) -> str:
-        return " ".join(f"{n}^{e}" for n, e in zip(half, part) if e)
-
-    def write(exps: tuple[int, ...]) -> str:
-        part = exps[:h]
-        a = low_memo.get(part)
-        if a is None:
-            a = low_memo[part] = factors(low, part)
-        part = exps[h:]
-        b = high_memo.get(part)
-        if b is None:
-            b = high_memo[part] = factors(high, part)
-        return f"{a} {b}" if a and b else a or b
-
-    return write
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

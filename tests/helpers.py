@@ -321,6 +321,11 @@ def ref_family_orders(components):
     return {k: w for k, w in orders.items() if w}
 
 
+def mpolys(orders):
+    """The packed orders of ``family_orders`` as MPolys, order by order."""
+    return {k: w.mpoly() for k, w in orders.items()}
+
+
 def ref_embed(p, names):
     """p read in the ring ``names``, which contains every variable of p."""
     names = tuple(names)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from chowforms import CurveMap, cayley_biform, det_expand, implicitize_plane_curve, plucker_rewrite
-from chowforms.chow import bezout_pform, wedge_expand
+from chowforms.chow import bezout_pform, wedge_terms
 from chowforms.cli import load_curve, main, parse_plane
-from chowforms.polynomial import format_terms
+from chowforms.polynomial import PackedTerms, format_terms
 from helpers import reference_compute_json
 
 CONIC = {"n": 2, "d": 2, "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
@@ -263,7 +263,7 @@ def test_degenerate_prints_both_blocks_when_the_factors_differ(tmp_path, capsys,
     # The conic's Bezout determinant as the limit p-coefficient, with its
     # expansion, whose normalized form is ``wrong``.
     pform = det_expand(bezout_pform(conic.components))
-    monkeypatch.setattr(cli, "limit_pform", lambda family: (pform, wedge_expand(pform, 3)))
+    monkeypatch.setattr(cli, "limit_pform", lambda family: (pform, wedge_terms(pform, 3)))
     product = cayley_biform(load_curve(pf)).normalized() * cayley_biform(load_curve(pg)).normalized()
     assert (wrong.n, wrong.d) == (product.n, product.d) and wrong.poly != product.poly
     code, out, _ = run(capsys, ["degenerate", pf, pg])
@@ -488,7 +488,7 @@ def test_plucker_output_skips_the_uv_biform(tmp_path, capsys, monkeypatch, argv)
     ca = cayley_biform(f).normalized()
     rep = plucker_rewrite(ca)
     if "--json" in argv:
-        expected = _compute_json(ca, rep) + "\n"
+        expected = _compute_json(ca.n, ca.d, PackedTerms.of(ca.poly), rep) + "\n"
     else:
         expected = f"plucker canonical=false\n{format_terms(rep.poly)}\n"
         if argv[0] == "compute":
@@ -633,8 +633,8 @@ def test_compute_json_bytes_for_fraction_coefficients():
     assert any(isinstance(c, Fraction) for c in ca.poly.terms.values())
     rep = plucker_rewrite(ca)
     assert any(isinstance(c, Fraction) for c in rep.poly.terms.values())
-    assert _compute_json(ca, rep) == reference_compute_json(ca, rep)
-    assert _compute_json(ca, None) == reference_compute_json(ca, None)
+    assert _compute_json(ca.n, ca.d, PackedTerms.of(ca.poly), rep) == reference_compute_json(ca, rep)
+    assert _compute_json(ca.n, ca.d, PackedTerms.of(ca.poly), None) == reference_compute_json(ca, None)
 
 
 # -- plane values with a leading minus ---------------------------------------------

@@ -21,6 +21,7 @@ from chowforms import (
 )
 from chowforms.chow import wedge_expand
 from helpers import (
+    mpolys,
     ref_family_det,
     ref_family_orders,
     ref_limit,
@@ -55,9 +56,11 @@ def valuations(matrix):
 def test_limit_pform_and_family_det_equal_the_unscaled_routes(fam):
     # The family determinant reaches family_orders only in Kronecker slots:
     # its L and every order are checked against the unscaled determinant.
-    limit = limit_pform(fam)
+    pform, w = limit_pform(fam)
+    limit = (pform, w.mpoly())
     assert limit == ref_limit_pform(fam)
     pform, orders = family_orders(fam)
+    orders = mpolys(orders)
     assert orders == ref_family_orders(fam)
     low = min(orders)
     assert pform == ref_family_det(fam).decompose("eps")[low]
@@ -181,6 +184,7 @@ def test_a_limit_past_greedy_minima_that_are_not_tight(monkeypatch):
     monkeypatch.setattr(degeneration, "_eps_pform", lambda components: M)
     monkeypatch.setattr(degeneration, "_coded_det", spy)
     pform, w = limit_pform((None,) * 3)
+    w = w.mpoly()
     assert (pform, w) == ref_limit(M, 3)
     assert pform == det_expand(M).decompose("eps")[1] and w
     assert truncs == [2]
@@ -223,6 +227,8 @@ def test_kronecker_determinant_slots_hold_a_one_sign_determinant(monkeypatch, W)
     assert width((4 * x) ** 2 << 2) == W
     assert max(abs(c) for w in expected[1].values() for c in w.terms.values()) >= 1 << (8 * (W - 1) - 1)
     monkeypatch.setattr(degeneration, "_eps_pform", lambda components: M)
-    assert family_orders((None,) * 2) == expected
+    pform, orders = family_orders((None,) * 2)
+    assert (pform, mpolys(orders)) == expected
     monkeypatch.setattr(chow, "_slot_bytes", lambda bound: width(bound) - 1)
-    assert family_orders((None,) * 2) != expected
+    pform, orders = family_orders((None,) * 2)
+    assert (pform, mpolys(orders)) != expected

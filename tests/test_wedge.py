@@ -1,5 +1,6 @@
-"""The packed wedge kernel: p_kl -> u_k v_l - u_l v_k by ``wedge_expand``,
-and the triangular Plucker rewrite, each against the route it replaced.
+"""The packed wedge kernel: p_kl -> u_k v_l - u_l v_k by ``wedge_terms`` and
+its MPoly view ``wedge_expand``, and the triangular Plucker rewrite, each
+against the route it replaced.
 
 The references are kept here: substitution through ``MPoly.evaluate`` with
 one MPoly per wedge coordinate, and the dense power-table system over every
@@ -28,9 +29,9 @@ from chowforms import (
     plucker_rewrite,
     uv_names,
 )
-from chowforms.chow import EPS, bezout_pform, plucker_names, wedge_expand
+from chowforms.chow import EPS, bezout_pform, plucker_names, wedge_expand, wedge_terms
 from chowforms.resultant import det_expand
-from helpers import rand_curve, rand_curve_birational, ref_sorted_terms, seeded_joins, wedge
+from helpers import mpolys, rand_curve, rand_curve_birational, ref_sorted_terms, seeded_joins, wedge
 
 
 def evaluate_route(pform, m, names):
@@ -153,6 +154,55 @@ def test_wedge_expand_sorts_no_cancelled_sum(monkeypatch):
     assert seen == [0, 2]
 
 
+# -- wedge_terms: the kernel's packed output ------------------------------------------
+# wedge_expand is the MPoly view of wedge_terms; the writers read the packed
+# items directly, so their order is the output order.
+
+
+def check_kernel_contract(pform, m, names):
+    """wedge_terms(pform, m) for a homogeneous p-form: strictly descending
+    keys, no zero coefficient, and the terms of the substitution route."""
+    terms = wedge_terms(pform, m)
+    keys = [k for k, _ in terms.items]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(c and (type(c) is int or c.denominator != 1) for _, c in terms.items)
+    got = terms.mpoly()
+    assert terms.names == names and got == wedge_expand(pform, m) == evaluate_route(pform, m, names)
+    assert in_output_order(got)
+    return terms
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_wedge_terms_keep_the_kernel_contract_on_random_pforms(rational):
+    rng = random.Random(811 + rational)
+    for _ in range(40):
+        m, d = rng.randint(2, 6), rng.randint(0, 4)
+        check_kernel_contract(rand_pform(rng, m, d, rational=rational), m, uv_names(m - 1))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_wedge_terms_keep_the_kernel_contract_on_chow_form_determinants(n, d):
+    f = rand_curve_birational(random.Random(f"kernel-{n}-{d}"), n, d)
+    terms = check_kernel_contract(det_expand(bezout_pform(f.components)), n + 1, uv_names(n))
+    assert terms
+
+
+def test_wedge_terms_keep_graded_lex_order_when_degrees_mix():
+    # An eps ring mixes the total degrees of a biform's terms, as does a
+    # p-form of mixed p-degrees: the items follow the degree, then the key.
+    rng = random.Random(813)
+    for _ in range(20):
+        m = rng.randint(2, 5)
+        with_eps = rand_pform(rng, m, 2, extra=(EPS,), rational=True) + rand_pform(rng, m, 3, extra=(EPS,))
+        mixed = rand_pform(rng, m, 1) + rand_pform(rng, m, 3, rational=True)
+        for pform, names in ((with_eps, uv_names(m - 1, eps=True)), (mixed, uv_names(m - 1))):
+            terms = wedge_terms(pform, m)
+            got = terms.mpoly()
+            assert got == wedge_expand(pform, m) == evaluate_route(pform, m, names)
+            assert len({sum(e) for e in got.terms}) > 1 and in_output_order(got)
+            assert all(c for _, c in terms.items)
+
+
 # -- terms in output order ----------------------------------------------------------
 # wedge_expand unpacks its terms in descending packed order.  Every eps-free
 # biform built on it then holds them in the order the writers print.
@@ -175,12 +225,12 @@ def test_chow_forms_come_in_output_order(n, d):
 def test_family_limits_and_orders_come_in_output_order(n, d_f, d_g, f, g):
     fam = join_family(f, g)
     assert in_output_order(family_limit(fam).poly)
-    _, orders = family_orders(fam)
+    orders = mpolys(family_orders(fam)[1])
     assert orders and all(in_output_order(w) for w in orders.values())
-    # With eps the total degrees mix: the terms are in lex order only, and
-    # sorting them still gives graded-lex order.
+    # With eps the total degrees mix, and the terms are still in graded-lex
+    # order: the expansion sorts them by degree after the packed keys.
     poly = family_biform(fam).poly
-    assert list(poly.terms) == sorted(poly.terms, reverse=True)
+    assert len({sum(e) for e in poly.terms}) > 1 and in_output_order(poly)
     assert poly.sorted_terms() == ref_sorted_terms(poly)
 
 

@@ -12,19 +12,26 @@ from hypothesis import strategies as st
 
 from chowforms import (
     CayleyBiform,
+    CurveMap,
     MPoly,
     PluckerRep,
+    cayley_biform,
     content_primitive,
+    det_expand,
     family_biform,
     family_orders,
     join_family,
+    limit_direction,
+    limit_pform,
     normalize_attachment,
+    plucker_form,
     uv_names,
 )
-from chowforms.chow import pform_scale, plucker_names
+from chowforms.chow import bezout_pform, normalized_expansion, pform_scale, plucker_names, wedge_terms
 from chowforms.cli import _compute_json, _write_eps_table, load_curve, main
-from chowforms.polynomial import _grlex_key, format_terms, monomial_writer
+from chowforms.polynomial import PackedTerms, _grlex_key, format_terms
 from helpers import (
+    mpolys,
     rand_curve_birational,
     reference_compute_json,
     ref_eps_table,
@@ -83,10 +90,10 @@ def test_equal_halves_keep_their_own_variables(n):
 def test_one_writer_serves_many_polynomials_of_a_ring():
     rng = random.Random("shared-writer")
     names = uv_names(2)
-    write = monomial_writer(names)
     for _ in range(20):
-        for exps, _ in rand_poly(rng, names, 10).sorted_terms():
-            assert write(exps) == " ".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
+        p = rand_poly(rng, names, 10)
+        texts = [mono for mono, _ in PackedTerms.of(p).monomials()]
+        assert texts == [" ".join(f"{v}^{e}" for v, e in zip(names, exps) if e) for exps, _ in p.sorted_terms()]
 
 
 @st.composite
@@ -254,13 +261,13 @@ def test_writers_ignore_the_stored_order_of_wide_biforms(n, d):
     text, doc = ref_format_terms(ca.poly), reference_compute_json(ca, rep)
     for poly, prep in zip(reorderings(ca.poly), reorderings(rep.poly)):
         assert format_terms(poly) == text
-        assert _compute_json(CayleyBiform(n, d, poly), PluckerRep(n, d, prep)) == doc
+        assert _compute_json(n, d, PackedTerms.of(poly), PluckerRep(n, d, prep)) == doc
 
 
 @pytest.mark.parametrize("n, d_f, d_g, f, g", seeded_joins("stored-order")[1::2])
 def test_eps_table_ignores_the_stored_order(n, d_f, d_g, f, g, tmp_path):
     fam = join_family(f, g)
-    _, orders = family_orders(fam)
+    orders = mpolys(family_orders(fam)[1])
     # Integer orders with exponents of 10 and more, against the same scale.
     rng = random.Random(f"stored-eps-{n}")
     wide = {k: rand_bihomogeneous(rng, uv_names(n), 10, rand_int, terms=15) for k in (0, 2, 3)}
@@ -275,5 +282,118 @@ def test_eps_table_ignores_the_stored_order(n, d_f, d_g, f, g, tmp_path):
         expected = ref_eps_table(biform)
         assert "/" in expected and "\t-" in expected
         for i in range(2):
-            _write_eps_table(str(path), fam, {k: reorderings(w)[i] for k, w in table.items()})
+            _write_eps_table(str(path), fam, {k: PackedTerms.of(reorderings(w)[i]) for k, w in table.items()})
             assert path.read_text(encoding="utf-8") == expected
+
+
+# -- packed terms from the wedge kernel ---------------------------------------------
+# compute, degenerate and the eps table print the packed items of wedge_terms as
+# they stand: no exponent tuple is built and nothing is sorted again.
+
+
+def fraction_curve(rng, n, d):
+    """A curve in P^n whose coefficients have denominators up to 6."""
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d + 1)] for _ in range(n + 1)]
+        if any(x.denominator != 1 for row in rows for x in row):
+            return CurveMap.from_coeffs(rows)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_packed_chow_forms_write_the_reference_bytes(n, d):
+    rng = random.Random(f"packed-{n}-{d}")
+    m = n + 1
+    for f in (rand_curve_birational(rng, n, d, -3, 3), fraction_curve(rng, n, d), fraction_curve(rng, n, d)):
+        pform = det_expand(bezout_pform(f.components))
+        exact = cayley_biform(f)
+        # The exact resultant straight from the kernel, Fraction coefficients and all.
+        raw = wedge_terms(pform * Fraction(1, pform_scale(f.components)), m)
+        assert format_terms(raw) == ref_format_terms(exact.poly)
+        assert _compute_json(n, d, raw, None) == reference_compute_json(exact, None)
+        terms = normalized_expansion(pform, m)
+        if exact.is_zero:
+            assert not terms and format_terms(terms) == "0"
+            continue
+        ca = exact.normalized()
+        rep = plucker_form(f)
+        assert format_terms(terms) == ref_format_terms(ca.poly)
+        assert _compute_json(n, d, terms, None) == reference_compute_json(ca, None)
+        assert _compute_json(n, d, wedge_terms(rep.poly, m), rep) == reference_compute_json(ca, rep)
+    assert any(type(c) is Fraction for _, c in raw.items)
+
+
+@pytest.mark.parametrize("n, d_f, d_g, f, g", seeded_joins("packed-eps"))
+def test_packed_orders_write_the_reference_eps_table_and_limit(n, d_f, d_g, f, g, tmp_path):
+    fam = join_family(f, g)
+    biform = family_biform(fam)
+    path = tmp_path / "eps.tsv"
+    _write_eps_table(str(path), fam, family_orders(fam)[1])
+    assert path.read_text(encoding="utf-8") == ref_eps_table(biform)
+    _, w = limit_pform(fam)
+    assert format_terms(w.normalized()) == ref_format_terms(limit_direction(biform).poly)
+
+
+ODD_RINGS = [("x0", "x1", "x2"), plucker_names(1), plucker_names(2), plucker_names(4), uv_names(3, eps=True)]
+
+
+@pytest.mark.parametrize("names", RINGS + ODD_RINGS, ids=lambda names: "-".join(names) or "none")
+def test_packed_terms_of_ignores_the_stored_order(names):
+    rng = random.Random(f"packed-of-{'-'.join(names)}")
+    for terms in (1, 5, 30):
+        p = rand_poly(rng, names, terms)
+        packed = PackedTerms.of(p)
+        assert list(packed.mpoly().terms.items()) == ref_sorted_terms(p)
+        assert packed.mpoly() == p and format_terms(packed) == ref_format_terms(p)
+        assert all(PackedTerms.of(q) == packed for q in reorderings(p))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_halves_write_each_distinct_half_once(n):
+    # Mirrored biforms: every u-part equals its v-part, and each half still
+    # gets its own memo and its own variables.
+    rng = random.Random(f"halves-{n}")
+    m = n + 1
+    names = uv_names(n, eps=True)
+    for terms in (1, 4, 15):
+        p = rand_mirrored(rng, n, terms)
+        p = MPoly(names, {e + (rng.randint(0, 2),): c for e, c in p.terms.items()})
+        calls = []
+
+        def low(half, part):
+            calls.append(("low", half, part))
+            return f"L{part}"
+
+        def high(half, part):
+            calls.append(("high", half, part))
+            return f"H{part}"
+
+        got = list(PackedTerms.of(p).halves(low, high))
+        assert got == [(f"L{e[:m]}", f"H{e[m:]}", c) for e, c in ref_sorted_terms(p)]
+        lows = {("low", names[:m], e[:m]) for e in p.terms}
+        highs = {("high", names[m:], e[m:]) for e in p.terms}
+        assert sorted(calls) == sorted(lows | highs)
+
+
+def test_two_byte_fields_write_the_reference_bytes():
+    # p01^300 on P^1: exponents of 300 take two-byte fields, and the Plucker
+    # ring has one variable, so the first half of its exponents is empty.
+    terms = wedge_terms(MPoly(("p0,1",), {(300,): 1}), 2)
+    assert terms.w == 2 and len(terms.items) == 301
+    ca = CayleyBiform(1, 300, terms.mpoly())
+    rep = PluckerRep(1, 300, MPoly(plucker_names(1), {(300,): -7}))
+    assert terms.normalized() is terms and ca.normalized() == ca
+    assert format_terms(terms) == ref_format_terms(ca.poly)
+    assert _compute_json(1, 300, terms, rep) == reference_compute_json(ca, rep)
+    assert format_terms(rep.poly) == "-7 * p01^300"
+
+
+def test_the_zero_polynomial_writes_0():
+    for names in ((), ("x0", "x1", "x2"), plucker_names(2), uv_names(2)):
+        zero = PackedTerms.of(MPoly.zero(names))
+        assert not zero and zero.items == [] and zero.normalized() == zero
+        assert zero.mpoly() == MPoly.zero(names) and format_terms(zero) == "0"
+    # The Plucker relation p01 p23 - p02 p13 + p03 p12 expands to zero.
+    relation = MPoly(plucker_names(3), {(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): -1, (0, 0, 1, 1, 0, 0): 1})
+    terms = wedge_terms(relation, 4)
+    assert not terms and format_terms(terms) == "0"
+    assert _compute_json(3, 2, terms, None) == reference_compute_json(CayleyBiform(3, 2, MPoly.zero(uv_names(3))), None)
